@@ -4,70 +4,37 @@ Exact-rational (default) and float computation of the operator
 T_{n,q,alpha}, its basis polynomials, its complete eigensystem (eigenvalues
 with monic eigenvector polynomials), and the large-n limits of both, with
 independent brute-force oracles for verification.
+
+The names below are the ones users call; everything else stays importable
+from its submodule (``aqbernstein.qcalc``, ``aqbernstein.asymptotics``, ...).
 """
 
 from .asymptotics import (
     ConvergenceRow,
     LimitCoeffs,
-    Q_ABOVE_1,
-    Q_BELOW_1,
     RegimeError,
     convergence_table,
     limit_coeffs,
-    limit_coeffs_q_above_1,
-    limit_coeffs_q_below_1,
     limit_eigenvalue,
-    limit_monomial_coeff,
-    limit_ratio_q_above_1,
-    regime_of,
 )
 from .bernstein import (
-    MonomialImage,
     OperatorParams,
     apply_pointwise,
     apply_to_samples,
-    basis_eval,
     basis_values,
-    g_difference,
-    inject_fault,
     monomial_image,
     sample_nodes,
 )
 from .eigen import (
     DegenerateEigenvalueError,
     EigenSystem,
-    eigen_expand,
     eigensystem,
     eigensystem_from_dict,
     eigenvalue,
-    eigenvalue_difference,
-    eigenvalue_product_form,
     eigenvector,
-    operator_power,
 )
-from .polynomials import (
-    FitMismatchError,
-    Polynomial,
-    poly_add,
-    poly_eval,
-    poly_fit,
-    poly_is_close,
-    poly_scale,
-    poly_sub,
-)
-from .qcalc import (
-    monomial_q_difference,
-    q_binomial,
-    q_difference_table,
-    q_factorial,
-    q_forward_difference,
-    q_integer,
-    q_pochhammer,
-    q_stirling2,
-    q_stirling2_rec,
-)
+from .polynomials import Polynomial, poly_eval
 from .scalars import (
-    DEFAULT_TOLERANCE,
     MixedModeError,
     Scalar,
     Tolerance,
@@ -75,7 +42,6 @@ from .scalars import (
     parse_scalar,
     scalar_from_json,
     scalar_to_json,
-    scalars_close,
 )
 from .verify import run_verify
 
@@ -83,63 +49,31 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ConvergenceRow",
-    "DEFAULT_TOLERANCE",
     "DegenerateEigenvalueError",
     "EigenSystem",
-    "FitMismatchError",
     "LimitCoeffs",
     "MixedModeError",
-    "MonomialImage",
     "OperatorParams",
     "Polynomial",
-    "Q_ABOVE_1",
-    "Q_BELOW_1",
     "RegimeError",
     "Scalar",
     "Tolerance",
     "apply_pointwise",
     "apply_to_samples",
-    "basis_eval",
     "basis_values",
     "convergence_table",
-    "eigen_expand",
     "eigensystem",
     "eigensystem_from_dict",
     "eigenvalue",
-    "eigenvalue_difference",
-    "eigenvalue_product_form",
     "eigenvector",
     "format_scalar",
-    "g_difference",
-    "inject_fault",
     "limit_coeffs",
-    "limit_coeffs_q_above_1",
-    "limit_coeffs_q_below_1",
     "limit_eigenvalue",
-    "limit_monomial_coeff",
-    "limit_ratio_q_above_1",
     "monomial_image",
-    "monomial_q_difference",
-    "operator_power",
     "parse_scalar",
-    "poly_add",
     "poly_eval",
-    "poly_fit",
-    "poly_is_close",
-    "poly_scale",
-    "poly_sub",
-    "q_binomial",
-    "q_difference_table",
-    "q_factorial",
-    "q_forward_difference",
-    "q_integer",
-    "q_pochhammer",
-    "q_stirling2",
-    "q_stirling2_rec",
-    "regime_of",
     "run_verify",
     "sample_nodes",
     "scalar_from_json",
     "scalar_to_json",
-    "scalars_close",
 ]

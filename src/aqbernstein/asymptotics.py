@@ -23,8 +23,8 @@ numerator or the second denominator term is only harmless at alpha = 1
 (where both vanish from rho) or, for the numerator, at q = 2. The exact
 degree-2 eigenvector x^2 - x, valid at every n, forces rho_1 at k = 2 to be
 exactly -1 for every alpha, which the formula above satisfies; convergence
-tests confirm the general case numerically. Simplified variants with either
-correction dropped are kept (underscore-prefixed) for those diagnostics.
+tests confirm the general case numerically, and show that the finite-n
+ratios move away from the simplified variants with either correction dropped.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from typing import Sequence
 from .bernstein import OperatorParams
 from .eigen import eigenvector
 from .qcalc import q_integer, q_stirling2
-from .scalars import Scalar, coerce, common_mode, to_float
+from .scalars import Scalar, coerce, common_mode
 
 Q_BELOW_1 = "q_below_1"
 Q_ABOVE_1 = "q_above_1"
@@ -113,39 +113,20 @@ def limit_coeffs_q_below_1(q: Scalar, alpha: Scalar, k: int) -> LimitCoeffs:
     q, alpha = _coerced_pair(q, alpha)
     if _check_regime(q, None) != Q_BELOW_1:
         raise RegimeError(f"b-coefficients need 0 < q < 1, got q={q}")
-    coeffs = _b_rows(q, k, literal=False)
-    return LimitCoeffs(Q_BELOW_1, q, alpha, k, coeffs, limit_eigenvalue(q, k))
-
-
-def _b_rows(q: Scalar, k: int, literal: bool) -> tuple[Scalar, ...]:
     if k < 0:
         raise ValueError(f"need k >= 0, got {k}")
-    if k == 0:
-        return (q * 0 + 1,)
     b: list[Scalar] = [q * 0] * (k + 1)
     b[k] = q * 0 + 1
-    if k == 1:
-        # pinned directly: the j = 0 recursion step would divide by q^0 - 1
-        return tuple(b)
-    for j in range(k - 1, -1, -1):
-        denom = q ** ((k - j) * (k + j - 1) // 2) - 1
-        assert denom != 0, "unreachable for q != 1 and j < k with k >= 2"
-        total = q * 0
-        for i in range(j + 1, k + 1):
-            s = q_stirling2(i, k, q) if literal else q_stirling2(i, j, q)
-            total = total + (1 - q) ** (i - j) * s * b[i]
-        b[j] = total / denom
-    return tuple(b)
-
-
-def _limit_coeffs_q_below_1_literal(q: Scalar, k: int) -> tuple[Scalar, ...]:
-    """Diagnostic variant with S_q(i,k) in place of S_q(i,j).
-
-    That reading zeroes every summand with i < k and is refuted by the
-    convergence of the finite-n coefficients; kept so tests can demonstrate
-    the divergence.
-    """
-    return _b_rows(q, k, literal=True)
+    # k = 1 is pinned directly: its j = 0 step would divide by q^0 - 1
+    if k >= 2:
+        for j in range(k - 1, -1, -1):
+            denom = q ** ((k - j) * (k + j - 1) // 2) - 1
+            assert denom != 0, "unreachable for q != 1 and j < k with k >= 2"
+            total = q * 0
+            for i in range(j + 1, k + 1):
+                total = total + (1 - q) ** (i - j) * q_stirling2(i, j, q) * b[i]
+            b[j] = total / denom
+    return LimitCoeffs(Q_BELOW_1, q, alpha, k, tuple(b), limit_eigenvalue(q, k))
 
 
 def limit_ratio_q_above_1(q: Scalar, alpha: Scalar, k: int, j: int) -> Scalar:
@@ -168,23 +149,6 @@ def limit_ratio_q_above_1(q: Scalar, alpha: Scalar, k: int, j: int) -> Scalar:
     den = den + (1 - alpha) * q ** (1 - k) * (q**j - 1) * (
         q ** (2 * k - j - 1) - 1
     ) / (q - 1)
-    return -num / den
-
-
-def _limit_ratio_q_above_1_literal(q: Scalar, alpha: Scalar, k: int, j: int) -> Scalar:
-    """Diagnostic variant without the two (1-alpha) corrections.
-
-    It drops the (q-1) factor in the numerator and the whole second
-    denominator term, and therefore agrees with the corrected ratio only at
-    alpha = 1; tests show the finite-n ratios diverge from it elsewhere.
-    """
-    q, alpha = _coerced_pair(q, alpha)
-    den = q * 0
-    for t in range(k - j, k):
-        den = den + q_integer(t, q)
-    num = q_stirling2(k - j + 1, k - j, q) + (1 - alpha) * q ** (j - k) * q_integer(
-        k - j, q
-    ) * q_integer(k - j + 1, q)
     return -num / den
 
 
@@ -248,7 +212,7 @@ def convergence_table(
     rounding noise.
     """
     if mode == "float":
-        q, alpha = to_float(q), to_float(alpha)
+        q, alpha = float(q), float(alpha)
     elif mode != "exact":
         raise ValueError(f"unknown mode {mode!r}")
     q, alpha = _coerced_pair(q, alpha)

@@ -22,7 +22,7 @@ Basis evaluation uses a factored form in which the removable division by
 
 from __future__ import annotations
 
-from contextlib import contextmanager
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -36,30 +36,13 @@ from .qcalc import (
 )
 from .scalars import MixedModeError, Scalar, coerce, common_mode
 
-# Test-only fault injection: names in this set corrupt a formula on purpose
-# so the verification harness can prove it would catch a regression.
-_ACTIVE_FAULTS: set[str] = set()
-KNOWN_FAULTS = frozenset({"ark-sign"})
-
-
-@contextmanager
-def inject_fault(name: str):
-    """Enable a named, deliberate formula corruption while the context runs."""
-    if name not in KNOWN_FAULTS:
-        raise ValueError(f"unknown fault {name!r}; known: {sorted(KNOWN_FAULTS)}")
-    _ACTIVE_FAULTS.add(name)
-    try:
-        yield
-    finally:
-        _ACTIVE_FAULTS.discard(name)
-
 
 @dataclass(frozen=True)
 class OperatorParams:
     """The triple (n, q, alpha) defining T_{n,q,alpha}.
 
-    Requires n >= 1 and q > 0. alpha must lie in [0,1] unless
-    ``allow_any_alpha`` is set; outside that interval the eigenvalue
+    Requires n >= 1, finite q and alpha, and q > 0. alpha must lie in [0,1]
+    unless ``allow_any_alpha`` is set; outside that interval the eigenvalue
     distinctness guarantee is void, so eigen computations refuse by default.
     q and alpha must share a scalar mode (ints count as exact).
     """
@@ -75,6 +58,10 @@ class OperatorParams:
         mode = common_mode(self.q, self.alpha) or "exact"
         object.__setattr__(self, "q", coerce(self.q, mode))
         object.__setattr__(self, "alpha", coerce(self.alpha, mode))
+        if mode == "float" and not (math.isfinite(self.q) and math.isfinite(self.alpha)):
+            raise ValueError(
+                f"q and alpha must be finite, got q={self.q}, alpha={self.alpha}"
+            )
         if not self.q > 0:
             raise ValueError(f"q must be positive, got {self.q}")
         if not self.allow_any_alpha and not 0 <= self.alpha <= 1:
@@ -218,31 +205,6 @@ def _g_samples(samples: tuple[Scalar, ...], params: OperatorParams) -> tuple[Sca
     return tuple(out)
 
 
-def g_difference(
-    samples: Sequence[Scalar], i: int, r: int, params: OperatorParams
-) -> Scalar:
-    """Delta_q^r g_i expressed through differences of f:
-
-        (1 - q^(n-i-1) [i]_q/[n-1]_q) Delta_q^r f_i
-        + (q^(n-i-1-r) [i+r]_q/[n-1]_q) Delta_q^r f_{i+1}.
-
-    Requires n >= 2 (g is undefined at n = 1) and i + r + 1 <= n.
-    """
-    n, q = params.n, params.q
-    if n < 2:
-        raise ValueError("g is undefined for n < 2")
-    if i < 0 or r < 0:
-        raise ValueError(f"need i, r >= 0, got ({i}, {r})")
-    if i + r + 1 > n:
-        raise ValueError(f"need i + r + 1 <= n, got {i} + {r} + 1 > {n}")
-    f = _check_samples(samples, params)
-    table = q_difference_table(f, q)
-    dn1 = q_integer(n - 1, q)
-    w_i = q ** (n - i - 1) * q_integer(i, q) / dn1
-    w_i1 = q ** (n - i - 1 - r) * q_integer(i + r, q) / dn1
-    return (1 - w_i) * table[r][i] + w_i1 * table[r][i + 1]
-
-
 def apply_to_samples(samples: Sequence[Scalar], params: OperatorParams) -> Polynomial:
     """T_{n,q,alpha}(f; .) as a polynomial, via the forward-difference form.
 
@@ -298,7 +260,6 @@ def monomial_image(k: int, params: OperatorParams) -> MonomialImage:
     if n == 1:
         return MonomialImage(1, (q * 0, q * 0 + 1))
 
-    mid_sign = 1 if "ark-sign" in _ACTIVE_FAULTS else -1
     dn = q_integer(n, q)
     ratio_n1 = q_integer(n - 1, q) / dn
     coeffs = []
@@ -308,7 +269,7 @@ def monomial_image(k: int, params: OperatorParams) -> MonomialImage:
         s_low = q_stirling2(k, r, q)
         braces = (1 - alpha) * (q_integer(n - r, q) / dn) * (
             (q_integer(n + r - 1, q) / dn) * s_up
-            + mid_sign * q_integer(r + 1, q) * ratio_n1 * s_mid
+            - q_integer(r + 1, q) * ratio_n1 * s_mid
         ) + alpha * ratio_n1 * s_low
         if r >= 2:
             base = q * 0 + 1

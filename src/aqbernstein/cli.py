@@ -12,7 +12,8 @@ Subcommands:
 
 Scalars parse rationally by default (``--q 0.4`` means exactly 2/5); pass
 ``--mode float`` for float arithmetic. Exit codes: 0 success, 1 verification
-or degeneracy failure, 2 usage or parameter error.
+failure or arithmetic failure (a vanishing eigenvalue difference, or a float
+result out of range), 2 usage or parameter error.
 """
 
 from __future__ import annotations
@@ -25,14 +26,8 @@ import sys
 from fractions import Fraction
 
 from .asymptotics import RegimeError, convergence_table, limit_coeffs
-from .bernstein import (
-    OperatorParams,
-    apply_to_samples,
-    basis_values,
-    inject_fault,
-    sample_nodes,
-)
-from .eigen import DegenerateEigenvalueError, eigensystem, eigenvector
+from .bernstein import OperatorParams, apply_to_samples, basis_values, sample_nodes
+from .eigen import eigensystem, eigenvector
 from .polynomials import poly_eval
 from .scalars import (
     MixedModeError,
@@ -71,7 +66,7 @@ def _csv_text(header: list[str], rows: list[list[str]]) -> str:
 
 
 def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2) + "\n"
+    return json.dumps(obj, indent=2, allow_nan=False) + "\n"
 
 
 def _params_from(args) -> OperatorParams:
@@ -128,25 +123,29 @@ def cmd_basis(args) -> int:
     params = _params_from(args)
     if (args.x is None) == (args.samples is None):
         raise ValueError("pass exactly one of --x (a point) or --samples (a grid)")
-    if args.x is not None:
-        x = parse_scalar(args.x, args.mode)
-        values = basis_values(params, x)
+    point = args.x is not None
+    if point:
+        grid = [parse_scalar(args.x, args.mode)]
+    else:
+        grid = _x_grid(args.samples, args.mode)
+    rows = [basis_values(params, x) for x in grid]
+    if (args.format or ("json" if point else "csv")) == "json":
+        values = [[scalar_to_json(v) for v in row] for row in rows]
         obj = {
             "n": params.n,
             "q": scalar_to_json(params.q),
             "alpha": scalar_to_json(params.alpha),
-            "x": scalar_to_json(x),
-            "values": [scalar_to_json(v) for v in values],
+            "x": scalar_to_json(grid[0]) if point else [scalar_to_json(x) for x in grid],
+            "values": values[0] if point else values,
         }
         _emit(_json_text(obj), args.out)
-        return 0
-    grid = _x_grid(args.samples, args.mode)
-    header = ["x"] + [f"p{i}" for i in range(params.n + 1)]
-    rows = []
-    for x in grid:
-        vals = basis_values(params, x)
-        rows.append([format_scalar(x)] + [format_scalar(v) for v in vals])
-    _emit(_csv_text(header, rows), args.out)
+    else:
+        header = ["x"] + [f"p{i}" for i in range(params.n + 1)]
+        table = [
+            [format_scalar(x)] + [format_scalar(v) for v in row]
+            for x, row in zip(grid, rows)
+        ]
+        _emit(_csv_text(header, table), args.out)
     return 0
 
 
@@ -256,11 +255,7 @@ def cmd_plot_data(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.inject_fault:
-        with inject_fault(args.inject_fault):
-            report = run_verify(max_n=args.max_n)
-    else:
-        report = run_verify(max_n=args.max_n)
+    report = run_verify(max_n=args.max_n)
     _emit(_json_text(report.as_dict()), args.out)
     return 0 if report.passed else 1
 
@@ -304,7 +299,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, n=True)
     p.add_argument("--x", default=None, help="single evaluation point")
     p.add_argument("--samples", type=int, default=None, help="grid size on [0,1]")
-    p.set_defaults(func=cmd_basis, default_format="csv")
+    # no fixed default: JSON for --x, CSV for --samples
+    p.set_defaults(func=cmd_basis, default_format=None)
 
     p = sub.add_parser("limits", help="large-n limit eigenvalue and coefficients")
     common(p, k=True)
@@ -321,8 +317,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the exact-oracle verification suite")
     p.add_argument("--max-n", type=int, default=6, dest="max_n")
-    p.add_argument("--inject-fault", choices=["ark-sign"], default=None,
-                   help="test-only: corrupt a formula to prove the suite catches it")
     p.add_argument("--format", choices=["json"], default="json")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_verify, default_format="json")
@@ -331,14 +325,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     args = parser.parse_args(argv)
     if getattr(args, "format", None) is None:
         args.format = getattr(args, "default_format", "json")
     try:
         return args.func(args)
-    except DegenerateEigenvalueError as exc:
-        print(f"degeneracy: {exc}", file=sys.stderr)
+    except ArithmeticError as exc:
+        # DegenerateEigenvalueError, and float OverflowError/ZeroDivisionError
+        print(f"arithmetic failure in '{' '.join(argv)}': "
+              f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     except (RegimeError, MixedModeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -137,47 +137,3 @@ def q_difference_table(samples: Sequence[Scalar], q: Scalar) -> tuple[tuple[Scal
         w = q ** (r - 1)
         rows.append(tuple(prev[i + 1] - w * prev[i] for i in range(len(prev) - 1)))
     return tuple(rows)
-
-
-def q_forward_difference(samples: Sequence[Scalar], i: int, r: int, q: Scalar) -> Scalar:
-    """Delta_q^r f_i for the given sample sequence."""
-    _require_positive_q(q)
-    if r < 0 or i < 0:
-        raise ValueError(f"forward difference needs i, r >= 0, got ({i}, {r})")
-    if i + r > len(samples) - 1:
-        raise ValueError(
-            f"not enough samples: Delta^{r} at i={i} needs index {i + r}, "
-            f"have 0..{len(samples) - 1}"
-        )
-    row = tuple(samples)
-    for s in range(1, r + 1):
-        w = q ** (s - 1)
-        row = tuple(row[t + 1] - w * row[t] for t in range(len(row) - 1))
-    return row[i]
-
-
-def monomial_q_difference(k: int, i: int, r: int, n: int, q: Scalar) -> Scalar:
-    """Closed form of Delta_q^r f_i when f samples t^k at the nodes [i]_q/[n]_q.
-
-    Equals (1/[n]_q^k) sum_{s=0}^{r} (-1)^s q^(s(s-1)/2) qbinom(r, s)
-    [i+r-s]_q^k, valid for r <= k (the closed form is not extrapolated
-    beyond that range; use the generic difference for r > k).
-    """
-    _require_positive_q(q)
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    if not 0 <= i <= n:
-        raise ValueError(f"need 0 <= i <= n, got i={i}, n={n}")
-    if r < 0 or r > k:
-        raise ValueError(f"closed form requires 0 <= r <= k, got r={r}, k={k}")
-    if i + r > n:
-        raise ValueError(f"need i + r <= n, got {i} + {r} > {n}")
-    total = _zero(q)
-    for s in range(r + 1):
-        term = (
-            q ** (s * (s - 1) // 2)
-            * q_binomial(r, s, q)
-            * q_integer(i + r - s, q) ** k
-        )
-        total = total - term if s % 2 else total + term
-    return total / q_integer(n, q) ** k

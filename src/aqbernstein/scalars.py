@@ -52,15 +52,6 @@ class Tolerance:
 DEFAULT_TOLERANCE = Tolerance()
 
 
-def scalar_mode(x: Scalar | int) -> str:
-    """Return ``"exact"`` or ``"float"``; ints count as exact."""
-    if isinstance(x, float):
-        return FLOAT
-    if isinstance(x, (Fraction, int)):
-        return EXACT
-    raise TypeError(f"not a scalar: {x!r} of type {type(x).__name__}")
-
-
 def coerce(x: Scalar | int, mode: str) -> Scalar:
     """Bring ``x`` into ``mode``, allowing only the int -> anything widening."""
     if isinstance(x, bool):
@@ -117,21 +108,24 @@ def parse_scalar(text: str, mode: str = EXACT) -> Scalar:
     """Parse ``"p/q"`` or a decimal string.
 
     In exact mode decimals convert exactly (``"0.4"`` -> 2/5); in float mode
-    the text is read as a float.
+    the text is read as a float. Non-finite values, a zero denominator and
+    floats out of range raise ValueError.
     """
     text = text.strip()
-    if mode == FLOAT:
-        try:
-            return float(text)
-        except ValueError:
-            return float(Fraction(text))
-    if mode != EXACT:
+    if mode not in (EXACT, FLOAT):
         raise ValueError(f"unknown scalar mode {mode!r}")
-    return Fraction(text)
-
-
-def to_float(x: Scalar | int) -> float:
-    return float(x)
+    try:
+        if mode == EXACT:
+            return Fraction(text)
+        try:
+            value = float(text)
+        except ValueError:
+            value = float(Fraction(text))
+    except (ZeroDivisionError, OverflowError):
+        value = math.inf
+    if not math.isfinite(value):
+        raise ValueError(f"scalar must be finite, got {text!r}")
+    return value
 
 
 def scalar_to_json(x: Scalar | int):

@@ -21,6 +21,7 @@ from aqbernstein.bernstein import (
     monomial_image,
     sample_nodes,
 )
+from aqbernstein.cli import main
 from aqbernstein.eigen import (
     eigensystem,
     eigenvalue,
@@ -218,7 +219,7 @@ def test_criterion_10_operator_axioms():
                     assert image.degree == k
 
 
-def test_criterion_11_verify_cli():
+def test_criterion_11_verify_cli(corrupt_kernel, tmp_path):
     with criterion(11, "verify command: clean pass, fault caught"):
         proc = subprocess.run(
             [sys.executable, "-m", "aqbernstein", "verify"],
@@ -228,13 +229,10 @@ def test_criterion_11_verify_cli():
         report = json.loads(proc.stdout)
         assert report["passed"] is True and report["max_n"] == 6
 
-        proc = subprocess.run(
-            [sys.executable, "-m", "aqbernstein", "verify", "--max-n", "2",
-             "--inject-fault", "ark-sign"],
-            capture_output=True, text=True,
-        )
-        assert proc.returncode == 1
-        report = json.loads(proc.stdout)
+        # corrupt_kernel has replaced monomial_image in this process only
+        out = tmp_path / "report.json"
+        assert main(["verify", "--max-n", "2", "--out", str(out)]) == 1
+        report = json.loads(out.read_text())
         assert report["passed"] is False
         failed = [c for c in report["checks"] if not c["passed"]]
         assert failed and failed[0].get("counterexample")

@@ -6,8 +6,6 @@ from aqbernstein.asymptotics import (
     Q_ABOVE_1,
     Q_BELOW_1,
     RegimeError,
-    _limit_coeffs_q_below_1_literal,
-    _limit_ratio_q_above_1_literal,
     convergence_table,
     limit_coeffs,
     limit_coeffs_q_above_1,
@@ -22,6 +20,33 @@ from aqbernstein.eigen import eigenvalue_difference, eigenvector
 from aqbernstein.qcalc import q_integer, q_stirling2
 
 F = Fraction
+
+
+def literal_limit_coeffs_q_below_1(q, k):
+    """The b(j,k) recursion read with S_q(i,k) in place of S_q(i,j), k >= 2.
+
+    That reading zeroes every summand with i < k and is refuted by the
+    convergence of the finite-n coefficients.
+    """
+    b = [q * 0] * k + [q * 0 + 1]
+    for j in range(k - 1, -1, -1):
+        total = sum((1 - q) ** (i - j) * q_stirling2(i, k, q) * b[i]
+                    for i in range(j + 1, k + 1))
+        b[j] = total / (q ** ((k - j) * (k + j - 1) // 2) - 1)
+    return tuple(b)
+
+
+def uncorrected_limit_ratio_q_above_1(q, alpha, k, j):
+    """The ratio limit rho_j without its two (1-alpha) corrections.
+
+    It drops the (q-1) factor in the numerator and the whole second
+    denominator term, so it agrees with the corrected ratio only at alpha = 1.
+    """
+    den = sum(q_integer(t, q) for t in range(k - j, k))
+    num = q_stirling2(k - j + 1, k - j, q) + (1 - alpha) * q ** (j - k) * q_integer(
+        k - j, q
+    ) * q_integer(k - j + 1, q)
+    return -num / den
 
 
 def finite_ratio(q, alpha, k, j, i, n):
@@ -141,7 +166,7 @@ class TestLimitsBelowOne:
         # the finite-n coefficients never approach the result
         q = F(1, 2)
         for k in [3, 4]:
-            literal = _limit_coeffs_q_below_1_literal(q, k)
+            literal = literal_limit_coeffs_q_below_1(q, k)
             correct = limit_coeffs_q_below_1(q, F(1, 2), k).coeffs
             assert literal != correct
             c = eigenvector(k, OperatorParams(100, 0.5, 0.5))
@@ -192,7 +217,7 @@ class TestLimitsAboveOne:
         for q in [1.5, 2.0]:
             for alpha in [0.0, 0.5]:
                 got = finite_ratio(q, alpha, 3, 1, 0, 60)
-                literal = _limit_ratio_q_above_1_literal(q, alpha, 3, 1)
+                literal = uncorrected_limit_ratio_q_above_1(q, alpha, 3, 1)
                 corrected = limit_ratio_q_above_1(q, alpha, 3, 1)
                 assert abs(got - corrected) < 1e-9
                 assert abs(got - literal) > 0.05

@@ -5,7 +5,10 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import pytest
+
 from aqbernstein.bernstein import OperatorParams
+from aqbernstein.cli import _json_text, main
 from aqbernstein.eigen import eigensystem, eigensystem_from_dict
 
 F = Fraction
@@ -74,6 +77,23 @@ class TestEig:
         run_cli("eig", "--n", "2", "--q", "0", "--alpha", "1", expect=2)
         run_cli("eig", "--n", "2", "--q", "1/2", "--alpha", "2", expect=2)
 
+    def test_non_finite_input_exit_2(self):
+        proc = run_cli("eig", "--n", "2", "--q", "inf", "--alpha", "0.4",
+                       "--mode", "float", expect=2)
+        assert proc.stdout == ""
+        run_cli("eig", "--n", "2", "--q", "1/2", "--alpha", "nan",
+                "--mode", "float", expect=2)
+        with pytest.raises(ValueError):
+            _json_text({"lambda": float("nan")})
+
+    def test_float_range_failure_exit_1(self):
+        for n, q in [("40", "1.5"), ("50", "0.5")]:
+            proc = run_cli("eig", "--n", n, "--q", q, "--alpha", "0.4",
+                           "--mode", "float", expect=1)
+            assert "Traceback" not in proc.stderr
+            assert proc.stderr.count("\n") == 1
+            assert f"eig --n {n} --q {q} --alpha 0.4 --mode float" in proc.stderr
+
     def test_out_file(self, tmp_path):
         path = tmp_path / "eig.json"
         run_cli("eig", "--n", "2", "--q", "1/2", "--alpha", "1", "--out", str(path))
@@ -131,6 +151,23 @@ class TestBasis:
         )
         assert rows[0] == ["x", "p0", "p1", "p2"]
         assert [r[0] for r in rows[1:]] == ["0", "1/2", "1"]
+
+    def test_format_option(self):
+        obj = json.loads(
+            run_cli("basis", "--n", "2", "--q", "1/2", "--alpha", "2/5",
+                    "--samples", "3", "--format", "json").stdout
+        )
+        assert [F(int(v["num"]), int(v["den"])) for v in obj["x"]] == [0, F(1, 2), 1]
+        assert len(obj["values"]) == 3
+        for row in obj["values"]:
+            assert sum(F(int(v["num"]), int(v["den"])) for v in row) == 1
+        rows = parse_csv(
+            run_cli("basis", "--n", "2", "--q", "1/2", "--alpha", "2/5",
+                    "--x", "1/3", "--format", "csv").stdout
+        )
+        assert rows[0] == ["x", "p0", "p1", "p2"]
+        assert len(rows) == 2 and rows[1][0] == "1/3"
+        assert sum(F(v) for v in rows[1][1:]) == 1
 
     def test_requires_exactly_one_of_x_samples(self):
         run_cli("basis", "--n", "2", "--q", "1/2", "--alpha", "1", expect=2)
@@ -227,10 +264,13 @@ class TestVerify:
                 "example_fixed_points", "operator_axioms"} <= names
         assert all(c["passed"] for c in obj["checks"])
 
-    def test_fault_injection_caught(self):
-        proc = run_cli("verify", "--max-n", "2", "--inject-fault", "ark-sign",
-                       expect=1)
-        obj = json.loads(proc.stdout)
+    def test_fault_injection_caught(self, corrupt_kernel, capsys):
+        assert main(["verify", "--max-n", "2"]) == 1
+        obj = json.loads(capsys.readouterr().out)
         assert obj["passed"] is False
         failed = [c for c in obj["checks"] if not c["passed"]]
         assert failed and "counterexample" in failed[0]
+        # faults are substituted by tests, never switched on from the CLI
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--inject-fault", "ark-sign"])
+        assert exc.value.code == 2

@@ -3,14 +3,14 @@ from fractions import Fraction
 
 import pytest
 
+from aqbernstein import eigen
 from aqbernstein.bernstein import (
     OperatorParams,
+    _g_samples,
     apply_pointwise,
     apply_to_samples,
     basis_eval,
     basis_values,
-    g_difference,
-    inject_fault,
     monomial_image,
     sample_nodes,
 )
@@ -18,13 +18,14 @@ from aqbernstein.eigen import eigenvalue
 from aqbernstein.polynomials import Polynomial, poly_eval, poly_fit
 from aqbernstein.qcalc import (
     q_binomial,
+    q_difference_table,
     q_factorial,
-    q_forward_difference,
     q_integer,
     q_pochhammer,
     q_stirling2,
 )
 from aqbernstein.scalars import MixedModeError
+from aqbernstein.verify import run_verify
 
 F = Fraction
 Q_GRID = [F(1, 2), F(1), F(3, 2), F(2)]
@@ -36,6 +37,22 @@ def rational_samples(rng, count):
     return [F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(count)]
 
 
+def g_difference(samples, i, r, params):
+    """Oracle for Delta_q^r g_i through differences of f, n >= 2, i + r < n:
+    (1 - q^(n-i-1) [i]/[n-1]) Delta^r f_i + q^(n-i-1-r) [i+r]/[n-1] Delta^r f_(i+1).
+    """
+    n, q = params.n, params.q
+    if n < 2:
+        raise ValueError("g is undefined for n < 2")
+    if i < 0 or r < 0 or i + r + 1 > n:
+        raise ValueError(f"need i, r >= 0 and i + r + 1 <= n, got {i}, {r}, {n}")
+    table = q_difference_table(samples, q)
+    dn1 = q_integer(n - 1, q)
+    w_i = q ** (n - i - 1) * q_integer(i, q) / dn1
+    w_i1 = q ** (n - i - 1 - r) * q_integer(i + r, q) / dn1
+    return (1 - w_i) * table[r][i] + w_i1 * table[r][i + 1]
+
+
 class TestParams:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -44,6 +61,10 @@ class TestParams:
             OperatorParams(3, F(0), F(1, 2))
         with pytest.raises(ValueError):
             OperatorParams(3, F(-1), F(1, 2))
+        with pytest.raises(ValueError):
+            OperatorParams(3, float("inf"), 0.5)
+        with pytest.raises(ValueError):
+            OperatorParams(3, 0.5, float("nan"), allow_any_alpha=True)
 
     def test_alpha_range_gate(self):
         with pytest.raises(ValueError, match="allow_any_alpha"):
@@ -135,17 +156,19 @@ class TestGDifference:
             assert 0 <= w <= 1
 
     def test_iterated_differences_of_g(self):
-        # differencing the r = 0 sequence generically reproduces the closed form
+        # differencing the library's g sequence reproduces the closed form
         rng = random.Random(3)
         for n in range(2, 9):
             for q in [F(1, 2), F(1), F(2)]:
                 params = OperatorParams(n, q, F(1, 4))
                 f = rational_samples(rng, n + 1)
-                g = [g_difference(f, i, 0, params) for i in range(n)]
+                g = _g_samples(tuple(f), params)
+                assert g == tuple(g_difference(f, i, 0, params) for i in range(n))
+                table = q_difference_table(g, q)
                 for r in range(n):
                     for i in range(n - r):
-                        assert q_forward_difference(g, i, r, q) == \
-                            g_difference(f, i, r, params), (n, q, i, r)
+                        assert table[r][i] == g_difference(f, i, r, params), \
+                            (n, q, i, r)
 
     def test_n1_rejected(self):
         with pytest.raises(ValueError):
@@ -284,15 +307,11 @@ class TestMonomialImage:
 
 
 class TestFaultHook:
-    def test_fault_changes_coefficients(self):
+    def test_fault_changes_coefficients(self, corrupt_kernel):
+        # the corrupted kernel reaches the eigen recursion and verify reports it
         params = OperatorParams(4, F(1, 2), F(1, 2))
-        clean = monomial_image(3, params)
-        with inject_fault("ark-sign"):
-            faulted = monomial_image(3, params)
-        assert clean != faulted
-        assert monomial_image(3, params) == clean  # hook is scoped
-
-    def test_unknown_fault_rejected(self):
-        with pytest.raises(ValueError):
-            with inject_fault("no-such-fault"):
-                pass
+        assert eigen.monomial_image(3, params) != monomial_image(3, params)
+        report = run_verify(max_n=2)
+        assert not report.passed
+        failed = [c for c in report.checks if not c.passed]
+        assert failed[0].name == "eigen_relation" and failed[0].counterexample

@@ -1,0 +1,26 @@
+import aqbernstein
+import aqbernstein.bernstein
+
+PUBLIC = """
+ConvergenceRow DegenerateEigenvalueError EigenSystem LimitCoeffs MixedModeError
+OperatorParams Polynomial RegimeError Scalar Tolerance apply_pointwise
+apply_to_samples basis_values convergence_table eigensystem eigensystem_from_dict
+eigenvalue eigenvector format_scalar limit_coeffs limit_eigenvalue monomial_image
+parse_scalar poly_eval run_verify sample_nodes scalar_from_json scalar_to_json
+""".split()
+
+# names the benchmark in perfbench/ reads from the package namespace
+BENCHMARK_NAMES = """
+ConvergenceRow OperatorParams Polynomial apply_to_samples convergence_table
+eigensystem eigensystem_from_dict eigenvalue monomial_image scalar_from_json
+""".split()
+
+
+def test_public_names():
+    assert aqbernstein.__all__ == PUBLIC
+    assert set(BENCHMARK_NAMES) <= set(PUBLIC)
+    for name in PUBLIC:
+        assert getattr(aqbernstein, name) is not None, name
+    # faults are substituted by tests, not switched on inside the package
+    assert not hasattr(aqbernstein.bernstein, "inject_fault")
+    assert not hasattr(aqbernstein.bernstein, "_ACTIVE_FAULTS")

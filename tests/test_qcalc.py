@@ -6,11 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aqbernstein.qcalc import (
-    monomial_q_difference,
     q_binomial,
     q_difference_table,
     q_factorial,
-    q_forward_difference,
     q_integer,
     q_pochhammer,
     q_stirling2,
@@ -31,6 +29,29 @@ def classical_stirling2(k, r):
         for j in range(1, min(i, r) + 1):
             table[i][j] = table[i - 1][j - 1] + j * table[i - 1][j]
     return table[k][r]
+
+
+def monomial_q_difference(k, i, r, n, q):
+    """Closed form of Delta_q^r f_i when f samples t^k at the nodes [i]_q/[n]_q.
+
+    Equals (1/[n]_q^k) sum_{s=0}^{r} (-1)^s q^(s(s-1)/2) qbinom(r, s)
+    [i+r-s]_q^k, valid for r <= k (the closed form is not extrapolated
+    beyond that range).
+    """
+    if not 0 <= i <= n:
+        raise ValueError(f"need 0 <= i <= n, got i={i}, n={n}")
+    if r < 0 or r > k:
+        raise ValueError(f"closed form requires 0 <= r <= k, got r={r}, k={k}")
+    if i + r > n:
+        raise ValueError(f"need i + r <= n, got {i} + {r} > {n}")
+    total = sum(
+        (-1) ** s
+        * q ** (s * (s - 1) // 2)
+        * q_binomial(r, s, q)
+        * q_integer(i + r - s, q) ** k
+        for s in range(r + 1)
+    )
+    return total / q_integer(n, q) ** k
 
 
 class TestQInteger:
@@ -152,23 +173,25 @@ class TestQStirling:
 class TestForwardDifference:
     def test_order_zero(self):
         f = [F(3), F(1), F(4)]
-        assert q_forward_difference(f, 1, 0, F(1, 2)) == F(1)
+        assert q_difference_table(f, F(1, 2))[0][1] == F(1)
 
     def test_order_one_at_zero(self):
         f = [F(3), F(1), F(4)]
-        assert q_forward_difference(f, 0, 1, F(7, 5)) == F(1) - F(3)
-
-    def test_overflow_rejected(self):
-        with pytest.raises(ValueError):
-            q_forward_difference([F(1), F(2)], 1, 1, F(1, 2))
+        assert q_difference_table(f, F(7, 5))[1][0] == F(1) - F(3)
 
     def test_table_consistency(self):
+        # Delta_q^r f_i = sum_s (-1)^s q^(s(s-1)/2) qbinom(r, s) f_(i+r-s)
         q = F(2, 3)
         f = [F(i**2, i + 1) for i in range(6)]
         table = q_difference_table(f, q)
+        assert [len(row) for row in table] == [6, 5, 4, 3, 2, 1]
         for r in range(6):
             for i in range(6 - r):
-                assert table[r][i] == q_forward_difference(f, i, r, q)
+                assert table[r][i] == sum(
+                    (-1) ** s * q ** (s * (s - 1) // 2) * q_binomial(r, s, q)
+                    * f[i + r - s]
+                    for s in range(r + 1)
+                )
 
     def test_classical_differences(self):
         f = [F(0), F(1), F(8), F(27)]
@@ -213,7 +236,7 @@ class TestMonomialDifference:
                     for r in range(k + 1):
                         for i in range(n - r + 1):
                             assert monomial_q_difference(k, i, r, n, q) == \
-                                q_forward_difference(f, i, r, q), (q, n, k, r, i)
+                                q_difference_table(f, q)[r][i], (q, n, k, r, i)
 
     def test_preconditions(self):
         with pytest.raises(ValueError):

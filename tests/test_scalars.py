@@ -12,7 +12,6 @@ from aqbernstein.scalars import (
     format_scalar,
     parse_scalar,
     scalar_from_json,
-    scalar_mode,
     scalar_to_json,
     scalars_close,
 )
@@ -35,13 +34,21 @@ class TestParsing:
     def test_garbage(self):
         with pytest.raises(ValueError):
             parse_scalar("two fifths")
+        for text in ["inf", "-inf", "nan", "1e400", "1/0", "1" + "0" * 400 + "/3"]:
+            with pytest.raises(ValueError):
+                parse_scalar(text, "float")
+        for text in ["inf", "nan", "1/0"]:
+            with pytest.raises(ValueError):
+                parse_scalar(text)
 
 
 class TestModes:
     def test_mode_tags(self):
-        assert scalar_mode(Fraction(1, 2)) == "exact"
-        assert scalar_mode(3) == "exact"
-        assert scalar_mode(0.5) == "float"
+        assert common_mode(Fraction(1, 2)) == "exact"
+        assert common_mode(3) is None  # ints take the mode of their company
+        assert common_mode(0.5) == "float"
+        with pytest.raises(TypeError):
+            common_mode("0.5")
 
     def test_common_mode_rejects_mixture(self):
         with pytest.raises(MixedModeError):
