@@ -31,7 +31,6 @@ from .qcalc import (
     q_binomial,
     q_difference_table,
     q_integer,
-    q_pochhammer,
     q_stirling2,
 )
 from .scalars import MixedModeError, Scalar, coerce, common_mode
@@ -110,46 +109,6 @@ def sample_nodes(params: OperatorParams) -> tuple[Scalar, ...]:
     return tuple(q_integer(i, q) / denom for i in range(n + 1))
 
 
-def basis_eval(params: OperatorParams, i: int, x: Scalar) -> Scalar:
-    """Value of the basis polynomial p_{n,q,i}^{(alpha)} at x.
-
-    For n >= 2 the three contributions are, with the removable factor
-    cancelled:
-
-        (1-alpha) qbinom(n-2, i)   x^i     (x;q)_{n-i-1}
-      + (1-alpha) qbinom(n-2, i-2) q^(n-i) x^(i-1) (x;q)_{n-i}
-      + alpha     qbinom(n, i)     x^i     (x;q)_{n-i}
-
-    The q-power on the middle term must be n-i for the family to sum to 1
-    (partition of unity) and to agree with the forward-difference form of
-    the operator; both are enforced by tests.
-    """
-    n, q, alpha = params.n, params.q, params.alpha
-    if not 0 <= i <= n:
-        raise ValueError(f"basis index i must satisfy 0 <= i <= {n}, got {i}")
-    mode = common_mode(q, x)
-    if mode is not None and mode != params.mode:
-        raise MixedModeError(f"x is {mode}-mode but operator parameters are {params.mode}")
-    x = coerce(x, params.mode)
-    if n == 1:
-        return 1 - x if i == 0 else x
-
-    total = q * 0
-    b = q_binomial(n - 2, i, q)
-    if b != 0:
-        total = total + (1 - alpha) * b * x**i * q_pochhammer(x, q, n - i - 1)
-    if i >= 2:
-        b = q_binomial(n - 2, i - 2, q)
-        if b != 0:
-            total = total + (
-                (1 - alpha) * b * q ** (n - i) * x ** (i - 1) * q_pochhammer(x, q, n - i)
-            )
-    b = q_binomial(n, i, q)
-    if b != 0:
-        total = total + alpha * b * x**i * q_pochhammer(x, q, n - i)
-    return total
-
-
 def _qbinom_row(n: int, q: Scalar) -> tuple[Scalar, ...]:
     """All q-binomials (n choose i)_q for i = 0..n, by incremental update."""
     row = [q * 0 + 1]
@@ -159,11 +118,19 @@ def _qbinom_row(n: int, q: Scalar) -> tuple[Scalar, ...]:
 
 
 def basis_values(params: OperatorParams, x: Scalar) -> tuple[Scalar, ...]:
-    """All n+1 basis values p_{n,q,i}^{(alpha)}(x) at once.
+    """All n+1 basis values p_{n,q,i}^{(alpha)}(x), i = 0..n.
 
-    Agrees entrywise with :func:`basis_eval`; shares the q-shifted-product
-    prefixes and binomial rows across i, which matters when the basis sum is
-    used as a brute-force oracle.
+    For n >= 2 the value at index i has three contributions, with the
+    removable factor cancelled:
+
+        (1-alpha) qbinom(n-2, i)   x^i     (x;q)_{n-i-1}
+      + (1-alpha) qbinom(n-2, i-2) q^(n-i) x^(i-1) (x;q)_{n-i}
+      + alpha     qbinom(n, i)     x^i     (x;q)_{n-i}
+
+    The q-power on the middle term must be n-i for the family to sum to 1
+    (partition of unity) and to agree with the forward-difference form of
+    the operator; both are enforced by tests. The q-shifted-product
+    prefixes and binomial rows are shared across i.
     """
     n, q, alpha = params.n, params.q, params.alpha
     mode = common_mode(q, x)
@@ -240,6 +207,22 @@ def apply_pointwise(
     return sum((f[i] * row[i] for i in range(params.n + 1)), start=params.q * 0)
 
 
+def falling_products(params: OperatorParams, m: int) -> tuple[Scalar, ...]:
+    """G_0..G_m with G_r = prod_{t=1}^{r-1} (1 - [t]_q/[n]_q), G_0 = G_1 = 1.
+
+    The falling q-product behind the eigenvalues, their differences and the
+    monomial images, built as a prefix product with [t+1]_q = 1 + q [t]_q.
+    """
+    n, q = params.n, params.q
+    dn = q_integer(n, q)
+    out = [q * 0 + 1]
+    t_q = q * 0  # [0]_q, so G_1 = G_0
+    for _ in range(m):
+        out.append(out[-1] * (1 - t_q / dn))
+        t_q = 1 + q * t_q
+    return tuple(out)
+
+
 def monomial_image(k: int, params: OperatorParams) -> MonomialImage:
     """Coefficients of T(t^k; x) for 1 <= k <= n.
 
@@ -250,9 +233,9 @@ def monomial_image(k: int, params: OperatorParams) -> MonomialImage:
                                  - [r+1]_q [n-1]_q S_q(k,r+1))
               + alpha [n]_q [n-1]_q S_q(k,r) }
 
-    evaluated here with the factorial ratio regrouped into bounded
-    quotients [m]_q/[n]_q, which leaves exact values unchanged and keeps
-    float mode in range at large n (the raw q-factorials would overflow).
+    evaluated as G_r ([n]_q/[n-1]_q) / [n]_q^(k-r) times the braces over
+    [n]_q^2, with G_r from :func:`falling_products`: the same value, since
+    1 - [t]_q/[n]_q = q^t [n-t]_q/[n]_q, without the raw q-factorials.
     """
     n, q, alpha = params.n, params.q, params.alpha
     if not 1 <= k <= n:
@@ -262,6 +245,8 @@ def monomial_image(k: int, params: OperatorParams) -> MonomialImage:
 
     dn = q_integer(n, q)
     ratio_n1 = q_integer(n - 1, q) / dn
+    lead = dn / q_integer(n - 1, q)
+    falling = falling_products(params, k)
     coeffs = []
     for r in range(k + 1):
         s_up = q_stirling2(k + 1, r + 1, q)
@@ -271,14 +256,5 @@ def monomial_image(k: int, params: OperatorParams) -> MonomialImage:
             (q_integer(n + r - 1, q) / dn) * s_up
             - q_integer(r + 1, q) * ratio_n1 * s_mid
         ) + alpha * ratio_n1 * s_low
-        if r >= 2:
-            base = q * 0 + 1
-            for m in range(n - r + 1, n - 1):
-                base = base * q_integer(m, q) / dn
-            base = base / dn ** (k - r)
-        elif r == 1:
-            base = (dn / q_integer(n - 1, q)) / dn ** (k - 1)
-        else:
-            base = (dn / q_integer(n - 1, q)) / dn**k
-        coeffs.append(q ** (r * (r - 1) // 2) * base * braces)
+        coeffs.append(falling[r] * lead / dn ** (k - r) * braces)
     return MonomialImage(k, tuple(coeffs))

@@ -43,10 +43,16 @@ def _parse_scalar_list(text: str, mode: str) -> list[Scalar]:
     return [parse_scalar(part, mode) for part in text.split(",") if part.strip()]
 
 
-def _single(values: list, flag: str):
+def _single(text: str, mode: str, flag: str) -> Scalar:
+    values = _parse_scalar_list(text, mode)
     if len(values) != 1:
         raise ValueError(f"{flag} takes exactly one value here, got {len(values)}")
     return values[0]
+
+
+def _q_alpha(args) -> tuple[Scalar, Scalar]:
+    """The single q and alpha of a command that takes one of each."""
+    return _single(args.q, args.mode, "--q"), _single(args.alpha, args.mode, "--alpha")
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -70,9 +76,7 @@ def _json_text(obj) -> str:
 
 
 def _params_from(args) -> OperatorParams:
-    q = _single(_parse_scalar_list(args.q, args.mode), "--q")
-    alpha = _single(_parse_scalar_list(args.alpha, args.mode), "--alpha")
-    return OperatorParams(args.n, q, alpha)
+    return OperatorParams(args.n, *_q_alpha(args))
 
 
 def cmd_eig(args) -> int:
@@ -150,8 +154,7 @@ def cmd_basis(args) -> int:
 
 
 def cmd_limits(args) -> int:
-    q = _single(_parse_scalar_list(args.q, args.mode), "--q")
-    alpha = _single(_parse_scalar_list(args.alpha, args.mode), "--alpha")
+    q, alpha = _q_alpha(args)
     lc = limit_coeffs(q, alpha, args.k)
     if args.format == "json":
         obj = {
@@ -173,8 +176,7 @@ def cmd_limits(args) -> int:
 
 
 def cmd_converge(args) -> int:
-    q = _single(_parse_scalar_list(args.q, args.mode), "--q")
-    alpha = _single(_parse_scalar_list(args.alpha, args.mode), "--alpha")
+    q, alpha = _q_alpha(args)
     n_list = [int(part) for part in args.n.split(",") if part.strip()]
     if not n_list:
         raise ValueError("--n needs at least one value, e.g. --n 25,50,100")
@@ -267,8 +269,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, *, n=False, k=False, q=True, alpha=True, samples=False,
-               default_mode="exact"):
+    def common(p, *, default_format, n=False, k=False, q=True, alpha=True,
+               samples=False, default_mode="exact"):
         if n:
             p.add_argument("--n", type=int, required=True, help="operator degree")
         if k:
@@ -282,44 +284,44 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--samples", type=int, default=33,
                            help="grid size on [0,1]")
         p.add_argument("--mode", choices=["exact", "float"], default=default_mode)
-        p.add_argument("--format", choices=["json", "csv"], default=None)
+        p.add_argument("--format", choices=["json", "csv"], default=default_format)
         p.add_argument("--out", default=None, help="write output to this path")
 
     p = sub.add_parser("eig", help="compute the full eigensystem")
-    common(p, n=True)
-    p.set_defaults(func=cmd_eig, default_format="json")
+    common(p, n=True, default_format="json")
+    p.set_defaults(func=cmd_eig)
 
     p = sub.add_parser("apply", help="apply the operator to samples")
-    common(p, n=True)
+    common(p, n=True, default_format="json")
     p.add_argument("--f", default=None, help="comma-separated samples f_0..f_n")
     p.add_argument("--k", type=int, default=None, help="use samples of t^k")
-    p.set_defaults(func=cmd_apply, default_format="json")
+    p.set_defaults(func=cmd_apply)
 
     p = sub.add_parser("basis", help="evaluate the basis polynomials")
-    common(p, n=True)
+    # no fixed default: JSON for --x, CSV for --samples (see cmd_basis)
+    common(p, n=True, default_format=None)
     p.add_argument("--x", default=None, help="single evaluation point")
     p.add_argument("--samples", type=int, default=None, help="grid size on [0,1]")
-    # no fixed default: JSON for --x, CSV for --samples
-    p.set_defaults(func=cmd_basis, default_format=None)
+    p.set_defaults(func=cmd_basis)
 
     p = sub.add_parser("limits", help="large-n limit eigenvalue and coefficients")
-    common(p, k=True)
-    p.set_defaults(func=cmd_limits, default_format="json")
+    common(p, k=True, default_format="json")
+    p.set_defaults(func=cmd_limits)
 
     p = sub.add_parser("converge", help="finite-n coefficients vs their limits")
-    common(p, k=True, default_mode="float")
+    common(p, k=True, default_format="csv", default_mode="float")
     p.add_argument("--n", required=True, help="comma-separated n schedule")
-    p.set_defaults(func=cmd_converge, default_format="csv")
+    p.set_defaults(func=cmd_converge)
 
     p = sub.add_parser("plot-data", help="eigenvector curves on an x-grid")
-    common(p, n=True, k=True, samples=True)
-    p.set_defaults(func=cmd_plot_data, default_format="csv")
+    common(p, n=True, k=True, samples=True, default_format="csv")
+    p.set_defaults(func=cmd_plot_data)
 
     p = sub.add_parser("verify", help="run the exact-oracle verification suite")
     p.add_argument("--max-n", type=int, default=6, dest="max_n")
     p.add_argument("--format", choices=["json"], default="json")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_verify, default_format="json")
+    p.set_defaults(func=cmd_verify)
 
     return parser
 
@@ -328,8 +330,6 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "format", None) is None:
-        args.format = getattr(args, "default_format", "json")
     try:
         return args.func(args)
     except ArithmeticError as exc:

@@ -1,12 +1,19 @@
 """Eigenvalues and monic eigenvector polynomials of T_{n,q,alpha}.
 
 The operator fixes constants and x, so lambda_0 = lambda_1 = 1 with
-eigenvectors 1 and x. For k = 2..n the eigenvalue is
+eigenvectors 1 and x. For k = 2..n the eigenvalue is computed as the
+product form lambda_k = u_k G_k, with the falling q-product
+G_k = prod_{t=1}^{k-1} (1 - [t]_q/[n]_q) from
+:func:`aqbernstein.bernstein.falling_products` and
+u_k = alpha + (1-alpha) [n-k]_q [n+k-1]_q / ([n]_q [n-1]_q). Since
+1 - [t]_q/[n]_q = q^t [n-t]_q/[n]_q this equals the paper's closed form
 
     lambda_k = q^(k(k-1)/2) * ([n-2]_q! / ([n-k]_q! [n]_q^k))
-               * ((1-alpha) [n-k]_q [n-1+k]_q + alpha [n]_q [n-1]_q)
+               * ((1-alpha) [n-k]_q [n-1+k]_q + alpha [n]_q [n-1]_q),
 
-and the monic eigenvector of degree k is built top-down: its coefficient
+which serves only as the oracle (``verify.closed_form_eigenvalue``).
+
+The monic eigenvector of degree k is built top-down: its coefficient
 of x^(k-j) is a linear combination of already-known higher coefficients
 weighted by monomial-image coefficients, divided by lambda_k - lambda_{k-j}.
 For alpha in [0,1] those differences are provably nonzero (the lambda
@@ -25,7 +32,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 
-from .bernstein import MonomialImage, OperatorParams, monomial_image
+from .bernstein import MonomialImage, OperatorParams, falling_products, monomial_image
 from .polynomials import Polynomial, poly_add, poly_scale
 from .qcalc import q_integer
 from .scalars import (
@@ -42,43 +49,13 @@ class DegenerateEigenvalueError(ArithmeticError):
 
 
 def eigenvalue(k: int, params: OperatorParams) -> Scalar:
-    """lambda_k for 0 <= k <= n; equals 1 for k in {0, 1}."""
-    n, q, alpha = params.n, params.q, params.alpha
+    """lambda_k = u_k G_k for 0 <= k <= n; equals 1 for k in {0, 1}."""
+    n, q = params.n, params.q
     if not 0 <= k <= n:
         raise ValueError(f"eigenvalue index needs 0 <= k <= n, got k={k}, n={n}")
     if k <= 1:
         return q * 0 + 1
-    # Factorial ratio regrouped into bounded quotients; exact values
-    # unchanged, float mode safe at large n.
-    dn = q_integer(n, q)
-    base = q * 0 + 1
-    for m in range(n - k + 1, n - 1):
-        base = base * q_integer(m, q) / dn
-    bracket = alpha * q_integer(n - 1, q) / dn
-    if alpha != 1:
-        bracket = bracket + (1 - alpha) * (q_integer(n - k, q) / dn) * (
-            q_integer(n + k - 1, q) / dn
-        )
-    return q ** (k * (k - 1) // 2) * base * bracket
-
-
-def eigenvalue_product_form(k: int, params: OperatorParams) -> Scalar:
-    """The same eigenvalue written as a product:
-
-        (alpha + (1-alpha) [n-k]_q [n+k-1]_q / ([n]_q [n-1]_q))
-        * prod_{m=1}^{k-1} (1 - [m]_q/[n]_q)
-
-    for 2 <= k <= n. An independent path used to cross-check
-    :func:`eigenvalue`.
-    """
-    n, q, alpha = params.n, params.q, params.alpha
-    if not 2 <= k <= n:
-        raise ValueError(f"product form needs 2 <= k <= n, got k={k}, n={n}")
-    out = _u_factor(k, params)
-    dn = q_integer(n, q)
-    for m in range(1, k):
-        out = out * (1 - q_integer(m, q) / dn)
-    return out
+    return _u_factor(k, params) * falling_products(params, k)[k]
 
 
 def _u_factor(k: int, params: OperatorParams) -> Scalar:
@@ -96,13 +73,13 @@ def _u_factor(k: int, params: OperatorParams) -> Scalar:
 def eigenvalue_difference(k: int, m: int, params: OperatorParams) -> Scalar:
     """lambda_k - lambda_m, evaluated without catastrophic cancellation.
 
-    Writing lambda_j = u_j * prod_{t<j}(1 - [t]_q/[n]_q), the difference
-    factors as
+    Writing lambda_j = u_j G_j, the difference factors as
 
-        prod_{t<m}(1 - [t]_q/[n]_q) * [ u_k * (P - 1) + (u_k - u_m) ]
+        G_m * [ u_k * (P - 1) + (u_k - u_m) ]
 
-    with P = prod_{t=m}^{k-1}(1 - [t]_q/[n]_q), where P - 1 is accumulated
-    incrementally and u_k - u_m uses the closed form
+    with P = G_k / G_m = prod_{t=m}^{k-1}(1 - [t]_q/[n]_q). P - 1 is
+    accumulated incrementally as a difference, since forming G_k / G_m - 1
+    would cancel in float mode, and u_k - u_m uses the closed form
 
         -(1-alpha) q^(n-k) (q^(k-m) - 1)(q^(k+m-1) - 1)
             / ((q-1)^2 [n]_q [n-1]_q)
@@ -119,9 +96,6 @@ def eigenvalue_difference(k: int, m: int, params: OperatorParams) -> Scalar:
     if not 0 <= m < k <= n:
         raise ValueError(f"need 0 <= m < k <= n, got m={m}, k={k}, n={n}")
     dn = q_integer(n, q)
-    base = q * 0 + 1
-    for t in range(1, m):
-        base = base * (1 - q_integer(t, q) / dn)
     # delta = prod_{t=m}^{k-1}(1 - [t]/[n]) - 1, accumulated as a difference
     delta = q * 0
     for t in range(max(m, 1), k):
@@ -137,7 +111,7 @@ def eigenvalue_difference(k: int, m: int, params: OperatorParams) -> Scalar:
             * (q ** (k + m - 1) - 1)
             / ((q - 1) ** 2 * dn * q_integer(n - 1, q))
         )
-    diff = base * (_u_factor(k, params) * delta + du)
+    diff = falling_products(params, m)[m] * (_u_factor(k, params) * delta + du)
     if diff == 0:
         raise DegenerateEigenvalueError(
             f"lambda_{k} - lambda_{m} vanished for n={n}, q={q}, alpha={alpha}"
@@ -148,14 +122,6 @@ def eigenvalue_difference(k: int, m: int, params: OperatorParams) -> Scalar:
             f"(n={n}, q={q}, alpha={alpha})"
         )
     return diff
-
-
-def _require_alpha_ok(params: OperatorParams) -> None:
-    if not params.alpha_in_unit_interval and not params.allow_any_alpha:
-        raise ValueError(
-            f"alpha={params.alpha} outside [0,1]: eigenvector recursion is only "
-            "guaranteed well posed on [0,1]"
-        )
 
 
 def _eigenvector_coeffs(
@@ -180,7 +146,6 @@ def eigenvector(k: int, params: OperatorParams) -> Polynomial:
     """The monic degree-k eigenvector polynomial p_k (p_0 = 1, p_1 = x)."""
     if not 0 <= k <= params.n:
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={params.n}")
-    _require_alpha_ok(params)
     images = {m: monomial_image(m, params) for m in range(1, k + 1)}
     return Polynomial(_eigenvector_coeffs(k, params, images))
 
@@ -229,7 +194,6 @@ def eigensystem(params: OperatorParams) -> EigenSystem:
     Monomial images are computed once and shared by the per-degree
     recursions.
     """
-    _require_alpha_ok(params)
     n = params.n
     images = {m: monomial_image(m, params) for m in range(1, n + 1)}
     lambdas = tuple(eigenvalue(k, params) for k in range(n + 1))

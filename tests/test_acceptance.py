@@ -22,14 +22,10 @@ from aqbernstein.bernstein import (
     sample_nodes,
 )
 from aqbernstein.cli import main
-from aqbernstein.eigen import (
-    eigensystem,
-    eigenvalue,
-    eigenvalue_product_form,
-    eigenvector,
-)
+from aqbernstein.eigen import eigensystem, eigenvalue, eigenvector
 from aqbernstein.polynomials import Polynomial, poly_eval, poly_fit, poly_scale
 from aqbernstein.qcalc import q_stirling2, q_stirling2_rec
+from aqbernstein.verify import closed_form_eigenvalue
 
 F = Fraction
 Q_GRID = [F(1, 3), F(1, 2), F(1), F(3, 2), F(2)]
@@ -100,7 +96,7 @@ def test_criterion_03_leading_coefficient_and_dual_forms():
             for k in range(2, params.n + 1):
                 lam = eigenvalue(k, params)
                 assert monomial_image(k, params).coeffs[k] == lam, (params, k)
-                assert eigenvalue_product_form(k, params) == lam, (params, k)
+                assert closed_form_eigenvalue(k, params) == lam, (params, k)
 
 
 def test_criterion_04_distinctness_monotonicity():

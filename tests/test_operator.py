@@ -9,7 +9,6 @@ from aqbernstein.bernstein import (
     _g_samples,
     apply_pointwise,
     apply_to_samples,
-    basis_eval,
     basis_values,
     monomial_image,
     sample_nodes,
@@ -53,6 +52,24 @@ def g_difference(samples, i, r, params):
     return (1 - w_i) * table[r][i] + w_i1 * table[r][i + 1]
 
 
+def basis_eval(params, i, x):
+    """Oracle for p_{n,q,i}^{(alpha)}(x), one index at a time from fresh
+    q-binomials and q-shifted products (the three-term form that
+    ``basis_values`` documents)."""
+    n, q, alpha = params.n, params.q, params.alpha
+    if n == 1:
+        return 1 - x if i == 0 else x
+    total = alpha * q_binomial(n, i, q) * x**i * q_pochhammer(x, q, n - i)
+    if i <= n - 2:
+        total += (1 - alpha) * q_binomial(n - 2, i, q) * x**i * q_pochhammer(x, q, n - i - 1)
+    if i >= 2:
+        total += (
+            (1 - alpha) * q_binomial(n - 2, i - 2, q) * q ** (n - i)
+            * x ** (i - 1) * q_pochhammer(x, q, n - i)
+        )
+    return total
+
+
 class TestParams:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -93,12 +110,12 @@ class TestNodes:
 class TestBasis:
     def test_degree_one(self):
         p = OperatorParams(1, F(2, 3), F(1, 5))
-        assert basis_eval(p, 0, F(1, 4)) == F(3, 4)
-        assert basis_eval(p, 1, F(1, 4)) == F(1, 4)
+        assert basis_values(p, F(1, 4)) == (F(3, 4), F(1, 4))
 
     def test_index_range(self):
-        with pytest.raises(ValueError):
-            basis_eval(OperatorParams(2, F(1, 2), F(1)), 3, F(0))
+        # one value per index i = 0..n
+        for n in range(1, 7):
+            assert len(basis_values(OperatorParams(n, F(1, 2), F(1)), F(1, 3))) == n + 1
 
     def test_partition_of_unity(self):
         for n in range(1, 9):
@@ -110,34 +127,31 @@ class TestBasis:
 
     def test_row_matches_single(self):
         for n in range(1, 7):
-            params = OperatorParams(n, F(2, 3), F(2, 5))
-            for x in XS:
-                row = basis_values(params, x)
-                assert row == tuple(basis_eval(params, i, x) for i in range(n + 1))
+            for q in [F(2, 3), *Q_GRID]:
+                for alpha in A_GRID:
+                    params = OperatorParams(n, q, alpha)
+                    for x in XS:
+                        row = basis_values(params, x)
+                        assert row == tuple(basis_eval(params, i, x) for i in range(n + 1))
 
     def test_alpha_one_is_q_bernstein(self):
         for n in range(1, 7):
             for q in Q_GRID:
                 params = OperatorParams(n, q, F(1))
                 for x in XS:
+                    row = basis_values(params, x)
                     for i in range(n + 1):
                         expected = (
                             q_binomial(n, i, q) * x**i * q_pochhammer(x, q, n - i)
                         )
-                        assert basis_eval(params, i, x) == expected
+                        assert row[i] == expected
 
     def test_nonsingular_at_removable_point(self):
         # x = q^-(n-i-1) zeroes the factor the uncancelled form divides by
         n, i, q = 4, 1, F(1, 2)
         params = OperatorParams(n, q, F(1, 3))
         x = q ** (-(n - i - 1))
-        value = basis_eval(params, i, x)
-        assert value == sum(
-            f * b
-            for f, b in zip(
-                [1 if t == i else 0 for t in range(n + 1)], basis_values(params, x)
-            )
-        )
+        assert basis_values(params, x)[i] == basis_eval(params, i, x)
 
 
 class TestGDifference:
