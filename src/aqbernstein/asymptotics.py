@@ -53,13 +53,6 @@ def regime_of(q: Scalar) -> str:
     return Q_BELOW_1 if q < 1 else Q_ABOVE_1
 
 
-def _check_regime(q: Scalar, regime: str | None) -> str:
-    actual = regime_of(q)
-    if regime is not None and regime != actual:
-        raise RegimeError(f"q={q} lies in regime {actual}, not {regime}")
-    return actual
-
-
 @dataclass(frozen=True)
 class LimitCoeffs:
     """Limit eigenvector coefficients for one degree k.
@@ -78,28 +71,23 @@ class LimitCoeffs:
     limit_lambda: Scalar
 
 
-def limit_eigenvalue(q: Scalar, k: int, regime: str | None = None) -> Scalar:
+def limit_eigenvalue(q: Scalar, k: int) -> Scalar:
     """lim_n lambda_k: q^(k(k-1)/2) below 1, identically 1 above 1."""
     if k < 0:
         raise ValueError(f"need k >= 0, got {k}")
-    actual = _check_regime(q, regime)
-    if actual == Q_BELOW_1:
+    if regime_of(q) == Q_BELOW_1:
         return q ** (k * (k - 1) // 2)
     return q * 0 + 1
 
 
-def limit_monomial_coeff(q: Scalar, r: int, k: int) -> Scalar:
-    """lim_n a_n(r, k) = q^(r(r-1)/2) (1-q)^(k-r) S_q(k, r), for 0 < q < 1."""
-    if not 0 <= r <= k:
-        raise ValueError(f"need 0 <= r <= k, got r={r}, k={k}")
-    if _check_regime(q, None) != Q_BELOW_1:
-        raise RegimeError(f"monomial-coefficient limits need 0 < q < 1, got q={q}")
-    return q ** (r * (r - 1) // 2) * (1 - q) ** (k - r) * q_stirling2(k, r, q)
-
-
 def _coerced_pair(q: Scalar, alpha: Scalar) -> tuple[Scalar, Scalar]:
+    """q and alpha in their common mode, with alpha in [0,1] as for
+    :class:`~aqbernstein.bernstein.OperatorParams`."""
     mode = common_mode(q, alpha) or "exact"
-    return coerce(q, mode), coerce(alpha, mode)
+    q, alpha = coerce(q, mode), coerce(alpha, mode)
+    if not 0 <= alpha <= 1:
+        raise ValueError(f"alpha={alpha} is outside [0,1]")
+    return q, alpha
 
 
 def limit_coeffs_q_below_1(q: Scalar, alpha: Scalar, k: int) -> LimitCoeffs:
@@ -111,7 +99,7 @@ def limit_coeffs_q_below_1(q: Scalar, alpha: Scalar, k: int) -> LimitCoeffs:
                  / (q^((k-j)(k+j-1)/2) - 1) * b(i,k).
     """
     q, alpha = _coerced_pair(q, alpha)
-    if _check_regime(q, None) != Q_BELOW_1:
+    if regime_of(q) != Q_BELOW_1:
         raise RegimeError(f"b-coefficients need 0 < q < 1, got q={q}")
     if k < 0:
         raise ValueError(f"need k >= 0, got {k}")
@@ -136,7 +124,7 @@ def limit_ratio_q_above_1(q: Scalar, alpha: Scalar, k: int, j: int) -> Scalar:
     a_n(k-j, k-j+1) / (lambda_k - lambda_{k-j}).
     """
     q, alpha = _coerced_pair(q, alpha)
-    if _check_regime(q, None) != Q_ABOVE_1:
+    if regime_of(q) != Q_ABOVE_1:
         raise RegimeError(f"this ratio limit needs q > 1, got q={q}")
     if not 1 <= j <= k - 1:
         raise ValueError(f"need 1 <= j <= k-1, got j={j}, k={k}")
@@ -157,7 +145,7 @@ def limit_coeffs_q_above_1(q: Scalar, alpha: Scalar, k: int) -> LimitCoeffs:
     d(j,k) = prod over the ratio limits rho_1 .. rho_(k-j), built here by
     the equivalent one-step recursion d(j,k) = rho_(k-j) d(j+1,k)."""
     q, alpha = _coerced_pair(q, alpha)
-    if _check_regime(q, None) != Q_ABOVE_1:
+    if regime_of(q) != Q_ABOVE_1:
         raise RegimeError(f"d-coefficients need q > 1, got q={q}")
     if k < 0:
         raise ValueError(f"need k >= 0, got {k}")

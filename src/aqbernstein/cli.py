@@ -13,7 +13,8 @@ Subcommands:
 Scalars parse rationally by default (``--q 0.4`` means exactly 2/5); pass
 ``--mode float`` for float arithmetic. Exit codes: 0 success, 1 verification
 failure or arithmetic failure (a vanishing eigenvalue difference, or a float
-result out of range), 2 usage or parameter error.
+result out of range), 2 usage or parameter error (an ``--out`` path that
+cannot be opened included).
 """
 
 from __future__ import annotations
@@ -29,13 +30,7 @@ from .asymptotics import RegimeError, convergence_table, limit_coeffs
 from .bernstein import OperatorParams, apply_to_samples, basis_values, sample_nodes
 from .eigen import eigensystem, eigenvector
 from .polynomials import poly_eval
-from .scalars import (
-    MixedModeError,
-    Scalar,
-    format_scalar,
-    parse_scalar,
-    scalar_to_json,
-)
+from .scalars import MixedModeError, Scalar, format_scalar, parse_scalar, scalar_to_json
 from .verify import run_verify
 
 
@@ -55,24 +50,35 @@ def _q_alpha(args) -> tuple[Scalar, Scalar]:
     return _single(args.q, args.mode, "--q"), _single(args.alpha, args.mode, "--alpha")
 
 
-def _emit(text: str, out_path: str | None) -> None:
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _json_text(obj) -> str:
+    """Strict JSON; exact scalars become {"num", "den"} objects."""
+    return json.dumps(obj, indent=2, allow_nan=False, default=scalar_to_json) + "\n"
 
 
-def _csv_text(header: list[str], rows: list[list[str]]) -> str:
+def _csv_text(header: list[str], rows) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    writer.writerows(rows)
+    writer.writerows([format_scalar(v) for v in row] for row in rows)
     return buf.getvalue()
 
 
-def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2, allow_nan=False) + "\n"
+def _write(args, obj, header: list[str], rows, fmt: str | None = None) -> int:
+    """Write ``obj`` as JSON or the table ``header``/``rows`` of scalars as
+    CSV, by ``--format`` (``fmt`` when it is not given), to ``--out`` or
+    stdout."""
+    fmt = args.format or fmt
+    text = _json_text(obj) if fmt == "json" else _csv_text(header, rows)
+    if args.out is None:
+        sys.stdout.write(text)
+        return 0
+    try:
+        fh = open(args.out, "w")
+    except OSError as exc:
+        raise ValueError(f"cannot write --out {args.out}: {exc.strerror}") from exc
+    with fh:
+        fh.write(text)
+    return 0
 
 
 def _params_from(args) -> OperatorParams:
@@ -82,20 +88,13 @@ def _params_from(args) -> OperatorParams:
 def cmd_eig(args) -> int:
     params = _params_from(args)
     system = eigensystem(params)
-    if args.format == "json":
-        _emit(_json_text(system.as_dict()), args.out)
-    else:
-        width = params.n + 1
-        rows = []
-        for k in range(width):
-            coeffs = [system.vectors[k].coeff(j) for j in range(width)]
-            rows.append(
-                [str(k), format_scalar(system.lambdas[k])]
-                + [format_scalar(c) for c in coeffs]
-            )
-        header = ["k", "lambda"] + [f"c{j}" for j in range(width)]
-        _emit(_csv_text(header, rows), args.out)
-    return 0
+    width = params.n + 1
+    header = ["k", "lambda"] + [f"c{j}" for j in range(width)]
+    rows = [
+        [k, system.lambdas[k]] + [system.vectors[k].coeff(j) for j in range(width)]
+        for k in range(width)
+    ]
+    return _write(args, system.as_dict(), header, rows)
 
 
 def cmd_apply(args) -> int:
@@ -108,19 +107,9 @@ def cmd_apply(args) -> int:
         if args.k < 0:
             raise ValueError(f"--k must be >= 0, got {args.k}")
         samples = [t**args.k for t in sample_nodes(params)]
-    image = apply_to_samples(samples, params)
-    if args.format == "json":
-        obj = {
-            "n": params.n,
-            "q": scalar_to_json(params.q),
-            "alpha": scalar_to_json(params.alpha),
-            "image": [scalar_to_json(c) for c in image.coeffs],
-        }
-        _emit(_json_text(obj), args.out)
-    else:
-        rows = [[str(j), format_scalar(c)] for j, c in enumerate(image.coeffs)]
-        _emit(_csv_text(["j", "coeff"], rows), args.out)
-    return 0
+    image = apply_to_samples(samples, params).coeffs
+    obj = {"n": params.n, "q": params.q, "alpha": params.alpha, "image": image}
+    return _write(args, obj, ["j", "coeff"], enumerate(image))
 
 
 def cmd_basis(args) -> int:
@@ -133,46 +122,30 @@ def cmd_basis(args) -> int:
     else:
         grid = _x_grid(args.samples, args.mode)
     rows = [basis_values(params, x) for x in grid]
-    if (args.format or ("json" if point else "csv")) == "json":
-        values = [[scalar_to_json(v) for v in row] for row in rows]
-        obj = {
-            "n": params.n,
-            "q": scalar_to_json(params.q),
-            "alpha": scalar_to_json(params.alpha),
-            "x": scalar_to_json(grid[0]) if point else [scalar_to_json(x) for x in grid],
-            "values": values[0] if point else values,
-        }
-        _emit(_json_text(obj), args.out)
-    else:
-        header = ["x"] + [f"p{i}" for i in range(params.n + 1)]
-        table = [
-            [format_scalar(x)] + [format_scalar(v) for v in row]
-            for x, row in zip(grid, rows)
-        ]
-        _emit(_csv_text(header, table), args.out)
-    return 0
+    obj = {
+        "n": params.n,
+        "q": params.q,
+        "alpha": params.alpha,
+        "x": grid[0] if point else grid,
+        "values": rows[0] if point else rows,
+    }
+    header = ["x"] + [f"p{i}" for i in range(params.n + 1)]
+    table = [[x, *row] for x, row in zip(grid, rows)]
+    return _write(args, obj, header, table, fmt="json" if point else "csv")
 
 
 def cmd_limits(args) -> int:
-    q, alpha = _q_alpha(args)
-    lc = limit_coeffs(q, alpha, args.k)
-    if args.format == "json":
-        obj = {
-            "regime": lc.regime,
-            "k": lc.k,
-            "q": scalar_to_json(lc.q),
-            "alpha": scalar_to_json(lc.alpha),
-            "limit_lambda": scalar_to_json(lc.limit_lambda),
-            "coeffs": [scalar_to_json(c) for c in lc.coeffs],
-        }
-        _emit(_json_text(obj), args.out)
-    else:
-        rows = [
-            [str(j), format_scalar(c), format_scalar(lc.limit_lambda)]
-            for j, c in enumerate(lc.coeffs)
-        ]
-        _emit(_csv_text(["j", "coeff", "limit_lambda"], rows), args.out)
-    return 0
+    lc = limit_coeffs(*_q_alpha(args), args.k)
+    obj = {
+        "regime": lc.regime,
+        "k": lc.k,
+        "q": lc.q,
+        "alpha": lc.alpha,
+        "limit_lambda": lc.limit_lambda,
+        "coeffs": lc.coeffs,
+    }
+    rows = [[j, c, lc.limit_lambda] for j, c in enumerate(lc.coeffs)]
+    return _write(args, obj, ["j", "coeff", "limit_lambda"], rows)
 
 
 def cmd_converge(args) -> int:
@@ -180,32 +153,12 @@ def cmd_converge(args) -> int:
     n_list = [int(part) for part in args.n.split(",") if part.strip()]
     if not n_list:
         raise ValueError("--n needs at least one value, e.g. --n 25,50,100")
-    rows = convergence_table(q, alpha, args.k, n_list, mode=args.mode)
-    if args.format == "json":
-        obj = [
-            {
-                "n": r.n,
-                "j": r.j,
-                "finite": scalar_to_json(r.finite),
-                "limit": scalar_to_json(r.limit),
-                "abs_error": scalar_to_json(r.abs_error),
-            }
-            for r in rows
-        ]
-        _emit(_json_text(obj), args.out)
-    else:
-        table = [
-            [
-                str(r.n),
-                str(r.j),
-                format_scalar(r.finite),
-                format_scalar(r.limit),
-                format_scalar(r.abs_error),
-            ]
-            for r in rows
-        ]
-        _emit(_csv_text(["n", "j", "finite", "limit", "abs_error"], table), args.out)
-    return 0
+    header = ["n", "j", "finite", "limit", "abs_error"]
+    rows = [
+        [r.n, r.j, r.finite, r.limit, r.abs_error]
+        for r in convergence_table(q, alpha, args.k, n_list, mode=args.mode)
+    ]
+    return _write(args, [dict(zip(header, row)) for row in rows], header, rows)
 
 
 def _x_grid(samples: int, mode: str) -> list[Scalar]:
@@ -219,6 +172,9 @@ def _x_grid(samples: int, mode: str) -> list[Scalar]:
 def cmd_plot_data(args) -> int:
     q_list = _parse_scalar_list(args.q, args.mode)
     alpha_list = _parse_scalar_list(args.alpha, args.mode)
+    for flag, values in (("--q", q_list), ("--alpha", alpha_list)):
+        if not values:
+            raise ValueError(f"{flag} needs at least one value")
     if args.k > args.n:
         raise ValueError(f"--k must be <= --n, got k={args.k}, n={args.n}")
     grid = _x_grid(args.samples, args.mode)
@@ -226,39 +182,21 @@ def cmd_plot_data(args) -> int:
     for q in q_list:
         for alpha in alpha_list:
             vec = eigenvector(args.k, OperatorParams(args.n, q, alpha))
-            columns.append((q, alpha, [poly_eval(vec, x) for x in grid]))
-    if args.format == "json":
-        obj = {
-            "n": args.n,
-            "k": args.k,
-            "x": [scalar_to_json(x) for x in grid],
-            "columns": [
-                {
-                    "q": scalar_to_json(q),
-                    "alpha": scalar_to_json(alpha),
-                    "values": [scalar_to_json(v) for v in values],
-                }
-                for q, alpha, values in columns
-            ],
-        }
-        _emit(_json_text(obj), args.out)
-        return 0
+            columns.append(
+                {"q": q, "alpha": alpha, "values": [poly_eval(vec, x) for x in grid]}
+            )
+    obj = {"n": args.n, "k": args.k, "x": grid, "columns": columns}
     header = ["x"] + [
-        f"p_{args.k}[q={format_scalar(q)},alpha={format_scalar(alpha)}]"
-        for q, alpha, _ in columns
+        f"p_{args.k}[q={format_scalar(c['q'])},alpha={format_scalar(c['alpha'])}]"
+        for c in columns
     ]
-    rows = []
-    for t, x in enumerate(grid):
-        rows.append(
-            [format_scalar(x)] + [format_scalar(values[t]) for _, _, values in columns]
-        )
-    _emit(_csv_text(header, rows), args.out)
-    return 0
+    rows = [[x] + [c["values"][t] for c in columns] for t, x in enumerate(grid)]
+    return _write(args, obj, header, rows)
 
 
 def cmd_verify(args) -> int:
     report = run_verify(max_n=args.max_n)
-    _emit(_json_text(report.as_dict()), args.out)
+    _write(args, report.as_dict(), [], [])
     return 0 if report.passed else 1
 
 
@@ -269,20 +207,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, *, default_format, n=False, k=False, q=True, alpha=True,
-               samples=False, default_mode="exact"):
+    def common(p, *, default_format, n=False, k=False, default_mode="exact"):
         if n:
             p.add_argument("--n", type=int, required=True, help="operator degree")
         if k:
             p.add_argument("--k", type=int, required=True, help="polynomial degree")
-        if q:
-            p.add_argument("--q", required=True, help="q value(s), comma separated")
-        if alpha:
-            p.add_argument("--alpha", required=True,
-                           help="alpha value(s), comma separated")
-        if samples:
-            p.add_argument("--samples", type=int, default=33,
-                           help="grid size on [0,1]")
+        p.add_argument("--q", required=True, help="q value(s), comma separated")
+        p.add_argument("--alpha", required=True, help="alpha value(s), comma separated")
         p.add_argument("--mode", choices=["exact", "float"], default=default_mode)
         p.add_argument("--format", choices=["json", "csv"], default=default_format)
         p.add_argument("--out", default=None, help="write output to this path")
@@ -314,7 +245,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_converge)
 
     p = sub.add_parser("plot-data", help="eigenvector curves on an x-grid")
-    common(p, n=True, k=True, samples=True, default_format="csv")
+    common(p, n=True, k=True, default_format="csv")
+    p.add_argument("--samples", type=int, default=33, help="grid size on [0,1]")
     p.set_defaults(func=cmd_plot_data)
 
     p = sub.add_parser("verify", help="run the exact-oracle verification suite")

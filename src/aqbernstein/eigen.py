@@ -33,15 +33,9 @@ import sys
 from dataclasses import dataclass
 
 from .bernstein import MonomialImage, OperatorParams, falling_products, monomial_image
-from .polynomials import Polynomial, poly_add, poly_scale
+from .polynomials import Polynomial
 from .qcalc import q_integer
-from .scalars import (
-    MixedModeError,
-    Scalar,
-    common_mode,
-    scalar_from_json,
-    scalar_to_json,
-)
+from .scalars import Scalar, scalar_from_json, scalar_to_json
 
 
 class DegenerateEigenvalueError(ArithmeticError):
@@ -201,43 +195,3 @@ def eigensystem(params: OperatorParams) -> EigenSystem:
         Polynomial(_eigenvector_coeffs(k, params, images)) for k in range(n + 1)
     )
     return EigenSystem(params, lambdas, vectors, params.alpha_in_unit_interval)
-
-
-def eigen_expand(p: Polynomial, system: EigenSystem) -> tuple[Scalar, ...]:
-    """Coefficients e_0..e_n with p = sum_k e_k vectors[k].
-
-    Unique because the vectors are monic of strictly increasing degree;
-    computed by back-substitution from the top degree down.
-    """
-    n = system.params.n
-    if p.degree > n:
-        raise ValueError(f"degree {p.degree} exceeds the system's n={n}")
-    mode = common_mode(system.params.q, *p.coeffs)
-    if mode is not None and mode != system.params.mode:
-        raise MixedModeError(
-            f"polynomial is {mode}-mode but the eigensystem is {system.params.mode}"
-        )
-    q = system.params.q
-    residual = [p.coeff(j) + q * 0 for j in range(n + 1)]
-    out: list[Scalar] = [q * 0] * (n + 1)
-    for k in range(n, -1, -1):
-        e = residual[k]
-        out[k] = e
-        if e != 0:
-            vk = system.vectors[k]
-            for j in range(k + 1):
-                residual[j] = residual[j] - e * vk.coeff(j)
-    return tuple(out)
-
-
-def operator_power(p: Polynomial, m: int, system: EigenSystem) -> Polynomial:
-    """Apply the operator m times to p through its eigen-expansion:
-    sum_k e_k lambda_k^m vectors[k]."""
-    if not isinstance(m, int) or isinstance(m, bool) or m < 0:
-        raise ValueError(f"power must be an integer >= 0, got {m!r}")
-    weights = eigen_expand(p, system)
-    out = Polynomial()
-    for k, e in enumerate(weights):
-        if e != 0:
-            out = poly_add(out, poly_scale(system.vectors[k], e * system.lambdas[k] ** m))
-    return out

@@ -15,14 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .scalars import (
-    DEFAULT_TOLERANCE,
-    MixedModeError,
-    Scalar,
-    Tolerance,
-    coerce,
-    common_mode,
-)
+from .scalars import DEFAULT_TOLERANCE, Scalar, coerce, common_mode
 
 
 class FitMismatchError(ValueError):
@@ -67,15 +60,6 @@ class Polynomial:
             return self.coeffs[j]
         return 0
 
-    def __call__(self, x: Scalar) -> Scalar:
-        return poly_eval(self, x)
-
-
-def _require_compatible(p: Polynomial, q: Polynomial) -> None:
-    pm, qm = p.mode, q.mode
-    if pm is not None and qm is not None and pm != qm:
-        raise MixedModeError(f"polynomials in different scalar modes: {pm} vs {qm}")
-
 
 def poly_eval(p: Polynomial, x: Scalar) -> Scalar:
     """Evaluate by Horner's rule; exact when p and x are exact."""
@@ -88,18 +72,6 @@ def poly_eval(p: Polynomial, x: Scalar) -> Scalar:
     return acc
 
 
-def poly_add(p: Polynomial, q: Polynomial) -> Polynomial:
-    _require_compatible(p, q)
-    n = max(len(p.coeffs), len(q.coeffs))
-    return Polynomial(tuple(p.coeff(j) + q.coeff(j) for j in range(n)))
-
-
-def poly_sub(p: Polynomial, q: Polynomial) -> Polynomial:
-    _require_compatible(p, q)
-    n = max(len(p.coeffs), len(q.coeffs))
-    return Polynomial(tuple(p.coeff(j) - q.coeff(j) for j in range(n)))
-
-
 def poly_scale(p: Polynomial, s: Scalar) -> Polynomial:
     mode = common_mode(s, *p.coeffs)
     if mode is not None:
@@ -107,31 +79,15 @@ def poly_scale(p: Polynomial, s: Scalar) -> Polynomial:
     return Polynomial(tuple(s * c for c in p.coeffs))
 
 
-def poly_is_close(p: Polynomial, q: Polynomial, tol: Tolerance | None = None) -> bool:
-    """Coefficientwise comparison; exact equality unless floats are involved."""
-    _require_compatible(p, q)
-    tol = tol or DEFAULT_TOLERANCE
-    n = max(len(p.coeffs), len(q.coeffs))
-    for j in range(n):
-        a, b = p.coeff(j), q.coeff(j)
-        if isinstance(a, float) or isinstance(b, float):
-            if not tol.close(float(a), float(b)):
-                return False
-        elif a != b:
-            return False
-    return True
-
-
 def poly_fit(
     points: Sequence[tuple[Scalar, Scalar]],
     degree_bound: int,
-    tol: Tolerance | None = None,
 ) -> Polynomial:
     """Interpolate the first ``degree_bound + 1`` points, then verify the rest.
 
     Uses Newton divided differences expanded to monomial coefficients; exact
     in exact mode. Any surplus points must lie on the fitted polynomial
-    (exactly in exact mode, within ``tol`` in float mode), otherwise
+    (exactly in exact mode, within ``DEFAULT_TOLERANCE`` in float mode), otherwise
     FitMismatchError is raised: the data is not a polynomial of the claimed
     degree.
     """
@@ -170,10 +126,9 @@ def poly_fit(
             acc[t] = acc[t] + coef[j] * c
 
     fitted = Polynomial(tuple(acc))
-    tol = tol or DEFAULT_TOLERANCE
     for x, y in pts[degree_bound + 1 :]:
         value = poly_eval(fitted, x)
-        ok = tol.close(value, y) if mode == "float" else value == y
+        ok = DEFAULT_TOLERANCE.close(value, y) if mode == "float" else value == y
         if not ok:
             raise FitMismatchError(
                 f"extra point ({x}, {y}) is off the degree-{degree_bound} fit "

@@ -1,9 +1,8 @@
 """q-calculus primitives.
 
 The building blocks of q-analysis with a deformation parameter q > 0:
-q-integers, q-factorials, q-binomial coefficients, q-shifted (Pochhammer)
-products, q-Stirling numbers of the second kind, and iterated forward
-q-differences of sample sequences. Everything specializes to the classical
+q-integers, q-factorials, q-binomial coefficients, q-Stirling numbers of
+the second kind, and iterated forward q-differences of sample sequences. Everything specializes to the classical
 object at q = 1.
 
 All functions are generic over the scalar mode of q: exact rationals give
@@ -62,17 +61,6 @@ def q_binomial(n: int, k: int, q: Scalar) -> Scalar:
     out = _one(q)
     for i in range(1, k + 1):
         out = out * q_integer(n - k + i, q) / q_integer(i, q)
-    return out
-
-
-def q_pochhammer(a: Scalar, q: Scalar, k: int) -> Scalar:
-    """(a;q)_k = prod_{s=0}^{k-1} (1 - a q^s); the empty product is 1."""
-    _require_positive_q(q)
-    if k < 0:
-        raise ValueError(f"q-Pochhammer needs k >= 0, got {k}")
-    out = _one(q)
-    for s in range(k):
-        out = out * (1 - a * q**s)
     return out
 
 

@@ -96,14 +96,6 @@ def common_mode(*values: Scalar | int) -> str | None:
     return mode
 
 
-def scalars_close(a: Scalar, b: Scalar, tol: Tolerance | None = None) -> bool:
-    """Exact equality in exact mode, tolerance comparison in float mode."""
-    mode = common_mode(a, b)
-    if mode == FLOAT:
-        return (tol or DEFAULT_TOLERANCE).close(float(a), float(b))
-    return a == b
-
-
 def parse_scalar(text: str, mode: str = EXACT) -> Scalar:
     """Parse ``"p/q"`` or a decimal string.
 

@@ -43,7 +43,9 @@ ALPHA_GRID = (
     Fraction(3, 4),
     Fraction(1),
 )
-DEFAULT_SEED = 20260801
+SEED = 20260801
+VECTORS_PER_CASE = 3  # random sample vectors per case of the representation check
+STIRLING_MAX_KR = 12  # the Stirling cross-check covers 0 <= k, r <= this
 
 
 @dataclass(frozen=True)
@@ -95,11 +97,11 @@ def _grid(max_n: int):
                 yield OperatorParams(n, q, alpha)
 
 
-def check_stirling_cross(max_kr: int = 12) -> CheckResult:
+def check_stirling_cross() -> CheckResult:
     cases = 0
     for q in Q_GRID:
-        for k in range(max_kr + 1):
-            for r in range(max_kr + 1):
+        for k in range(STIRLING_MAX_KR + 1):
+            for r in range(STIRLING_MAX_KR + 1):
                 cases += 1
                 a = q_stirling2(k, r, q)
                 b = q_stirling2_rec(k, r, q)
@@ -113,13 +115,11 @@ def check_stirling_cross(max_kr: int = 12) -> CheckResult:
     return CheckResult("stirling_cross_check", True, cases, None)
 
 
-def check_representation_equivalence(
-    max_n: int, vectors_per_case: int = 3, seed: int = DEFAULT_SEED
-) -> CheckResult:
-    rng = random.Random(seed)
+def check_representation_equivalence(max_n: int) -> CheckResult:
+    rng = random.Random(SEED)
     cases = 0
     for params in _grid(max_n):
-        for _ in range(vectors_per_case):
+        for _ in range(VECTORS_PER_CASE):
             f = [
                 Fraction(rng.randint(-9, 9), rng.randint(1, 9))
                 for _ in range(params.n + 1)
@@ -260,8 +260,8 @@ def check_example_fixed_points(max_n: int) -> CheckResult:
     return CheckResult("example_fixed_points", True, cases, None)
 
 
-def check_operator_axioms(max_n: int, seed: int = DEFAULT_SEED) -> CheckResult:
-    rng = random.Random(seed + 1)
+def check_operator_axioms(max_n: int) -> CheckResult:
+    rng = random.Random(SEED + 1)
     cases = 0
     xs = [Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1)]
     for params in _grid(max_n):
@@ -313,19 +313,17 @@ def check_operator_axioms(max_n: int, seed: int = DEFAULT_SEED) -> CheckResult:
     return CheckResult("operator_axioms", True, cases, None)
 
 
-def run_verify(
-    max_n: int = 6, vectors_per_case: int = 3, seed: int = DEFAULT_SEED
-) -> VerifyReport:
+def run_verify(max_n: int = 6) -> VerifyReport:
     """Run every check; the report carries one result per check."""
     if max_n < 1:
         raise ValueError(f"max_n must be >= 1, got {max_n}")
     checks = (
         check_stirling_cross(),
-        check_representation_equivalence(max_n, vectors_per_case, seed),
+        check_representation_equivalence(max_n),
         check_eigen_relation(max_n),
         check_leading_coefficient(max_n),
         check_distinctness(max_n),
         check_example_fixed_points(max_n),
-        check_operator_axioms(max_n, seed),
+        check_operator_axioms(max_n),
     )
     return VerifyReport(all(c.passed for c in checks), max_n, checks)

@@ -11,7 +11,6 @@ from aqbernstein.asymptotics import (
     limit_coeffs_q_above_1,
     limit_coeffs_q_below_1,
     limit_eigenvalue,
-    limit_monomial_coeff,
     limit_ratio_q_above_1,
     regime_of,
 )
@@ -49,6 +48,11 @@ def uncorrected_limit_ratio_q_above_1(q, alpha, k, j):
     return -num / den
 
 
+def limit_monomial_coeff(q, r, k):
+    """lim_n a_n(r, k) = q^(r(r-1)/2) (1-q)^(k-r) S_q(k, r), for 0 < q < 1."""
+    return q ** (r * (r - 1) // 2) * (1 - q) ** (k - r) * q_stirling2(k, r, q)
+
+
 def finite_ratio(q, alpha, k, j, i, n):
     """a_n(k-j, k-i) / (lambda_k - lambda_{k-j}) at finite n (float mode)."""
     params = OperatorParams(n, q, alpha)
@@ -79,10 +83,6 @@ class TestLimitEigenvalue:
         for k in range(6):
             assert limit_eigenvalue(F(2), k) == 1
 
-    def test_regime_mismatch(self):
-        with pytest.raises(RegimeError):
-            limit_eigenvalue(F(1, 2), 2, regime=Q_ABOVE_1)
-
     def test_q_one_rejected(self):
         with pytest.raises(RegimeError):
             limit_eigenvalue(F(1), 2)
@@ -107,14 +107,6 @@ class TestLimitMonomialCoeff:
 
     def test_k1(self):
         assert limit_monomial_coeff(F(1, 2), 1, 1) == 1
-
-    def test_regime_guard(self):
-        with pytest.raises(RegimeError):
-            limit_monomial_coeff(F(2), 1, 2)
-
-    def test_range_guard(self):
-        with pytest.raises(ValueError):
-            limit_monomial_coeff(F(1, 2), 3, 2)
 
     def test_finite_coefficients_converge(self):
         q = 0.5
@@ -278,6 +270,17 @@ class TestDispatch:
     def test_q_one_rejected(self):
         with pytest.raises(RegimeError):
             limit_coeffs(F(1), F(0), 2)
+
+    def test_alpha_outside_unit_interval_rejected(self):
+        # the OperatorParams rule; at q = 2, alpha = 9/5 zeroes a ratio's
+        # denominator
+        for q, alpha in [(F(1, 2), -3), (F(2), F(9, 5)), (2.0, float("nan"))]:
+            with pytest.raises(ValueError, match=r"outside \[0,1\]"):
+                limit_coeffs(q, alpha, 3)
+        with pytest.raises(ValueError, match="outside"):
+            limit_ratio_q_above_1(F(2), F(9, 5), 3, 1)
+        with pytest.raises(ValueError, match="outside"):
+            convergence_table(F(1, 2), F(6, 5), 2, [10], mode="exact")
 
 
 class TestConvergenceTable:

@@ -99,6 +99,23 @@ class TestEig:
         run_cli("eig", "--n", "2", "--q", "1/2", "--alpha", "1", "--out", str(path))
         assert json.loads(path.read_text())["n"] == 2
 
+    def test_unwritable_out_exit_2(self, tmp_path):
+        path = tmp_path / "missing" / "eig.json"
+        proc = run_cli("eig", "--n", "2", "--q", "1/2", "--alpha", "1",
+                       "--out", str(path), expect=2)
+        assert proc.stdout == ""
+        assert proc.stderr.startswith(f"error: cannot write --out {path}: ")
+        assert proc.stderr.count("\n") == 1
+
+    def test_broken_stdout_not_a_usage_error(self, monkeypatch):
+        class BrokenPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(sys, "stdout", BrokenPipe())
+        with pytest.raises(BrokenPipeError):
+            main(["eig", "--n", "2", "--q", "1/2", "--alpha", "1"])
+
 
 class TestApply:
     def test_monomial(self):
@@ -194,6 +211,14 @@ class TestLimits:
         proc = run_cli("limits", "--q", "1", "--alpha", "0", "--k", "2", expect=2)
         assert "no limit regime at q=1" in proc.stderr
 
+    def test_alpha_outside_unit_interval_exit_2(self):
+        # as for eig and converge; alpha = 9/5 at q = 2 used to divide by zero
+        for alpha in ["9/5", "-3"]:
+            proc = run_cli("limits", "--q", "2", "--alpha", alpha, "--k", "3",
+                           expect=2)
+            assert proc.stdout == ""
+            assert f"alpha={alpha} is outside [0,1]" in proc.stderr
+
 
 class TestConverge:
     def test_exact_degree_two_is_zero_error(self):
@@ -248,6 +273,13 @@ class TestPlotData:
         # vector is [0, 1/2, -3/2, 1]; at 1/2: 1/4 - 3/8 + 1/8 = 0
         assert rows[2][0] == "1/2" and rows[2][1] == "0"
 
+    def test_empty_value_list_exit_2(self):
+        for q, alpha, flag in [(",", "2/5", "--q"), ("1/2", ",", "--alpha")]:
+            proc = run_cli("plot-data", "--n", "3", "--k", "2", "--q", q,
+                           "--alpha", alpha, expect=2)
+            assert proc.stdout == ""
+            assert f"{flag} needs at least one value" in proc.stderr
+
     def test_deterministic(self):
         args = ("plot-data", "--n", "3", "--k", "2", "--alpha", "0,1",
                 "--q", "0.5,2", "--samples", "4")
@@ -274,3 +306,77 @@ class TestVerify:
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--inject-fault", "ark-sign"])
         assert exc.value.code == 2
+
+
+# Full stdout of small commands, byte for byte. A JSON answer is written here
+# on one line and compared in the CLI's layout (two-space indent).
+GOLDEN = [
+    ("eig --n 2 --q 1/2 --alpha 2/5",
+     '{"n": 2, "q": {"num": "1", "den": "2"}, "alpha": {"num": "2", "den": '
+     '"5"}, "lambdas": [{"num": "1", "den": "1"}, {"num": "1", "den": '
+     '"1"}, {"num": "2", "den": "15"}], "vectors": [[{"num": "1", "den": '
+     '"1"}], [{"num": "0", "den": "1"}, {"num": "1", "den": "1"}], '
+     '[{"num": "0", "den": "1"}, {"num": "-1", "den": "1"}, {"num": "1", '
+     '"den": "1"}]]}'),
+    ("eig --n 2 --q 1/2 --alpha 2/5 --format csv",
+     'k,lambda,c0,c1,c2\n0,1,1,0,0\n1,1,0,1,0\n2,2/15,0,-1,1\n'),
+    ("eig --n 2 --q 1.5 --alpha 0.4 --mode float",
+     '{"n": 2, "q": 1.5, "alpha": 0.4, "lambdas": [1.0, 1.0, 0.24], '
+     '"vectors": [[1.0], [0.0, 1.0], [-0.0, -1.0, 1.0]]}'),
+    ("apply --n 2 --q 1/2 --alpha 2/5 --k 2",
+     '{"n": 2, "q": {"num": "1", "den": "2"}, "alpha": {"num": "2", "den": '
+     '"5"}, "image": [{"num": "0", "den": "1"}, {"num": "13", "den": '
+     '"15"}, {"num": "2", "den": "15"}]}'),
+    ("apply --n 2 --q 1/2 --alpha 2/5 --k 2 --format csv",
+     'j,coeff\n0,0\n1,13/15\n2,2/15\n'),
+    ("basis --n 2 --q 1/2 --alpha 2/5 --x 1/3",
+     '{"n": 2, "q": {"num": "1", "den": "2"}, "alpha": {"num": "2", "den": '
+     '"5"}, "x": {"num": "1", "den": "3"}, "values": [{"num": "28", "den": '
+     '"45"}, {"num": "2", "den": "15"}, {"num": "11", "den": "45"}]}'),
+    ("basis --n 2 --q 1/2 --alpha 2/5 --samples 3",
+     'x,p0,p1,p2\n0,1,0,0\n1/2,9/20,3/20,2/5\n1,0,0,1\n'),
+    ("limits --q 2 --alpha 0 --k 2",
+     '{"regime": "q_above_1", "k": 2, "q": {"num": "2", "den": "1"}, '
+     '"alpha": {"num": "0", "den": "1"}, "limit_lambda": {"num": "1", '
+     '"den": "1"}, "coeffs": [{"num": "0", "den": "1"}, {"num": "-1", '
+     '"den": "1"}, {"num": "1", "den": "1"}]}'),
+    ("limits --q 2 --alpha 0 --k 2 --format csv",
+     'j,coeff,limit_lambda\n0,0,1\n1,-1,1\n2,1,1\n'),
+    ("converge --q 1/2 --alpha 2/5 --k 3 --n 3",
+     'n,j,finite,limit,abs_error\n'
+     '3,0,0,0,0\n'
+     '3,1,0.64550264550264569,0.66666666666666674,0.021164021164021052\n'
+     '3,2,-1.6455026455026458,-1.6666666666666667,0.021164021164020941\n'
+     '3,3,1,1,0\n'),
+    ("converge --q 1/2 --alpha 2/5 --k 2 --n 3 --mode exact --format json",
+     '[{"n": 3, "j": 0, "finite": {"num": "0", "den": "1"}, "limit": '
+     '{"num": "0", "den": "1"}, "abs_error": {"num": "0", "den": "1"}}, '
+     '{"n": 3, "j": 1, "finite": {"num": "-1", "den": "1"}, "limit": '
+     '{"num": "-1", "den": "1"}, "abs_error": {"num": "0", "den": "1"}}, '
+     '{"n": 3, "j": 2, "finite": {"num": "1", "den": "1"}, "limit": '
+     '{"num": "1", "den": "1"}, "abs_error": {"num": "0", "den": "1"}}]'),
+    ("plot-data --n 2 --k 2 --alpha 2/5 --q 1/2 --samples 3",
+     'x,"p_2[q=1/2,alpha=2/5]"\n0,0\n1/2,-1/4\n1,0\n'),
+    ("plot-data --n 2 --k 2 --alpha 2/5 --q 1/2 --samples 3 --format json",
+     '{"n": 2, "k": 2, "x": [{"num": "0", "den": "1"}, {"num": "1", "den": '
+     '"2"}, {"num": "1", "den": "1"}], "columns": [{"q": {"num": "1", '
+     '"den": "2"}, "alpha": {"num": "2", "den": "5"}, "values": [{"num": '
+     '"0", "den": "1"}, {"num": "-1", "den": "4"}, {"num": "0", "den": '
+     '"1"}]}]}'),
+    ("verify --max-n 1",
+     '{"passed": true, "max_n": 1, "checks": [{"name": '
+     '"stirling_cross_check", "passed": true, "cases": 845}, {"name": '
+     '"representation_equivalence", "passed": true, "cases": 75}, {"name": '
+     '"eigen_relation", "passed": true, "cases": 50}, {"name": '
+     '"leading_coefficient", "passed": true, "cases": 25}, {"name": '
+     '"distinctness", "passed": true, "cases": 0}, {"name": '
+     '"example_fixed_points", "passed": true, "cases": 0}, {"name": '
+     '"operator_axioms", "passed": true, "cases": 200}]}'),
+]
+
+
+@pytest.mark.parametrize("command, expected", GOLDEN, ids=[c for c, _ in GOLDEN])
+def test_golden_stdout(command, expected):
+    if expected.startswith(("{", "[")):
+        expected = json.dumps(json.loads(expected), indent=2) + "\n"
+    assert run_cli(*command.split()).stdout == expected

@@ -20,7 +20,6 @@ from aqbernstein.qcalc import (
     q_difference_table,
     q_factorial,
     q_integer,
-    q_pochhammer,
     q_stirling2,
 )
 from aqbernstein.scalars import MixedModeError
@@ -50,6 +49,14 @@ def g_difference(samples, i, r, params):
     w_i = q ** (n - i - 1) * q_integer(i, q) / dn1
     w_i1 = q ** (n - i - 1 - r) * q_integer(i + r, q) / dn1
     return (1 - w_i) * table[r][i] + w_i1 * table[r][i + 1]
+
+
+def q_pochhammer(a, q, k):
+    """(a;q)_k = prod_{s=0}^{k-1} (1 - a q^s); the empty product is 1."""
+    out = q * 0 + 1
+    for s in range(k):
+        out *= 1 - a * q**s
+    return out
 
 
 def basis_eval(params, i, x):

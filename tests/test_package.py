@@ -1,3 +1,7 @@
+import ast
+import pathlib
+from collections import Counter
+
 import aqbernstein
 import aqbernstein.bernstein
 
@@ -24,3 +28,28 @@ def test_public_names():
     # faults are substituted by tests, not switched on inside the package
     assert not hasattr(aqbernstein.bernstein, "inject_fault")
     assert not hasattr(aqbernstein.bernstein, "_ACTIVE_FAULTS")
+
+
+def _references(node) -> Counter:
+    """Names that ``node`` reads or imports."""
+    return Counter(
+        n.id if isinstance(n, ast.Name) else n.name
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.alias))
+    )
+
+
+def test_no_uncalled_definitions():
+    # every module-level def/class is used in the package outside its own
+    # definition; an import into __init__ counts
+    src = pathlib.Path(aqbernstein.__file__).parent
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))}
+    refs = sum((_references(tree) for tree in trees.values()), Counter())
+    unused = [
+        f"{module}:{node.name}"
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and refs[node.name] == _references(node)[node.name]
+    ]
+    assert unused == []

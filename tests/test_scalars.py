@@ -13,7 +13,6 @@ from aqbernstein.scalars import (
     parse_scalar,
     scalar_from_json,
     scalar_to_json,
-    scalars_close,
 )
 
 
@@ -69,19 +68,11 @@ class TestModes:
 
 
 class TestComparison:
-    def test_exact_is_equality(self):
-        assert scalars_close(Fraction(1, 3), Fraction(1, 3))
-        assert not scalars_close(Fraction(1, 3), Fraction(1, 3) + Fraction(1, 10**30))
-
     def test_float_uses_tolerance(self):
-        assert scalars_close(1.0, 1.0 + 1e-12)
-        assert not scalars_close(1.0, 1.0 + 1e-8)
+        assert Tolerance().close(1.0, 1.0 + 1e-12)
+        assert not Tolerance().close(1.0, 1.0 + 1e-8)
         loose = Tolerance(rel_tol=1e-6, abs_tol=1e-6)
         assert loose.close(1.0, 1.0 + 1e-7)
-
-    def test_mixed_comparison_rejected(self):
-        with pytest.raises(MixedModeError):
-            scalars_close(Fraction(1, 2), 0.5)
 
 
 class TestSerialization:
