@@ -50,6 +50,10 @@ def uncorrected_limit_ratio_q_above_1(q, alpha, k, j):
 
 def limit_monomial_coeff(q, r, k):
     """lim_n a_n(r, k) = q^(r(r-1)/2) (1-q)^(k-r) S_q(k, r), for 0 < q < 1."""
+    if not 0 <= r <= k:
+        raise ValueError(f"need 0 <= r <= k, got r={r}, k={k}")
+    if regime_of(q) != Q_BELOW_1:
+        raise RegimeError(f"monomial-coefficient limits need 0 < q < 1, got q={q}")
     return q ** (r * (r - 1) // 2) * (1 - q) ** (k - r) * q_stirling2(k, r, q)
 
 
@@ -107,6 +111,14 @@ class TestLimitMonomialCoeff:
 
     def test_k1(self):
         assert limit_monomial_coeff(F(1, 2), 1, 1) == 1
+
+    def test_regime_guard(self):
+        with pytest.raises(RegimeError):
+            limit_monomial_coeff(F(2), 1, 2)
+
+    def test_range_guard(self):
+        with pytest.raises(ValueError):
+            limit_monomial_coeff(F(1, 2), 3, 2)
 
     def test_finite_coefficients_converge(self):
         q = 0.5

@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -25,6 +26,32 @@ from aqbernstein.verify import closed_form_eigenvalue
 F = Fraction
 Q_GRID = [F(1, 3), F(1, 2), F(1), F(3, 2), F(2)]
 A_GRID = [F(0), F(1, 4), F(1, 2), F(3, 4), F(1)]
+
+
+def eigen_expand(p, system):
+    """Weights e_0..e_n with p = sum_k e_k vectors[k], by back-substitution
+    from the top degree down (vectors[k] is monic of degree k)."""
+    n = system.params.n
+    if p.degree > n:
+        raise ValueError(f"degree {p.degree} exceeds the system's n={n}")
+    residual = [p.coeff(j) for j in range(n + 1)]
+    weights = [0] * (n + 1)
+    for k in range(n, -1, -1):
+        weights[k] = e = residual[k]
+        for j in range(k + 1):
+            residual[j] -= e * system.vectors[k].coeff(j)
+    return tuple(weights)
+
+
+def operator_power(p, m, system):
+    """T^m p through the eigen-expansion: sum_k e_k lambda_k^m vectors[k]."""
+    if m < 0:
+        raise ValueError(f"power must be >= 0, got {m}")
+    weights = eigen_expand(p, system)
+    return Polynomial(tuple(
+        sum(e * system.lambdas[k] ** m * system.vectors[k].coeff(j)
+            for k, e in enumerate(weights))
+        for j in range(system.params.n + 1)))
 
 
 def example_degree3_coeffs(q, alpha):
@@ -276,3 +303,73 @@ class TestFloatAgreesWithExact:
             for j in range(k + 1):
                 assert close(approx.vectors[k].coeff(j), exact.vectors[k].coeff(j)), (k, j)
 
+
+class TestExpansion:
+    """The monic eigenvectors are a basis of the polynomials of degree <= n."""
+
+    def test_indicator(self):
+        system = eigensystem(OperatorParams(4, F(1, 2), F(1, 2)))
+        for k in range(5):
+            e = eigen_expand(system.vectors[k], system)
+            assert e == tuple(1 if j == k else 0 for j in range(5))
+
+    def test_x_squared(self):
+        system = eigensystem(OperatorParams(3, F(2, 3), F(1)))
+        e = eigen_expand(Polynomial((0, 0, 1)), system)
+        assert e == (0, 1, 1, 0)  # x^2 = (x^2 - x) + x
+
+    def test_roundtrip(self):
+        rng = random.Random(6)
+        for n in range(1, 8):
+            system = eigensystem(OperatorParams(n, F(3, 2), F(1, 3)))
+            coeffs = [F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n + 1)]
+            p = Polynomial(tuple(coeffs))
+            e = eigen_expand(p, system)
+            rebuilt = Polynomial(tuple(
+                sum(w * system.vectors[k].coeff(j) for k, w in enumerate(e))
+                for j in range(n + 1)))
+            assert rebuilt == p
+
+    def test_degree_overflow(self):
+        system = eigensystem(OperatorParams(2, F(1, 2), F(1)))
+        with pytest.raises(ValueError):
+            eigen_expand(Polynomial((0, 0, 0, 1)), system)
+
+
+class TestOperatorPower:
+    """Powers of T through the eigensystem agree with applying T directly."""
+
+    def test_zeroth_power_is_identity(self):
+        system = eigensystem(OperatorParams(4, F(1, 2), F(2, 5)))
+        p = Polynomial((F(1, 3), F(-2), F(0), F(1)))
+        assert operator_power(p, 0, system) == p
+
+    def test_first_power_matches_direct(self):
+        rng = random.Random(7)
+        for n in range(1, 7):
+            params = OperatorParams(n, F(2), F(3, 4))
+            system = eigensystem(params)
+            nodes = sample_nodes(params)
+            coeffs = [F(rng.randint(-6, 6), rng.randint(1, 6)) for _ in range(n + 1)]
+            p = Polynomial(tuple(coeffs))
+            direct = apply_to_samples([poly_eval(p, t) for t in nodes], params)
+            assert operator_power(p, 1, system) == direct
+
+    def test_third_power_matches_iterated(self):
+        rng = random.Random(8)
+        for n in range(1, 7):
+            params = OperatorParams(n, F(1, 2), F(1, 5))
+            system = eigensystem(params)
+            nodes = sample_nodes(params)
+            coeffs = [F(rng.randint(-6, 6), rng.randint(1, 6)) for _ in range(n + 1)]
+            p = Polynomial(tuple(coeffs))
+            iterated = p
+            for _ in range(3):
+                iterated = apply_to_samples(
+                    [poly_eval(iterated, t) for t in nodes], params)
+            assert operator_power(p, 3, system) == iterated
+
+    def test_negative_power_rejected(self):
+        system = eigensystem(OperatorParams(2, F(1, 2), F(1)))
+        with pytest.raises(ValueError):
+            operator_power(Polynomial((0, 1)), -1, system)

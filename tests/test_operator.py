@@ -53,6 +53,8 @@ def g_difference(samples, i, r, params):
 
 def q_pochhammer(a, q, k):
     """(a;q)_k = prod_{s=0}^{k-1} (1 - a q^s); the empty product is 1."""
+    if k < 0:
+        raise ValueError(f"q-Pochhammer needs k >= 0, got {k}")
     out = q * 0 + 1
     for s in range(k):
         out *= 1 - a * q**s

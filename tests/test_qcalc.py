@@ -13,6 +13,7 @@ from aqbernstein.qcalc import (
     q_stirling2,
     q_stirling2_rec,
 )
+from test_operator import q_pochhammer
 
 F = Fraction
 Q_GRID = [F(1, 3), F(1, 2), F(2, 3), F(1), F(3, 2), F(2)]
@@ -116,6 +117,29 @@ class TestQBinomial:
             for k in range(n + 1):
                 expected = q_factorial(n, q) / (q_factorial(k, q) * q_factorial(n - k, q))
                 assert q_binomial(n, k, q) == expected
+
+
+class TestQPochhammer:
+    """The q-shifted factorial that the basis_eval oracle is built from."""
+
+    def test_empty_product(self):
+        assert q_pochhammer(F(9, 7), F(1, 3), 0) == 1
+
+    def test_direct(self):
+        assert q_pochhammer(F(1, 2), F(1, 2), 2) == F(1, 2) * F(3, 4) == F(3, 8)
+
+    def test_vanishing_first_factor(self):
+        assert q_pochhammer(F(1), F(5, 4), 3) == 0
+
+    def test_negative_k_rejected(self):
+        with pytest.raises(ValueError):
+            q_pochhammer(F(1, 2), F(1, 2), -1)
+
+    @given(st.fractions(min_value=-3, max_value=3, max_denominator=8),
+           positive_q, st.integers(0, 10))
+    @settings(max_examples=80)
+    def test_one_step_recursion(self, a, q, k):
+        assert q_pochhammer(a, q, k + 1) == q_pochhammer(a, q, k) * (1 - a * q**k)
 
 
 class TestQStirling:

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from aqbernstein.polynomials import FitMismatchError, Polynomial, poly_fit
 from aqbernstein.scalars import (
     MixedModeError,
     Tolerance,
@@ -68,11 +69,23 @@ class TestModes:
 
 
 class TestComparison:
+    # poly_fit's surplus-point check is the package's scalar comparison:
+    # == in exact mode, a Tolerance in float mode, and no mixing of modes.
+    def test_exact_is_equality(self):
+        c = Fraction(1, 3)
+        assert poly_fit([(Fraction(0), c), (Fraction(1), c)], 0) == Polynomial((c,))
+        with pytest.raises(FitMismatchError):
+            poly_fit([(Fraction(0), c), (Fraction(1), c + Fraction(1, 10**30))], 0)
+
     def test_float_uses_tolerance(self):
         assert Tolerance().close(1.0, 1.0 + 1e-12)
         assert not Tolerance().close(1.0, 1.0 + 1e-8)
         loose = Tolerance(rel_tol=1e-6, abs_tol=1e-6)
         assert loose.close(1.0, 1.0 + 1e-7)
+
+    def test_mixed_comparison_rejected(self):
+        with pytest.raises(MixedModeError):
+            poly_fit([(Fraction(0), Fraction(1, 2)), (1.0, 0.5)], 0)
 
 
 class TestSerialization:
