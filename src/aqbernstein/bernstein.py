@@ -27,12 +27,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .polynomials import Polynomial
-from .qcalc import (
-    q_binomial,
-    q_difference_table,
-    q_integer,
-    q_stirling2,
-)
+from .qcalc import q_difference_table, q_integer, q_stirling2
 from .scalars import MixedModeError, Scalar, coerce, common_mode
 
 
@@ -110,10 +105,14 @@ def sample_nodes(params: OperatorParams) -> tuple[Scalar, ...]:
 
 
 def _qbinom_row(n: int, q: Scalar) -> tuple[Scalar, ...]:
-    """All q-binomials (n choose i)_q for i = 0..n, by incremental update."""
+    """All q-binomials (n choose i)_q for i = 0..n, by incremental update,
+    with the q-integers from [m+1]_q = 1 + q [m]_q."""
+    qints = [q * 0]
+    for _ in range(n):
+        qints.append(1 + q * qints[-1])
     row = [q * 0 + 1]
     for i in range(n):
-        row.append(row[-1] * q_integer(n - i, q) / q_integer(i + 1, q))
+        row.append(row[-1] * qints[n - i] / qints[i + 1])
     return tuple(row)
 
 
@@ -129,8 +128,9 @@ def basis_values(params: OperatorParams, x: Scalar) -> tuple[Scalar, ...]:
 
     The q-power on the middle term must be n-i for the family to sum to 1
     (partition of unity) and to agree with the forward-difference form of
-    the operator; both are enforced by tests. The q-shifted-product
-    prefixes and binomial rows are shared across i.
+    the operator; both are enforced by tests. The powers of q and x, the
+    q-shifted-product prefixes and the binomial rows are built once as
+    running products and shared across i.
     """
     n, q, alpha = params.n, params.q, params.alpha
     mode = common_mode(q, x)
@@ -140,11 +140,10 @@ def basis_values(params: OperatorParams, x: Scalar) -> tuple[Scalar, ...]:
     if n == 1:
         return (1 - x, x)
     one = q * 0 + 1
-    poch = [one]
-    for s in range(n):
-        poch.append(poch[-1] * (1 - x * q**s))
-    xpow = [one]
+    qpow, xpow, poch = [one], [one], [one]
     for _ in range(n):
+        poch.append(poch[-1] * (1 - x * qpow[-1]))
+        qpow.append(qpow[-1] * q)
         xpow.append(xpow[-1] * x)
     row_n = _qbinom_row(n, q)
     row_n2 = _qbinom_row(n - 2, q)
@@ -155,7 +154,7 @@ def basis_values(params: OperatorParams, x: Scalar) -> tuple[Scalar, ...]:
             total = total + (1 - alpha) * row_n2[i] * xpow[i] * poch[n - i - 1]
         if i >= 2:
             total = total + (
-                (1 - alpha) * row_n2[i - 2] * q ** (n - i) * xpow[i - 1] * poch[n - i]
+                (1 - alpha) * row_n2[i - 2] * qpow[n - i] * xpow[i - 1] * poch[n - i]
             )
         values.append(total)
     return tuple(values)
@@ -185,11 +184,13 @@ def apply_to_samples(samples: Sequence[Scalar], params: OperatorParams) -> Polyn
         return Polynomial((f[0], f[1] - f[0]))
     ftable = q_difference_table(f, q)
     gtable = q_difference_table(_g_samples(f, params), q)
+    row_n = _qbinom_row(n, q)
+    row_n1 = _qbinom_row(n - 1, q)
     coeffs = []
     for r in range(n + 1):
-        c = alpha * q_binomial(n, r, q) * ftable[r][0]
+        c = alpha * row_n[r] * ftable[r][0]
         if r <= n - 1:
-            c = c + (1 - alpha) * q_binomial(n - 1, r, q) * gtable[r][0]
+            c = c + (1 - alpha) * row_n1[r] * gtable[r][0]
         coeffs.append(c)
     return Polynomial(tuple(coeffs))
 

@@ -38,8 +38,18 @@ def _parse_scalar_list(text: str, mode: str) -> list[Scalar]:
     return [parse_scalar(part, mode) for part in text.split(",") if part.strip()]
 
 
-def _single(text: str, mode: str, flag: str) -> Scalar:
-    values = _parse_scalar_list(text, mode)
+def _parse_alpha_list(text: str, mode: str) -> list[Scalar]:
+    """The --alpha values; each must lie in [0,1], and an error quotes the
+    value as it was typed."""
+    parts = [part.strip() for part in text.split(",") if part.strip()]
+    values = [parse_scalar(part, mode) for part in parts]
+    for part, alpha in zip(parts, values):
+        if not 0 <= alpha <= 1:
+            raise ValueError(f"alpha={part} is outside [0,1]")
+    return values
+
+
+def _single(values: list[Scalar], flag: str) -> Scalar:
     if len(values) != 1:
         raise ValueError(f"{flag} takes exactly one value here, got {len(values)}")
     return values[0]
@@ -47,7 +57,8 @@ def _single(text: str, mode: str, flag: str) -> Scalar:
 
 def _q_alpha(args) -> tuple[Scalar, Scalar]:
     """The single q and alpha of a command that takes one of each."""
-    return _single(args.q, args.mode, "--q"), _single(args.alpha, args.mode, "--alpha")
+    return (_single(_parse_scalar_list(args.q, args.mode), "--q"),
+            _single(_parse_alpha_list(args.alpha, args.mode), "--alpha"))
 
 
 def _json_text(obj) -> str:
@@ -171,7 +182,7 @@ def _x_grid(samples: int, mode: str) -> list[Scalar]:
 
 def cmd_plot_data(args) -> int:
     q_list = _parse_scalar_list(args.q, args.mode)
-    alpha_list = _parse_scalar_list(args.alpha, args.mode)
+    alpha_list = _parse_alpha_list(args.alpha, args.mode)
     for flag, values in (("--q", q_list), ("--alpha", alpha_list)):
         if not values:
             raise ValueError(f"{flag} needs at least one value")

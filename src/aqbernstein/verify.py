@@ -10,6 +10,11 @@ closed-form low-degree eigenvectors come out, and the operator axioms
 (endpoint interpolation, invariance of a t + b, degree reduction, partition
 of unity) hold.
 
+The eigensystem of each grid operator is built once and shared by the
+checks that read it (eigen relation, leading coefficient, distinctness and
+the low-degree eigenvectors), and the representation check evaluates each
+basis row once for all its sample vectors.
+
 Every check reports its case count and, on failure, the first
 counterexample in serialized form. The suite is deterministic: the random
 sample vectors used by the representation-equivalence check come from a
@@ -30,7 +35,7 @@ from .bernstein import (
     monomial_image,
     sample_nodes,
 )
-from .eigen import eigensystem, eigenvalue
+from .eigen import EigenSystem, eigensystem, eigenvalue
 from .polynomials import Polynomial, poly_eval, poly_fit, poly_scale
 from .qcalc import q_factorial, q_integer, q_stirling2, q_stirling2_rec
 from .scalars import format_scalar
@@ -119,6 +124,8 @@ def check_representation_equivalence(max_n: int) -> CheckResult:
     rng = random.Random(SEED)
     cases = 0
     for params in _grid(max_n):
+        xs = [Fraction(t, 2 * params.n + 1) for t in range(params.n + 2)]
+        rows = [basis_values(params, x) for x in xs]
         for _ in range(VECTORS_PER_CASE):
             f = [
                 Fraction(rng.randint(-9, 9), rng.randint(1, 9))
@@ -126,8 +133,8 @@ def check_representation_equivalence(max_n: int) -> CheckResult:
             ]
             cases += 1
             direct = apply_to_samples(f, params)
-            xs = [Fraction(t, 2 * params.n + 1) for t in range(params.n + 2)]
-            pts = [(x, apply_pointwise(f, params, x)) for x in xs]
+            pts = [(x, sum(fi * b for fi, b in zip(f, row)))
+                   for x, row in zip(xs, rows)]
             fitted = poly_fit(pts, params.n)
             if direct != fitted:
                 return CheckResult(
@@ -146,10 +153,10 @@ def check_representation_equivalence(max_n: int) -> CheckResult:
     return CheckResult("representation_equivalence", True, cases, None)
 
 
-def check_eigen_relation(max_n: int) -> CheckResult:
+def check_eigen_relation(systems: list[EigenSystem]) -> CheckResult:
     cases = 0
-    for params in _grid(max_n):
-        system = eigensystem(params)
+    for system in systems:
+        params = system.params
         nodes = sample_nodes(params)
         for k in range(params.n + 1):
             cases += 1
@@ -188,12 +195,13 @@ def closed_form_eigenvalue(k: int, params: OperatorParams) -> Fraction:
     )
 
 
-def check_leading_coefficient(max_n: int) -> CheckResult:
+def check_leading_coefficient(systems: list[EigenSystem]) -> CheckResult:
     cases = 0
-    for params in _grid(max_n):
+    for system in systems:
+        params = system.params
         for k in range(1, params.n + 1):
             cases += 1
-            lam = eigenvalue(k, params)
+            lam = system.lambdas[k]
             a_kk = monomial_image(k, params).coeffs[k]
             closed = closed_form_eigenvalue(k, params) if k >= 2 else lam
             if a_kk != lam or closed != lam:
@@ -207,10 +215,10 @@ def check_leading_coefficient(max_n: int) -> CheckResult:
     return CheckResult("leading_coefficient", True, cases, None)
 
 
-def check_distinctness(max_n: int) -> CheckResult:
+def check_distinctness(systems: list[EigenSystem]) -> CheckResult:
     cases = 0
-    for params in _grid(max_n):
-        lams = [eigenvalue(k, params) for k in range(params.n + 1)]
+    for system in systems:
+        params, lams = system.params, system.lambdas
         for k in range(2, params.n + 1):
             cases += 1
             if not lams[k] < lams[k - 1] or lams[k] < 0:
@@ -224,13 +232,15 @@ def check_distinctness(max_n: int) -> CheckResult:
     return CheckResult("distinctness", True, cases, None)
 
 
-def check_example_fixed_points(max_n: int) -> CheckResult:
+def check_example_fixed_points(systems: list[EigenSystem]) -> CheckResult:
+    """Degree 2 is t^2 - t for every n >= 2; degree 3 at n = 3 has the
+    closed form below."""
     cases = 0
-    for params in _grid(max_n):
+    for system in systems:
+        params = system.params
         if params.n < 2:
             continue
         cases += 1
-        system = eigensystem(params)
         if system.vectors[2] != Polynomial((0, -1, 1)):
             return CheckResult(
                 "example_fixed_points",
@@ -239,24 +249,24 @@ def check_example_fixed_points(max_n: int) -> CheckResult:
                 _ce(n=params.n, q=params.q, alpha=params.alpha,
                     degree2=system.vectors[2]),
             )
-    if max_n >= 3:
-        for q in Q_GRID:
-            for alpha in ALPHA_GRID:
-                cases += 1
-                den = (1 - alpha) * q**4 + q**3 + 2 * q**2 + (1 + alpha) * q + 1
-                a2 = -((1 - alpha) * q**4 + (2 - alpha) * q**3 + 3 * q**2
-                       + (2 * alpha + 1) * q + 2) / den
-                a1 = ((1 - alpha) * q**3 + q**2 + alpha * q + 1) / den
-                expected = Polynomial((Fraction(0), a1, a2, Fraction(1)))
-                params = OperatorParams(3, q, alpha)
-                got = eigensystem(params).vectors[3]
-                if got != expected:
-                    return CheckResult(
-                        "example_fixed_points",
-                        False,
-                        cases,
-                        _ce(q=q, alpha=alpha, degree3=got, expected=expected),
-                    )
+    for system in systems:
+        if system.params.n != 3:
+            continue
+        cases += 1
+        q, alpha = system.params.q, system.params.alpha
+        den = (1 - alpha) * q**4 + q**3 + 2 * q**2 + (1 + alpha) * q + 1
+        a2 = -((1 - alpha) * q**4 + (2 - alpha) * q**3 + 3 * q**2
+               + (2 * alpha + 1) * q + 2) / den
+        a1 = ((1 - alpha) * q**3 + q**2 + alpha * q + 1) / den
+        expected = Polynomial((Fraction(0), a1, a2, Fraction(1)))
+        got = system.vectors[3]
+        if got != expected:
+            return CheckResult(
+                "example_fixed_points",
+                False,
+                cases,
+                _ce(q=q, alpha=alpha, degree3=got, expected=expected),
+            )
     return CheckResult("example_fixed_points", True, cases, None)
 
 
@@ -314,16 +324,21 @@ def check_operator_axioms(max_n: int) -> CheckResult:
 
 
 def run_verify(max_n: int = 6) -> VerifyReport:
-    """Run every check; the report carries one result per check."""
+    """Run every check; the report carries one result per check.
+
+    The eigensystem of each grid operator is built once and shared by the
+    checks that read eigenvalues or eigenvectors.
+    """
     if max_n < 1:
         raise ValueError(f"max_n must be >= 1, got {max_n}")
+    systems = [eigensystem(params) for params in _grid(max_n)]
     checks = (
         check_stirling_cross(),
         check_representation_equivalence(max_n),
-        check_eigen_relation(max_n),
-        check_leading_coefficient(max_n),
-        check_distinctness(max_n),
-        check_example_fixed_points(max_n),
+        check_eigen_relation(systems),
+        check_leading_coefficient(systems),
+        check_distinctness(systems),
+        check_example_fixed_points(systems),
         check_operator_axioms(max_n),
     )
     return VerifyReport(all(c.passed for c in checks), max_n, checks)

@@ -308,6 +308,28 @@ class TestVerify:
         assert exc.value.code == 2
 
 
+ALPHA_OUTSIDE = [
+    ("eig --n 3 --q 1/2 --alpha 2", "2"),
+    ("eig --n 3 --q 1/2 --alpha 2.0 --mode float", "2.0"),
+    ("apply --n 3 --q 1/2 --alpha 3/2 --k 2", "3/2"),
+    ("basis --n 3 --q 1/2 --alpha 2 --x 1/3", "2"),
+    ("limits --q 2 --alpha 2.0 --k 3", "2.0"),
+    ("converge --q 1/2 --alpha 2.0 --k 3 --n 5,10", "2.0"),
+    ("plot-data --n 3 --k 2 --q 1/2 --alpha 0,2", "2"),
+]
+
+
+@pytest.mark.parametrize("command, typed", ALPHA_OUTSIDE,
+                         ids=[c for c, _ in ALPHA_OUTSIDE])
+def test_alpha_outside_unit_interval_message(command, typed, capsys):
+    # one message for every command, quoting --alpha as typed; it names no
+    # library keyword, since no option reaches OperatorParams' allow_any_alpha
+    assert main(command.split()) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: alpha={typed} is outside [0,1]\n"
+
+
 # Full stdout of small commands, byte for byte. A JSON answer is written here
 # on one line and compared in the CLI's layout (two-space indent).
 GOLDEN = [
@@ -372,6 +394,17 @@ GOLDEN = [
      '"distinctness", "passed": true, "cases": 0}, {"name": '
      '"example_fixed_points", "passed": true, "cases": 0}, {"name": '
      '"operator_axioms", "passed": true, "cases": 200}]}'),
+    # max-n 3 is the smallest cap with distinctness and example_fixed_points
+    # cases, including the closed-form degree-3 eigenvectors at n = 3
+    ("verify --max-n 3",
+     '{"passed": true, "max_n": 3, "checks": [{"name": '
+     '"stirling_cross_check", "passed": true, "cases": 845}, {"name": '
+     '"representation_equivalence", "passed": true, "cases": 225}, {"name": '
+     '"eigen_relation", "passed": true, "cases": 225}, {"name": '
+     '"leading_coefficient", "passed": true, "cases": 150}, {"name": '
+     '"distinctness", "passed": true, "cases": 75}, {"name": '
+     '"example_fixed_points", "passed": true, "cases": 75}, {"name": '
+     '"operator_axioms", "passed": true, "cases": 675}]}'),
 ]
 
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from aqbernstein import eigen
+from aqbernstein import eigen, verify
 from aqbernstein.bernstein import (
     OperatorParams,
     _g_samples,
@@ -22,13 +22,16 @@ from aqbernstein.qcalc import (
     q_integer,
     q_stirling2,
 )
-from aqbernstein.scalars import MixedModeError
+from aqbernstein.scalars import MixedModeError, Tolerance
 from aqbernstein.verify import run_verify
 
 F = Fraction
 Q_GRID = [F(1, 2), F(1), F(3, 2), F(2)]
 A_GRID = [F(0), F(2, 5), F(1)]
 XS = [F(0), F(1, 4), F(1, 2), F(3, 4), F(1)]
+# float parameters; F(v) of each is its exact value, the exact-mode reference
+FLOAT_Q_GRID = [0.5, 1.0, 1.5]
+FLOAT_A_GRID = [0.0, 0.4, 1.0]
 
 
 def rational_samples(rng, count):
@@ -155,6 +158,21 @@ class TestBasis:
                         )
                         assert row[i] == expected
 
+    def test_float_matches_exact(self):
+        # the float rows come from running products and the q-integer
+        # recurrence; exact mode on the same inputs is the reference
+        tol = Tolerance()
+        for n in range(1, 13):
+            for q in FLOAT_Q_GRID:
+                for alpha in FLOAT_A_GRID:
+                    floats = OperatorParams(n, q, alpha)
+                    exact = OperatorParams(n, F(q), F(alpha))
+                    for x in XS:
+                        got = basis_values(floats, float(x))
+                        want = basis_values(exact, x)
+                        assert all(tol.close(u, float(v)) for u, v in zip(got, want)), \
+                            (n, q, alpha, x)
+
     def test_nonsingular_at_removable_point(self):
         # x = q^-(n-i-1) zeroes the factor the uncancelled form divides by
         n, i, q = 4, 1, F(1, 2)
@@ -245,6 +263,21 @@ class TestApply:
         for x in XS:
             assert apply_pointwise([F(1)] * 6, params, x) == 1
 
+    def test_float_matches_exact(self):
+        rng = random.Random(6)
+        tol = Tolerance()
+        for n in range(1, 13):
+            for q in FLOAT_Q_GRID:
+                for alpha in FLOAT_A_GRID:
+                    f = [rng.randint(-64, 64) / 8 for _ in range(n + 1)]
+                    got = apply_to_samples(f, OperatorParams(n, q, alpha))
+                    want = apply_to_samples(
+                        [F(v) for v in f], OperatorParams(n, F(q), F(alpha))
+                    )
+                    for j in range(n + 1):
+                        assert tol.close(got.coeff(j), float(want.coeff(j))), \
+                            (n, q, alpha, j)
+
     def test_representation_equivalence(self):
         rng = random.Random(5)
         for n in range(1, 8):
@@ -327,6 +360,21 @@ class TestMonomialImage:
             monomial_image(0, params)
         with pytest.raises(ValueError):
             monomial_image(4, params)
+
+
+class TestVerify:
+    def test_one_eigensystem_per_grid_operator(self, monkeypatch):
+        calls = []
+        build = verify.eigensystem
+
+        def counted(params):
+            calls.append(params)
+            return build(params)
+
+        monkeypatch.setattr(verify, "eigensystem", counted)
+        report = run_verify(max_n=3)
+        assert report.passed
+        assert len(calls) == 75 and len(set(calls)) == 75
 
 
 class TestFaultHook:
