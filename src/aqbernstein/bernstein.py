@@ -97,19 +97,23 @@ def _check_samples(samples: Sequence[Scalar], params: OperatorParams) -> tuple[S
     return tuple(coerce(v, params.mode) for v in samples)
 
 
-def sample_nodes(params: OperatorParams) -> tuple[Scalar, ...]:
-    """The nodes [i]_q / [n]_q for i = 0..n; starts at 0, ends at 1."""
-    n, q = params.n, params.q
-    denom = q_integer(n, q)
-    return tuple(q_integer(i, q) / denom for i in range(n + 1))
-
-
-def _qbinom_row(n: int, q: Scalar) -> tuple[Scalar, ...]:
-    """All q-binomials (n choose i)_q for i = 0..n, by incremental update,
-    with the q-integers from [m+1]_q = 1 + q [m]_q."""
+def _q_integers(n: int, q: Scalar) -> list[Scalar]:
+    """[0]_q..[n]_q from [m+1]_q = 1 + q [m]_q."""
     qints = [q * 0]
     for _ in range(n):
         qints.append(1 + q * qints[-1])
+    return qints
+
+
+def sample_nodes(params: OperatorParams) -> tuple[Scalar, ...]:
+    """The nodes [i]_q / [n]_q for i = 0..n; starts at 0, ends at 1."""
+    qints = _q_integers(params.n, params.q)
+    return tuple(t / qints[-1] for t in qints)
+
+
+def _qbinom_row(n: int, q: Scalar) -> tuple[Scalar, ...]:
+    """All q-binomials (n choose i)_q for i = 0..n, by incremental update."""
+    qints = _q_integers(n, q)
     row = [q * 0 + 1]
     for i in range(n):
         row.append(row[-1] * qints[n - i] / qints[i + 1])
@@ -161,12 +165,17 @@ def basis_values(params: OperatorParams, x: Scalar) -> tuple[Scalar, ...]:
 
 
 def _g_samples(samples: tuple[Scalar, ...], params: OperatorParams) -> tuple[Scalar, ...]:
-    """The blended sequence g_i, i = 0..n-1 (a q-weighted mix of f_i, f_{i+1})."""
+    """The blended sequence g_i, i = 0..n-1 (a q-weighted mix of f_i, f_{i+1})
+    with weights w_i = q^(n-i-1) [i]_q / [n-1]_q, from running q-powers and
+    q-integers."""
     n, q = params.n, params.q
-    dn1 = q_integer(n - 1, q)
+    qints = _q_integers(n - 1, q)
+    qpow = [q * 0 + 1]
+    for _ in range(n - 1):
+        qpow.append(qpow[-1] * q)
     out = []
     for i in range(n):
-        w = q ** (n - i - 1) * q_integer(i, q) / dn1
+        w = qpow[n - i - 1] * qints[i] / qints[-1]
         out.append((1 - w) * samples[i] + w * samples[i + 1])
     return tuple(out)
 

@@ -42,14 +42,22 @@ class DegenerateEigenvalueError(ArithmeticError):
     """A required eigenvalue difference vanished (or lost all float precision)."""
 
 
-def eigenvalue(k: int, params: OperatorParams) -> Scalar:
-    """lambda_k = u_k G_k for 0 <= k <= n; equals 1 for k in {0, 1}."""
+def eigenvalue(
+    k: int, params: OperatorParams, *, falling: tuple[Scalar, ...] | None = None
+) -> Scalar:
+    """lambda_k = u_k G_k for 0 <= k <= n; equals 1 for k in {0, 1}.
+
+    ``falling`` is G_0..G_j for some j >= k, as built by
+    :func:`falling_products`; it is built here when omitted.
+    """
     n, q = params.n, params.q
     if not 0 <= k <= n:
         raise ValueError(f"eigenvalue index needs 0 <= k <= n, got k={k}, n={n}")
     if k <= 1:
         return q * 0 + 1
-    return _u_factor(k, params) * falling_products(params, k)[k]
+    if falling is None:
+        falling = falling_products(params, k)
+    return _u_factor(k, params) * falling[k]
 
 
 def _u_factor(k: int, params: OperatorParams) -> Scalar:
@@ -64,7 +72,9 @@ def _u_factor(k: int, params: OperatorParams) -> Scalar:
     )
 
 
-def eigenvalue_difference(k: int, m: int, params: OperatorParams) -> Scalar:
+def eigenvalue_difference(
+    k: int, m: int, params: OperatorParams, *, falling: tuple[Scalar, ...] | None = None
+) -> Scalar:
     """lambda_k - lambda_m, evaluated without catastrophic cancellation.
 
     Writing lambda_j = u_j G_j, the difference factors as
@@ -82,6 +92,9 @@ def eigenvalue_difference(k: int, m: int, params: OperatorParams) -> Scalar:
     algebraic identities, so exact mode returns exactly
     eigenvalue(k) - eigenvalue(m).
 
+    ``falling`` is G_0..G_j for some j >= m, as built by
+    :func:`falling_products`; it is built here when omitted.
+
     Raises DegenerateEigenvalueError when the result is zero, or in float
     mode when it underflows below the smallest normal float (no relative
     precision left).
@@ -89,6 +102,8 @@ def eigenvalue_difference(k: int, m: int, params: OperatorParams) -> Scalar:
     n, q, alpha = params.n, params.q, params.alpha
     if not 0 <= m < k <= n:
         raise ValueError(f"need 0 <= m < k <= n, got m={m}, k={k}, n={n}")
+    if falling is None:
+        falling = falling_products(params, m)
     dn = q_integer(n, q)
     # delta = prod_{t=m}^{k-1}(1 - [t]/[n]) - 1, accumulated as a difference
     delta = q * 0
@@ -105,7 +120,7 @@ def eigenvalue_difference(k: int, m: int, params: OperatorParams) -> Scalar:
             * (q ** (k + m - 1) - 1)
             / ((q - 1) ** 2 * dn * q_integer(n - 1, q))
         )
-    diff = falling_products(params, m)[m] * (_u_factor(k, params) * delta + du)
+    diff = falling[m] * (_u_factor(k, params) * delta + du)
     if diff == 0:
         raise DegenerateEigenvalueError(
             f"lambda_{k} - lambda_{m} vanished for n={n}, q={q}, alpha={alpha}"
@@ -118,8 +133,16 @@ def eigenvalue_difference(k: int, m: int, params: OperatorParams) -> Scalar:
     return diff
 
 
+def monomial_images(params: OperatorParams, top: int) -> dict[int, MonomialImage]:
+    """The monomial images T(t^m) for m = 1..top, keyed by m."""
+    return {m: monomial_image(m, params) for m in range(1, top + 1)}
+
+
 def _eigenvector_coeffs(
-    k: int, params: OperatorParams, images: dict[int, MonomialImage]
+    k: int,
+    params: OperatorParams,
+    images: dict[int, MonomialImage],
+    falling: tuple[Scalar, ...],
 ) -> tuple[Scalar, ...]:
     q = params.q
     if k == 0:
@@ -132,7 +155,7 @@ def _eigenvector_coeffs(
         total = q * 0
         for i in range(j):
             total = total + c[k - i] * images[k - i].coeffs[k - j]
-        c[k - j] = total / eigenvalue_difference(k, k - j, params)
+        c[k - j] = total / eigenvalue_difference(k, k - j, params, falling=falling)
     return tuple(c)
 
 
@@ -140,8 +163,10 @@ def eigenvector(k: int, params: OperatorParams) -> Polynomial:
     """The monic degree-k eigenvector polynomial p_k (p_0 = 1, p_1 = x)."""
     if not 0 <= k <= params.n:
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={params.n}")
-    images = {m: monomial_image(m, params) for m in range(1, k + 1)}
-    return Polynomial(_eigenvector_coeffs(k, params, images))
+    coeffs = _eigenvector_coeffs(
+        k, params, monomial_images(params, k), falling_products(params, k)
+    )
+    return Polynomial(coeffs)
 
 
 @dataclass(frozen=True)
@@ -182,16 +207,28 @@ def eigensystem_from_dict(obj: dict) -> EigenSystem:
     return EigenSystem(params, lambdas, vectors, params.alpha_in_unit_interval)
 
 
+def eigensystem_from_images(
+    params: OperatorParams, images: dict[int, MonomialImage]
+) -> EigenSystem:
+    """The eigensystem assembled from ``monomial_images(params, params.n)``.
+
+    The falling q-products G_0..G_n are built once and shared by every
+    eigenvalue and eigenvalue difference.
+    """
+    n = params.n
+    falling = falling_products(params, n)
+    lambdas = tuple(eigenvalue(k, params, falling=falling) for k in range(n + 1))
+    vectors = tuple(
+        Polynomial(_eigenvector_coeffs(k, params, images, falling))
+        for k in range(n + 1)
+    )
+    return EigenSystem(params, lambdas, vectors, params.alpha_in_unit_interval)
+
+
 def eigensystem(params: OperatorParams) -> EigenSystem:
     """All eigenvalues and monic eigenvectors for k = 0..n.
 
     Monomial images are computed once and shared by the per-degree
     recursions.
     """
-    n = params.n
-    images = {m: monomial_image(m, params) for m in range(1, n + 1)}
-    lambdas = tuple(eigenvalue(k, params) for k in range(n + 1))
-    vectors = tuple(
-        Polynomial(_eigenvector_coeffs(k, params, images)) for k in range(n + 1)
-    )
-    return EigenSystem(params, lambdas, vectors, params.alpha_in_unit_interval)
+    return eigensystem_from_images(params, monomial_images(params, params.n))

@@ -6,8 +6,9 @@ the second kind, and iterated forward q-differences of sample sequences. Everyth
 object at q = 1.
 
 All functions are generic over the scalar mode of q: exact rationals give
-exact results, floats give floats. Functions are pure; the memo table used
-by the recurrence form of the q-Stirling numbers is local to each call.
+exact results, floats give floats. Functions are pure. The recurrence form
+of the q-Stirling numbers, an oracle for the explicit sum, lives in
+:mod:`aqbernstein.verify`.
 """
 
 from __future__ import annotations
@@ -85,30 +86,6 @@ def q_stirling2(k: int, r: int, q: Scalar) -> Scalar:
         term = q ** (i * (i - 1) // 2) * q_binomial(r, i, q) * q_integer(r - i, q) ** k
         total = total - term if i % 2 else total + term
     return total / (q_factorial(r, q) * q ** (r * (r - 1) // 2))
-
-
-def q_stirling2_rec(k: int, r: int, q: Scalar) -> Scalar:
-    """S_q(k, r) via the recurrence S_q(k+1, r) = S_q(k, r-1) + [r]_q S_q(k, r).
-
-    An independent computation path kept solely for cross-checking the
-    explicit sum. The memo table lives and dies with this call.
-    """
-    _require_positive_q(q)
-    if k < 0 or r < 0:
-        raise ValueError(f"q-Stirling number needs k, r >= 0, got ({k}, {r})")
-    if r == 0:
-        return _one(q) if k == 0 else _zero(q)
-    if k < r:
-        return _zero(q)
-    qints = [q_integer(m, q) for m in range(r + 1)]
-    # row[j] = S_q(i, j) while sweeping i upward
-    row = [_one(q)] + [_zero(q)] * r
-    for i in range(1, k + 1):
-        new = [_zero(q)] * (r + 1)
-        for j in range(1, min(i, r) + 1):
-            new[j] = row[j - 1] + qints[j] * row[j]
-        row = new
-    return row[r]
 
 
 def q_difference_table(samples: Sequence[Scalar], q: Scalar) -> tuple[tuple[Scalar, ...], ...]:

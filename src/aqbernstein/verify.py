@@ -10,10 +10,14 @@ closed-form low-degree eigenvectors come out, and the operator axioms
 (endpoint interpolation, invariance of a t + b, degree reduction, partition
 of unity) hold.
 
-The eigensystem of each grid operator is built once and shared by the
-checks that read it (eigen relation, leading coefficient, distinctness and
-the low-degree eigenvectors), and the representation check evaluates each
-basis row once for all its sample vectors.
+Each grid operator's monomial images T(t^m), m = 1..n, are built once: the
+eigensystem is assembled from them, and the leading-coefficient check reads
+a(k,k) from the same images. That eigensystem is shared by every check that
+reads eigenvalues or eigenvectors (eigen relation, leading coefficient,
+distinctness, the low-degree eigenvectors and degree reduction). The
+q-Stirling recurrence table is built once per q and compared entry by entry
+with the explicit sum, and the representation check evaluates each basis
+row once for all its sample vectors.
 
 Every check reports its case count and, on failure, the first
 counterexample in serialized form. The suite is deterministic: the random
@@ -28,17 +32,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .bernstein import (
+    MonomialImage,
     OperatorParams,
     apply_pointwise,
     apply_to_samples,
     basis_values,
-    monomial_image,
     sample_nodes,
 )
-from .eigen import EigenSystem, eigensystem, eigenvalue
+from .eigen import EigenSystem, eigensystem_from_images, monomial_images
 from .polynomials import Polynomial, poly_eval, poly_fit, poly_scale
-from .qcalc import q_factorial, q_integer, q_stirling2, q_stirling2_rec
-from .scalars import format_scalar
+from .qcalc import q_factorial, q_integer, q_stirling2
+from .scalars import Scalar, format_scalar
 
 Q_GRID = (Fraction(1, 3), Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2))
 ALPHA_GRID = (
@@ -102,14 +106,32 @@ def _grid(max_n: int):
                 yield OperatorParams(n, q, alpha)
 
 
+def q_stirling2_table(size: int, q: Scalar) -> tuple[tuple[Scalar, ...], ...]:
+    """S_q(k, r) for 0 <= k, r <= size as ``table[k][r]``, by the recurrence
+    S_q(k+1, r) = S_q(k, r-1) + [r]_q S_q(k, r) from S_q(0, r) = [r = 0].
+
+    An independent computation path kept solely for cross-checking the
+    explicit sum :func:`aqbernstein.qcalc.q_stirling2`.
+    """
+    zero = q * 0
+    qints = [q_integer(m, q) for m in range(size + 1)]
+    row = [zero + 1] + [zero] * size
+    table = [tuple(row)]
+    for _ in range(size):
+        row = [zero] + [row[r - 1] + qints[r] * row[r] for r in range(1, size + 1)]
+        table.append(tuple(row))
+    return tuple(table)
+
+
 def check_stirling_cross() -> CheckResult:
     cases = 0
     for q in Q_GRID:
+        table = q_stirling2_table(STIRLING_MAX_KR, q)
         for k in range(STIRLING_MAX_KR + 1):
             for r in range(STIRLING_MAX_KR + 1):
                 cases += 1
                 a = q_stirling2(k, r, q)
-                b = q_stirling2_rec(k, r, q)
+                b = table[k][r]
                 if a != b:
                     return CheckResult(
                         "stirling_cross_check",
@@ -195,14 +217,18 @@ def closed_form_eigenvalue(k: int, params: OperatorParams) -> Fraction:
     )
 
 
-def check_leading_coefficient(systems: list[EigenSystem]) -> CheckResult:
+def check_leading_coefficient(
+    systems: list[EigenSystem], images: list[dict[int, MonomialImage]]
+) -> CheckResult:
+    """lambda_k (product form) equals a(k,k) of T(t^k) and the closed form;
+    ``images[i]`` holds the monomial images of ``systems[i]``'s operator."""
     cases = 0
-    for system in systems:
+    for system, system_images in zip(systems, images):
         params = system.params
         for k in range(1, params.n + 1):
             cases += 1
             lam = system.lambdas[k]
-            a_kk = monomial_image(k, params).coeffs[k]
+            a_kk = system_images[k].coeffs[k]
             closed = closed_form_eigenvalue(k, params) if k >= 2 else lam
             if a_kk != lam or closed != lam:
                 return CheckResult(
@@ -270,11 +296,12 @@ def check_example_fixed_points(systems: list[EigenSystem]) -> CheckResult:
     return CheckResult("example_fixed_points", True, cases, None)
 
 
-def check_operator_axioms(max_n: int) -> CheckResult:
+def check_operator_axioms(systems: list[EigenSystem]) -> CheckResult:
     rng = random.Random(SEED + 1)
     cases = 0
     xs = [Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1)]
-    for params in _grid(max_n):
+    for system in systems:
+        params = system.params
         nodes = sample_nodes(params)
         # partition of unity
         for x in xs:
@@ -312,7 +339,7 @@ def check_operator_axioms(max_n: int) -> CheckResult:
         for k in range(1, params.n + 1):
             cases += 1
             image = apply_to_samples([t**k for t in nodes], params)
-            lam = eigenvalue(k, params)
+            lam = system.lambdas[k]
             bad = image.degree > k or (lam != 0 and image.degree != k)
             if bad:
                 return CheckResult(
@@ -326,19 +353,25 @@ def check_operator_axioms(max_n: int) -> CheckResult:
 def run_verify(max_n: int = 6) -> VerifyReport:
     """Run every check; the report carries one result per check.
 
-    The eigensystem of each grid operator is built once and shared by the
-    checks that read eigenvalues or eigenvectors.
+    The monomial images of each grid operator are built once; its
+    eigensystem is assembled from them, and both are shared by the checks
+    that read them.
     """
     if max_n < 1:
         raise ValueError(f"max_n must be >= 1, got {max_n}")
-    systems = [eigensystem(params) for params in _grid(max_n)]
+    grid = list(_grid(max_n))
+    images = [monomial_images(params, params.n) for params in grid]
+    systems = [
+        eigensystem_from_images(params, system_images)
+        for params, system_images in zip(grid, images)
+    ]
     checks = (
         check_stirling_cross(),
         check_representation_equivalence(max_n),
         check_eigen_relation(systems),
-        check_leading_coefficient(systems),
+        check_leading_coefficient(systems, images),
         check_distinctness(systems),
         check_example_fixed_points(systems),
-        check_operator_axioms(max_n),
+        check_operator_axioms(systems),
     )
     return VerifyReport(all(c.passed for c in checks), max_n, checks)

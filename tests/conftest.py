@@ -5,7 +5,6 @@ import pytest
 
 import aqbernstein.bernstein
 import aqbernstein.eigen
-import aqbernstein.verify
 
 
 def pytest_terminal_summary(terminalreporter):
@@ -19,10 +18,10 @@ def pytest_terminal_summary(terminalreporter):
             break
 
 
-@pytest.fixture
-def corrupt_kernel(monkeypatch):
-    """Make verify and eigen use a monomial_image that flips the sign of the
-    x^(k-1) coefficient of T(t^k), k >= 2; returns the corrupted function."""
+def _flip_image_coefficient(monkeypatch, offset):
+    """Make eigen (which builds the monomial images for eigensystem and
+    verify) use a monomial_image that flips the sign of the x^(k-offset)
+    coefficient of T(t^k), k >= 2; returns the corrupted function."""
     clean = aqbernstein.bernstein.monomial_image
 
     def corrupted(k, params):
@@ -30,9 +29,21 @@ def corrupt_kernel(monkeypatch):
         if k < 2:
             return image
         coeffs = list(image.coeffs)
-        coeffs[k - 1] = -coeffs[k - 1]
+        coeffs[k - offset] = -coeffs[k - offset]
         return dataclasses.replace(image, coeffs=tuple(coeffs))
 
-    for module in (aqbernstein.verify, aqbernstein.eigen):
-        monkeypatch.setattr(module, "monomial_image", corrupted)
+    monkeypatch.setattr(aqbernstein.eigen, "monomial_image", corrupted)
     return corrupted
+
+
+@pytest.fixture
+def corrupt_kernel(monkeypatch):
+    """Flip the x^(k-1) coefficient of T(t^k), which the eigen recursion reads."""
+    return _flip_image_coefficient(monkeypatch, 1)
+
+
+@pytest.fixture
+def corrupt_diagonal(monkeypatch):
+    """Flip a(k,k) of T(t^k); the eigen recursion never reads the diagonal,
+    so only the leading-coefficient check can see it."""
+    return _flip_image_coefficient(monkeypatch, 0)

@@ -24,8 +24,9 @@ from aqbernstein.bernstein import (
 from aqbernstein.cli import main
 from aqbernstein.eigen import eigensystem, eigenvalue, eigenvector
 from aqbernstein.polynomials import Polynomial, poly_eval, poly_fit, poly_scale
-from aqbernstein.qcalc import q_stirling2, q_stirling2_rec
+from aqbernstein.qcalc import q_stirling2
 from aqbernstein.verify import closed_form_eigenvalue
+from test_qcalc import q_stirling2_rec
 
 F = Fraction
 Q_GRID = [F(1, 3), F(1, 2), F(1), F(3, 2), F(2)]

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from aqbernstein import eigen
 from aqbernstein.bernstein import (
     OperatorParams,
     apply_to_samples,
@@ -214,6 +215,23 @@ class TestEigenSystem:
                         image = apply_to_samples(
                             [poly_eval(p, t) for t in nodes], params)
                         assert image == poly_scale(p, system.lambdas[k])
+
+    def test_one_falling_table_per_system(self, monkeypatch):
+        # G_0..G_n is built once and read by every lambda_k and difference;
+        # per-call tables give bit-identical results in both modes
+        built = []
+
+        def counted(params, m):
+            built.append(m)
+            return falling_products(params, m)
+
+        monkeypatch.setattr(eigen, "falling_products", counted)
+        for params in [OperatorParams(12, F(3, 2), F(2, 5)), OperatorParams(12, 1.5, 0.4)]:
+            built.clear()
+            system = eigensystem(params)
+            assert built == [12]
+            assert system.lambdas == tuple(eigenvalue(k, params) for k in range(13))
+            assert system.vectors == tuple(eigenvector(k, params) for k in range(13))
 
     def test_strictly_decreasing_from_one(self):
         for n in range(2, 11):

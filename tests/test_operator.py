@@ -118,6 +118,18 @@ class TestNodes:
     def test_classical_equispaced(self):
         assert sample_nodes(OperatorParams(3, F(1), F(1))) == (0, F(1, 3), F(2, 3), 1)
 
+    def test_float_matches_exact(self):
+        # the float nodes come from the q-integer recurrence
+        tol = Tolerance()
+        for n in range(1, 13):
+            for q in FLOAT_Q_GRID:
+                for alpha in FLOAT_A_GRID:
+                    got = sample_nodes(OperatorParams(n, q, alpha))
+                    want = sample_nodes(OperatorParams(n, F(q), F(alpha)))
+                    assert got[0] == 0 and got[-1] == 1, (n, q)
+                    assert all(tol.close(u, float(v)) for u, v in zip(got, want)), \
+                        (n, q, alpha)
+
 
 class TestBasis:
     def test_degree_one(self):
@@ -362,19 +374,46 @@ class TestMonomialImage:
             monomial_image(4, params)
 
 
-class TestVerify:
-    def test_one_eigensystem_per_grid_operator(self, monkeypatch):
-        calls = []
-        build = verify.eigensystem
+@pytest.fixture(scope="class")
+def verify_calls():
+    """run_verify(3) with the per-operator and per-q builders counted."""
+    calls = {"systems": [], "images": 0, "tables": []}
+    build_system = verify.eigensystem_from_images
+    build_image = eigen.monomial_image
+    build_table = verify.q_stirling2_table
 
-        def counted(params):
-            calls.append(params)
-            return build(params)
+    def system(params, images):
+        calls["systems"].append(params)
+        return build_system(params, images)
 
-        monkeypatch.setattr(verify, "eigensystem", counted)
+    def image(k, params):
+        calls["images"] += 1
+        return build_image(k, params)
+
+    def table(size, q):
+        calls["tables"].append(q)
+        return build_table(size, q)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verify, "eigensystem_from_images", system)
+        mp.setattr(eigen, "monomial_image", image)
+        mp.setattr(verify, "q_stirling2_table", table)
         report = run_verify(max_n=3)
-        assert report.passed
-        assert len(calls) == 75 and len(set(calls)) == 75
+    assert report.passed
+    return calls
+
+
+class TestVerify:
+    def test_one_eigensystem_per_grid_operator(self, verify_calls):
+        systems = verify_calls["systems"]
+        assert len(systems) == 75 and len(set(systems)) == 75
+
+    def test_one_set_of_images_per_grid_operator(self, verify_calls):
+        # T(t^m), m = 1..n, once per operator: 25 (q, alpha) pairs per n
+        assert verify_calls["images"] == 25 * (1 + 2 + 3)
+
+    def test_one_stirling_table_per_q(self, verify_calls):
+        assert verify_calls["tables"] == list(verify.Q_GRID)
 
 
 class TestFaultHook:
@@ -386,3 +425,11 @@ class TestFaultHook:
         assert not report.passed
         failed = [c for c in report.checks if not c.passed]
         assert failed[0].name == "eigen_relation" and failed[0].counterexample
+
+    def test_wrong_diagonal_caught_by_leading_check(self, corrupt_diagonal):
+        # a(k,k) feeds no eigenvector, so only the leading check sees it
+        report = run_verify(max_n=2)
+        assert not report.passed
+        failed = [c for c in report.checks if not c.passed]
+        assert [c.name for c in failed] == ["leading_coefficient"]
+        assert failed[0].counterexample["k"] == 2

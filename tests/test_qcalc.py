@@ -11,14 +11,21 @@ from aqbernstein.qcalc import (
     q_factorial,
     q_integer,
     q_stirling2,
-    q_stirling2_rec,
 )
+from aqbernstein.verify import q_stirling2_table
 from test_operator import q_pochhammer
 
 F = Fraction
 Q_GRID = [F(1, 3), F(1, 2), F(2, 3), F(1), F(3, 2), F(2)]
 
 positive_q = st.fractions(min_value=F(1, 5), max_value=5, max_denominator=10)
+
+
+def q_stirling2_rec(k, r, q):
+    """S_q(k, r) read from the recurrence table, the oracle path."""
+    if k < 0 or r < 0:
+        raise ValueError(f"q-Stirling number needs k, r >= 0, got ({k}, {r})")
+    return q_stirling2_table(max(k, r), q)[k][r]
 
 
 def classical_stirling2(k, r):
