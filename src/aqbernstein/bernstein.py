@@ -23,7 +23,7 @@ Basis evaluation uses a factored form in which the removable division by
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 from .polynomials import Polynomial
@@ -35,16 +35,14 @@ from .scalars import MixedModeError, Scalar, coerce, common_mode
 class OperatorParams:
     """The triple (n, q, alpha) defining T_{n,q,alpha}.
 
-    Requires n >= 1, finite q and alpha, and q > 0. alpha must lie in [0,1]
-    unless ``allow_any_alpha`` is set; outside that interval the eigenvalue
-    distinctness guarantee is void, so eigen computations refuse by default.
-    q and alpha must share a scalar mode (ints count as exact).
+    Requires n >= 1, finite q and alpha, q > 0 and alpha in [0,1], the
+    range on which the eigenvalues are pairwise distinct below 1. q and
+    alpha must share a scalar mode (ints count as exact).
     """
 
     n: int
     q: Scalar
     alpha: Scalar
-    allow_any_alpha: bool = field(default=False, compare=False)
 
     def __post_init__(self):
         if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 1:
@@ -58,19 +56,12 @@ class OperatorParams:
             )
         if not self.q > 0:
             raise ValueError(f"q must be positive, got {self.q}")
-        if not self.allow_any_alpha and not 0 <= self.alpha <= 1:
-            raise ValueError(
-                f"alpha={self.alpha} is outside [0,1]; pass allow_any_alpha=True "
-                "to compute anyway (eigenvalue distinctness is then unverified)"
-            )
+        if not 0 <= self.alpha <= 1:
+            raise ValueError(f"alpha={self.alpha} is outside [0,1]")
 
     @property
     def mode(self) -> str:
         return "float" if isinstance(self.q, float) else "exact"
-
-    @property
-    def alpha_in_unit_interval(self) -> bool:
-        return 0 <= self.alpha <= 1
 
 
 @dataclass(frozen=True)

@@ -13,8 +13,8 @@ Subcommands:
 Scalars parse rationally by default (``--q 0.4`` means exactly 2/5); pass
 ``--mode float`` for float arithmetic. Exit codes: 0 success, 1 verification
 failure or arithmetic failure (a vanishing eigenvalue difference, or a float
-result out of range), 2 usage or parameter error (an ``--out`` path that
-cannot be opened included).
+result out of range or not finite), 2 usage or parameter error (an ``--out``
+path that cannot be opened included).
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -74,12 +75,29 @@ def _csv_text(header: list[str], rows) -> str:
     return buf.getvalue()
 
 
+def _check_finite(data) -> None:
+    """Raise FloatingPointError, an arithmetic failure, at the first nan or
+    infinity among the floats in nested lists, tuples and dict values."""
+    if isinstance(data, float) and not math.isfinite(data):
+        raise FloatingPointError(f"float result is not finite: {data}")
+    if isinstance(data, dict):
+        data = list(data.values())
+    if isinstance(data, (list, tuple)):
+        for value in data:
+            _check_finite(value)
+
+
 def _write(args, obj, header: list[str], rows, fmt: str | None = None) -> int:
     """Write ``obj`` as JSON or the table ``header``/``rows`` of scalars as
     CSV, by ``--format`` (``fmt`` when it is not given), to ``--out`` or
-    stdout."""
+    stdout.
+
+    Raises FloatingPointError, an arithmetic failure, when what would be
+    written holds a nan or an infinity."""
     fmt = args.format or fmt
-    text = _json_text(obj) if fmt == "json" else _csv_text(header, rows)
+    data = obj if fmt == "json" else list(rows)
+    _check_finite(data)
+    text = _json_text(data) if fmt == "json" else _csv_text(header, data)
     if args.out is None:
         sys.stdout.write(text)
         return 0
@@ -276,7 +294,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except ArithmeticError as exc:
-        # DegenerateEigenvalueError, and float OverflowError/ZeroDivisionError
+        # DegenerateEigenvalueError, float OverflowError/ZeroDivisionError,
+        # and the writer's FloatingPointError on a non-finite result
         print(f"arithmetic failure in '{' '.join(argv)}': "
               f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

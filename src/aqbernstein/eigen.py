@@ -174,14 +174,11 @@ class EigenSystem:
     """The complete eigenstructure of one operator.
 
     ``lambdas[k]`` pairs with the monic degree-k polynomial ``vectors[k]``.
-    ``distinctness_verified`` is True when alpha lies in [0,1], the range on
-    which the eigenvalues are guaranteed pairwise distinct below 1.
     """
 
     params: OperatorParams
     lambdas: tuple[Scalar, ...]
     vectors: tuple[Polynomial, ...]
-    distinctness_verified: bool
 
     def as_dict(self) -> dict:
         """JSON-ready form with keys n, q, alpha, lambdas, vectors."""
@@ -195,16 +192,17 @@ class EigenSystem:
 
 
 def eigensystem_from_dict(obj: dict) -> EigenSystem:
-    """Rebuild an EigenSystem from its ``as_dict`` form."""
+    """Rebuild an EigenSystem from its ``as_dict`` form; its parameters are
+    validated as by :class:`OperatorParams` (alpha in [0,1] included)."""
     q = scalar_from_json(obj["q"])
     alpha = scalar_from_json(obj["alpha"])
-    params = OperatorParams(int(obj["n"]), q, alpha, allow_any_alpha=True)
+    params = OperatorParams(int(obj["n"]), q, alpha)
     lambdas = tuple(scalar_from_json(v) for v in obj["lambdas"])
     vectors = tuple(
         Polynomial(tuple(scalar_from_json(c) for c in coeffs))
         for coeffs in obj["vectors"]
     )
-    return EigenSystem(params, lambdas, vectors, params.alpha_in_unit_interval)
+    return EigenSystem(params, lambdas, vectors)
 
 
 def eigensystem_from_images(
@@ -222,7 +220,7 @@ def eigensystem_from_images(
         Polynomial(_eigenvector_coeffs(k, params, images, falling))
         for k in range(n + 1)
     )
-    return EigenSystem(params, lambdas, vectors, params.alpha_in_unit_interval)
+    return EigenSystem(params, lambdas, vectors)
 
 
 def eigensystem(params: OperatorParams) -> EigenSystem:

@@ -49,9 +49,6 @@ class Tolerance:
         return math.isclose(a, b, rel_tol=self.rel_tol, abs_tol=self.abs_tol)
 
 
-DEFAULT_TOLERANCE = Tolerance()
-
-
 def coerce(x: Scalar | int, mode: str) -> Scalar:
     """Bring ``x`` into ``mode``, allowing only the int -> anything widening."""
     if isinstance(x, bool):

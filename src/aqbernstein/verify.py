@@ -40,7 +40,7 @@ from .bernstein import (
     sample_nodes,
 )
 from .eigen import EigenSystem, eigensystem_from_images, monomial_images
-from .polynomials import Polynomial, poly_eval, poly_fit, poly_scale
+from .polynomials import Polynomial, poly_eval, poly_scale
 from .qcalc import q_factorial, q_integer, q_stirling2
 from .scalars import Scalar, format_scalar
 
@@ -143,6 +143,8 @@ def check_stirling_cross() -> CheckResult:
 
 
 def check_representation_equivalence(max_n: int) -> CheckResult:
+    """The difference form and the basis sum agree at n + 2 points; both are
+    polynomials of degree <= n, so they are then the same polynomial."""
     rng = random.Random(SEED)
     cases = 0
     for params in _grid(max_n):
@@ -155,23 +157,24 @@ def check_representation_equivalence(max_n: int) -> CheckResult:
             ]
             cases += 1
             direct = apply_to_samples(f, params)
-            pts = [(x, sum(fi * b for fi, b in zip(f, row)))
-                   for x, row in zip(xs, rows)]
-            fitted = poly_fit(pts, params.n)
-            if direct != fitted:
-                return CheckResult(
-                    "representation_equivalence",
-                    False,
-                    cases,
-                    _ce(
-                        n=params.n,
-                        q=params.q,
-                        alpha=params.alpha,
-                        samples=f,
-                        difference_form=direct,
-                        basis_form=fitted,
-                    ),
-                )
+            for x, row in zip(xs, rows):
+                via_difference = poly_eval(direct, x)
+                via_basis = sum(fi * b for fi, b in zip(f, row))
+                if via_difference != via_basis:
+                    return CheckResult(
+                        "representation_equivalence",
+                        False,
+                        cases,
+                        _ce(
+                            n=params.n,
+                            q=params.q,
+                            alpha=params.alpha,
+                            samples=f,
+                            x=x,
+                            difference_form=via_difference,
+                            basis_form=via_basis,
+                        ),
+                    )
     return CheckResult("representation_equivalence", True, cases, None)
 
 

@@ -1,10 +1,12 @@
 import dataclasses
 import sys
+from fractions import Fraction
 
 import pytest
 
 import aqbernstein.bernstein
 import aqbernstein.eigen
+import aqbernstein.verify
 
 
 def pytest_terminal_summary(terminalreporter):
@@ -47,3 +49,23 @@ def corrupt_diagonal(monkeypatch):
     """Flip a(k,k) of T(t^k); the eigen recursion never reads the diagonal,
     so only the leading-coefficient check can see it."""
     return _flip_image_coefficient(monkeypatch, 0)
+
+
+@pytest.fixture
+def corrupt_basis(monkeypatch):
+    """Returns ``corrupt(t)``; after a call, verify's basis_values adds 1 to
+    p_0(x) at x = t(n)/(2n+1) only, one of the points t = 0..n+1 at which
+    the representation check compares the two operator forms."""
+
+    def corrupt(t):
+        clean = aqbernstein.verify.basis_values
+
+        def corrupted(params, x):
+            row = clean(params, x)
+            if x == Fraction(t(params.n), 2 * params.n + 1):
+                return (row[0] + 1, *row[1:])
+            return row
+
+        monkeypatch.setattr(aqbernstein.verify, "basis_values", corrupted)
+
+    return corrupt

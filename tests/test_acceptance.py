@@ -23,7 +23,7 @@ from aqbernstein.bernstein import (
 )
 from aqbernstein.cli import main
 from aqbernstein.eigen import eigensystem, eigenvalue, eigenvector
-from aqbernstein.polynomials import Polynomial, poly_eval, poly_fit, poly_scale
+from aqbernstein.polynomials import Polynomial, poly_eval, poly_scale
 from aqbernstein.qcalc import q_stirling2
 from aqbernstein.verify import closed_form_eigenvalue
 from test_qcalc import q_stirling2_rec
@@ -122,8 +122,10 @@ def test_criterion_05_representation_equivalence():
             for _ in range(30):
                 f = [F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n + 1)]
                 direct = apply_to_samples(f, params)
-                pts = [(x, apply_pointwise(f, params, x)) for x in xs]
-                assert poly_fit(pts, n) == direct, params
+                # both forms have degree <= n: n + 2 equal values make them equal
+                for x in xs:
+                    assert poly_eval(direct, x) == apply_pointwise(f, params, x), \
+                        (params, x)
 
 
 def test_criterion_06_stirling_cross_check():

@@ -322,12 +322,30 @@ ALPHA_OUTSIDE = [
 @pytest.mark.parametrize("command, typed", ALPHA_OUTSIDE,
                          ids=[c for c, _ in ALPHA_OUTSIDE])
 def test_alpha_outside_unit_interval_message(command, typed, capsys):
-    # one message for every command, quoting --alpha as typed; it names no
-    # library keyword, since no option reaches OperatorParams' allow_any_alpha
+    # one message for every command, quoting --alpha as typed
     assert main(command.split()) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"error: alpha={typed} is outside [0,1]\n"
+
+
+NON_FINITE = [
+    "basis --n 1800 --q 1.5 --alpha 0.4 --x 0.5 --mode float --format csv",
+    "basis --n 1800 --q 1.5 --alpha 0.4 --x 0.5 --mode float",
+    "apply --n 1000 --q 2 --alpha 0.4 --k 2 --mode float",
+    "apply --n 1000 --q 2 --alpha 0.4 --k 2 --mode float --format csv",
+]
+
+
+@pytest.mark.parametrize("command", NON_FINITE, ids=NON_FINITE)
+def test_non_finite_result_exit_1(command, capsys):
+    # a nan or an infinity in the result is an arithmetic failure in either
+    # format, never printed as a cell and never a usage error
+    assert main(command.split()) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"arithmetic failure in '{command}': FloatingPointError: "
+                   "float result is not finite: nan\n")
 
 
 # Full stdout of small commands, byte for byte. A JSON answer is written here

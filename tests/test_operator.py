@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -13,8 +14,9 @@ from aqbernstein.bernstein import (
     monomial_image,
     sample_nodes,
 )
+from aqbernstein.cli import main
 from aqbernstein.eigen import eigenvalue
-from aqbernstein.polynomials import Polynomial, poly_eval, poly_fit
+from aqbernstein.polynomials import Polynomial, poly_eval
 from aqbernstein.qcalc import (
     q_binomial,
     q_difference_table,
@@ -22,7 +24,7 @@ from aqbernstein.qcalc import (
     q_integer,
     q_stirling2,
 )
-from aqbernstein.scalars import MixedModeError, Tolerance
+from aqbernstein.scalars import MixedModeError, Tolerance, format_scalar
 from aqbernstein.verify import run_verify
 
 F = Fraction
@@ -93,13 +95,11 @@ class TestParams:
         with pytest.raises(ValueError):
             OperatorParams(3, float("inf"), 0.5)
         with pytest.raises(ValueError):
-            OperatorParams(3, 0.5, float("nan"), allow_any_alpha=True)
+            OperatorParams(3, 0.5, float("nan"))
 
     def test_alpha_range_gate(self):
-        with pytest.raises(ValueError, match="allow_any_alpha"):
+        with pytest.raises(ValueError, match=r"outside \[0,1\]"):
             OperatorParams(3, F(1, 2), F(3, 2))
-        p = OperatorParams(3, F(1, 2), F(3, 2), allow_any_alpha=True)
-        assert not p.alpha_in_unit_interval
 
     def test_mode_consistency(self):
         with pytest.raises(MixedModeError):
@@ -324,6 +324,9 @@ class TestMonomialImage:
                 assert monomial_image(k, params).coeffs[0] == 0
 
     def test_against_interpolation_oracle(self):
+        # T(t^k) has degree <= k, so agreeing with the basis sum at k + 2
+        # points is the same test as fitting k + 1 of them and checking the
+        # last
         for n in range(1, 7):
             for q in [F(1, 2), F(1), F(2)]:
                 for alpha in A_GRID:
@@ -331,11 +334,10 @@ class TestMonomialImage:
                     nodes = sample_nodes(params)
                     for k in range(1, n + 1):
                         f = [t**k for t in nodes]
-                        xs = [F(t, 2 * n + 1) for t in range(k + 2)]
-                        pts = [(x, apply_pointwise(f, params, x)) for x in xs]
-                        fitted = poly_fit(pts, k)
                         img = Polynomial(monomial_image(k, params).coeffs)
-                        assert img == fitted, (n, q, alpha, k)
+                        for x in [F(t, 2 * n + 1) for t in range(k + 2)]:
+                            assert poly_eval(img, x) == \
+                                apply_pointwise(f, params, x), (n, q, alpha, k, x)
 
     def test_alpha_one_shortcut(self):
         # with alpha = 1 the image coefficients collapse to
@@ -433,3 +435,18 @@ class TestFaultHook:
         failed = [c for c in report.checks if not c.passed]
         assert [c.name for c in failed] == ["leading_coefficient"]
         assert failed[0].counterexample["k"] == 2
+
+    @pytest.mark.parametrize("t", [lambda n: n + 1, lambda n: 1],
+                             ids=["surplus_point", "interior_point"])
+    def test_wrong_basis_value_caught(self, corrupt_basis, t, capsys):
+        # the last of the n + 2 points is as much a part of the check as the
+        # others: a fault there alone is a failed check, not an exception
+        corrupt_basis(t)
+        report = run_verify(max_n=2)
+        failed = [c for c in report.checks if not c.passed]
+        assert [c.name for c in failed] == ["representation_equivalence"]
+        ce = failed[0].counterexample
+        assert ce["x"] == format_scalar(F(t(ce["n"]), 2 * ce["n"] + 1))
+        assert ce["difference_form"] != ce["basis_form"] and ce["samples"]
+        assert main(["verify", "--max-n", "2"]) == 1
+        assert not json.loads(capsys.readouterr().out)["passed"]

@@ -39,17 +39,28 @@ def _references(node) -> Counter:
     )
 
 
+def _bound_names(node) -> list[str]:
+    """Names a module-level statement defines: a def, a class, or the plain
+    names an assignment binds (dunders such as ``__all__`` excluded)."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    targets = node.targets if isinstance(node, ast.Assign) else (
+        [node.target] if isinstance(node, ast.AnnAssign) else [])
+    return [t.id for t in targets
+            if isinstance(t, ast.Name) and not t.id.startswith("__")]
+
+
 def test_no_uncalled_definitions():
-    # every module-level def/class is used in the package outside its own
-    # definition; an import into __init__ counts
+    # every module-level def, class and assigned name is used in the package
+    # outside its own definition; an import into __init__ counts
     src = pathlib.Path(aqbernstein.__file__).parent
     trees = {path.name: ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))}
     refs = sum((_references(tree) for tree in trees.values()), Counter())
     unused = [
-        f"{module}:{node.name}"
+        f"{module}:{name}"
         for module, tree in trees.items()
         for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-        and refs[node.name] == _references(node)[node.name]
+        for name in _bound_names(node)
+        if refs[name] == _references(node)[name]
     ]
     assert unused == []

@@ -4,13 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aqbernstein.polynomials import (
-    FitMismatchError,
-    Polynomial,
-    poly_eval,
-    poly_fit,
-    poly_scale,
-)
+from aqbernstein.polynomials import Polynomial, poly_eval, poly_scale
 from aqbernstein.scalars import MixedModeError
 
 F = Fraction
@@ -75,46 +69,3 @@ class TestArithmetic:
     def test_scale_distributes(self, p, s, x):
         # s * sum_j c_j x^j == sum_j (s c_j) x^j
         assert poly_eval(poly_scale(p, s), x) == s * poly_eval(p, x)
-
-
-class TestFit:
-    def test_quadratic_through_three_points(self):
-        pts = [(F(0), F(0)), (F(1), F(0)), (F(1, 2), F(-1, 4))]
-        assert poly_fit(pts, 2) == Polynomial((0, -1, 1))
-
-    def test_constant_with_consistent_extra(self):
-        c = F(5, 3)
-        assert poly_fit([(F(0), c), (F(1), c)], 0) == Polynomial((c,))
-
-    def test_extra_point_mismatch(self):
-        with pytest.raises(FitMismatchError):
-            poly_fit([(F(0), F(0)), (F(1), F(1)), (F(2), F(4))], 1)
-
-    def test_duplicate_nodes(self):
-        with pytest.raises(ValueError, match="duplicate"):
-            poly_fit([(F(0), F(0)), (F(0), F(1)), (F(1), F(1))], 2)
-
-    def test_not_enough_points(self):
-        with pytest.raises(ValueError, match="at least"):
-            poly_fit([(F(0), F(0))], 2)
-
-    def test_interpolates_supplied_points_exactly(self):
-        pts = [(F(i), F((-1) ** i, i + 1)) for i in range(6)]
-        p = poly_fit(pts, 5)
-        for x, y in pts:
-            assert poly_eval(p, x) == y
-
-    @given(st.lists(rationals, min_size=1, max_size=11))
-    @settings(max_examples=60)
-    def test_left_inverse_of_sampling(self, coeffs):
-        p = Polynomial(tuple(coeffs))
-        bound = max(p.degree, 0)
-        xs = [F(t, 13) for t in range(bound + 3)]
-        pts = [(x, poly_eval(p, x)) for x in xs]
-        assert poly_fit(pts, bound) == p
-
-    def test_float_mode_fit(self):
-        pts = [(0.0, 0.0), (1.0, 0.0), (0.5, -0.25)]
-        p = poly_fit(pts, 2)
-        assert p.mode == "float"
-        assert abs(poly_eval(p, 0.25) - (0.25**2 - 0.25)) < 1e-15
