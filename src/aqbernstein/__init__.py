@@ -19,7 +19,6 @@ from .asymptotics import (
 )
 from .bernstein import (
     OperatorParams,
-    apply_pointwise,
     apply_to_samples,
     basis_values,
     monomial_image,
@@ -58,7 +57,6 @@ __all__ = [
     "RegimeError",
     "Scalar",
     "Tolerance",
-    "apply_pointwise",
     "apply_to_samples",
     "basis_values",
     "convergence_table",

@@ -7,14 +7,15 @@ f_i = f([i]_q / [n]_q), to the degree-n polynomial
 
 where the basis blends two q-binomial families by the parameter alpha:
 alpha = 1 recovers the q-Bernstein operator and q = 1 the alpha-Bernstein
-operator. The module provides two independent computation routes, the basis
-sum above (``apply_pointwise``) and the forward q-difference representation
+operator. The module provides the basis values p_{n,q,i}^{(alpha)}(x)
+(``basis_values``), the forward q-difference representation
 
     sum_r [ (1-alpha) qbinom(n-1, r) Delta_q^r g_0
             + alpha qbinom(n, r) Delta_q^r f_0 ] x^r
 
-(``apply_to_samples``), plus the closed-form coefficients of the monomial
-images T(t^k) from which the eigenstructure is built.
+(``apply_to_samples``), which the verify suite checks against the basis sum
+above, and the closed-form coefficients of the monomial images T(t^k) from
+which the eigenstructure is built.
 
 Basis evaluation uses a factored form in which the removable division by
 (1 - q^(n-i-1) x) has been cancelled, so no evaluation point is singular.
@@ -193,19 +194,6 @@ def apply_to_samples(samples: Sequence[Scalar], params: OperatorParams) -> Polyn
             c = c + (1 - alpha) * row_n1[r] * gtable[r][0]
         coeffs.append(c)
     return Polynomial(tuple(coeffs))
-
-
-def apply_pointwise(
-    samples: Sequence[Scalar], params: OperatorParams, x: Scalar
-) -> Scalar:
-    """T_{n,q,alpha}(f; x) as the basis-weighted sum of the samples.
-
-    A computation route independent of ``apply_to_samples``; the two agree
-    exactly as polynomials.
-    """
-    f = _check_samples(samples, params)
-    row = basis_values(params, x)
-    return sum((f[i] * row[i] for i in range(params.n + 1)), start=params.q * 0)
 
 
 def falling_products(params: OperatorParams, m: int) -> tuple[Scalar, ...]:

@@ -16,15 +16,21 @@ which serves only as the oracle (``verify.closed_form_eigenvalue``).
 The monic eigenvector of degree k is built top-down: its coefficient
 of x^(k-j) is a linear combination of already-known higher coefficients
 weighted by monomial-image coefficients, divided by lambda_k - lambda_{k-j}.
-For alpha in [0,1] those differences are provably nonzero (the lambda
-sequence is strictly decreasing from k = 1), which makes the recursion
-well posed.
 
-Eigenvalue differences are evaluated in a factored, cancellation-free form:
-for q > 1 and large n, lambda_k and lambda_{k-j} agree to within ~q^(k-n),
-so float-mode subtraction of separately computed values would lose every
-significant digit. The factored form is an algebraic identity, so exact
-mode is unaffected (tests pin it against direct subtraction).
+:func:`spectrum` builds the eigenvalues together with their gaps
+
+    lambda_{i+1} - lambda_i
+        = -G_i (u_{i+1} [i]_q/[n]_q + (1-alpha) q^(n-i-1) [2i]_q/([n]_q [n-1]_q)),
+
+and the recursion takes lambda_k - lambda_m as the running sum of the gaps
+i = m..k-1. For alpha in [0,1] both terms of a gap are non-negative and the
+first is positive for i >= 1, so the lambda sequence is strictly decreasing
+from k = 1, which makes the recursion well posed, and the sum adds terms of
+one sign without cancellation. Subtracting separately computed eigenvalues
+would not do: for q > 1 and large n, lambda_k and lambda_m agree to within
+~q^(k-n), so float subtraction loses every significant digit. The gap form
+is an algebraic identity, so exact mode is unaffected (tests pin the sums
+against direct subtraction).
 """
 
 from __future__ import annotations
@@ -42,95 +48,45 @@ class DegenerateEigenvalueError(ArithmeticError):
     """A required eigenvalue difference vanished (or lost all float precision)."""
 
 
-def eigenvalue(
-    k: int, params: OperatorParams, *, falling: tuple[Scalar, ...] | None = None
-) -> Scalar:
-    """lambda_k = u_k G_k for 0 <= k <= n; equals 1 for k in {0, 1}.
+def spectrum(
+    params: OperatorParams, top: int
+) -> tuple[tuple[Scalar, ...], tuple[Scalar, ...]]:
+    """lambda_0..lambda_top and the gaps lambda_{i+1} - lambda_i for i < top.
 
-    ``falling`` is G_0..G_j for some j >= k, as built by
-    :func:`falling_products`; it is built here when omitted.
-    """
-    n, q = params.n, params.q
-    if not 0 <= k <= n:
-        raise ValueError(f"eigenvalue index needs 0 <= k <= n, got k={k}, n={n}")
-    if k <= 1:
-        return q * 0 + 1
-    if falling is None:
-        falling = falling_products(params, k)
-    return _u_factor(k, params) * falling[k]
-
-
-def _u_factor(k: int, params: OperatorParams) -> Scalar:
-    """alpha + (1-alpha) [n-k]_q [n+k-1]_q / ([n]_q [n-1]_q); equals 1 at k <= 1."""
-    n, q, alpha = params.n, params.q, params.alpha
-    if alpha == 1:
-        # skip the vanishing term; [n+k-1]_q may overflow float range at
-        # extreme n even though it contributes nothing
-        return q * 0 + 1
-    return alpha + (1 - alpha) * (q_integer(n - k, q) / q_integer(n, q)) * (
-        q_integer(n + k - 1, q) / q_integer(n - 1, q)
-    )
-
-
-def eigenvalue_difference(
-    k: int, m: int, params: OperatorParams, *, falling: tuple[Scalar, ...] | None = None
-) -> Scalar:
-    """lambda_k - lambda_m, evaluated without catastrophic cancellation.
-
-    Writing lambda_j = u_j G_j, the difference factors as
-
-        G_m * [ u_k * (P - 1) + (u_k - u_m) ]
-
-    with P = G_k / G_m = prod_{t=m}^{k-1}(1 - [t]_q/[n]_q). P - 1 is
-    accumulated incrementally as a difference, since forming G_k / G_m - 1
-    would cancel in float mode, and u_k - u_m uses the closed form
-
-        -(1-alpha) q^(n-k) (q^(k-m) - 1)(q^(k+m-1) - 1)
-            / ((q-1)^2 [n]_q [n-1]_q)
-
-    (limit value -(1-alpha)(k-m)(k+m-1)/(n(n-1)) at q = 1). Both pieces are
-    algebraic identities, so exact mode returns exactly
-    eigenvalue(k) - eigenvalue(m).
-
-    ``falling`` is G_0..G_j for some j >= m, as built by
-    :func:`falling_products`; it is built here when omitted.
-
-    Raises DegenerateEigenvalueError when the result is zero, or in float
-    mode when it underflows below the smallest normal float (no relative
-    precision left).
+    lambda_0 = lambda_1 = 1 and lambda_k = u_k G_k for k >= 2, with one
+    table G_0..G_top from :func:`falling_products`. The gap
+    lambda_k - lambda_{k-1} is -G_{k-1} (u_k [k-1]_q/[n]_q + u_{k-1} - u_k),
+    where u_{k-1} - u_k = (1-alpha) q^(n-k) [2k-2]_q / ([n]_q [n-1]_q).
     """
     n, q, alpha = params.n, params.q, params.alpha
-    if not 0 <= m < k <= n:
-        raise ValueError(f"need 0 <= m < k <= n, got m={m}, k={k}, n={n}")
-    if falling is None:
-        falling = falling_products(params, m)
-    dn = q_integer(n, q)
-    # delta = prod_{t=m}^{k-1}(1 - [t]/[n]) - 1, accumulated as a difference
-    delta = q * 0
-    for t in range(max(m, 1), k):
-        x = q_integer(t, q) / dn
-        delta = delta * (1 - x) - x
-    if q == 1:
-        du = -(1 - alpha) * (k - m) * (k + m - 1) / (dn * q_integer(n - 1, q))
-    else:
-        du = (
-            -(1 - alpha)
-            * q ** (n - k)
-            * (q ** (k - m) - 1)
-            * (q ** (k + m - 1) - 1)
-            / ((q - 1) ** 2 * dn * q_integer(n - 1, q))
-        )
-    diff = falling[m] * (_u_factor(k, params) * delta + du)
-    if diff == 0:
-        raise DegenerateEigenvalueError(
-            f"lambda_{k} - lambda_{m} vanished for n={n}, q={q}, alpha={alpha}"
-        )
-    if isinstance(diff, float) and abs(diff) < sys.float_info.min:
-        raise DegenerateEigenvalueError(
-            f"lambda_{k} - lambda_{m} underflowed in float mode "
-            f"(n={n}, q={q}, alpha={alpha})"
-        )
-    return diff
+    if not 0 <= top <= n:
+        raise ValueError(f"eigenvalue index needs 0 <= k <= n, got k={top}, n={n}")
+    one = q * 0 + 1
+    # lambda_0 = lambda_1 = 1 and their zero gap need no q-integer, so they
+    # come out even where [n]_q overflows float range
+    lambdas, gaps = [one, one][: top + 1], [q * 0][:top]
+    if top < 2:
+        return tuple(lambdas), tuple(gaps)
+    dn, dn1 = q_integer(n, q), q_integer(n - 1, q)
+    falling = falling_products(params, top)
+    for k in range(2, top + 1):
+        u, u_drop = one, q * 0
+        if alpha != 1:
+            # skip the vanishing (1-alpha) terms at alpha = 1: [n+k-1]_q may
+            # overflow float range at extreme n even though it contributes
+            # nothing
+            u = alpha + (1 - alpha) * (q_integer(n - k, q) / dn) * (
+                q_integer(n + k - 1, q) / dn1
+            )
+            u_drop = (1 - alpha) * q ** (n - k) * q_integer(2 * k - 2, q) / (dn * dn1)
+        lambdas.append(u * falling[k])
+        gaps.append(-falling[k - 1] * (u * q_integer(k - 1, q) / dn + u_drop))
+    return tuple(lambdas), tuple(gaps)
+
+
+def eigenvalue(k: int, params: OperatorParams) -> Scalar:
+    """lambda_k = u_k G_k for 0 <= k <= n; equals 1 for k in {0, 1}."""
+    return spectrum(params, k)[0][k]
 
 
 def monomial_images(params: OperatorParams, top: int) -> dict[int, MonomialImage]:
@@ -142,20 +98,35 @@ def _eigenvector_coeffs(
     k: int,
     params: OperatorParams,
     images: dict[int, MonomialImage],
-    falling: tuple[Scalar, ...],
+    gaps: tuple[Scalar, ...],
 ) -> tuple[Scalar, ...]:
-    q = params.q
-    if k == 0:
-        return (q * 0 + 1,)
+    """Coefficients of p_k; ``gaps`` holds lambda_{i+1} - lambda_i for i < k.
+
+    Raises DegenerateEigenvalueError when a difference lambda_k - lambda_m
+    is zero, or in float mode when it underflows below the smallest normal
+    float (no relative precision left).
+    """
+    n, q, alpha = params.n, params.q, params.alpha
     if k == 1:
         return (q * 0, q * 0 + 1)
     c: list[Scalar] = [q * 0] * (k + 1)
     c[k] = q * 0 + 1
+    diff = q * 0  # lambda_k - lambda_{k-j}
     for j in range(1, k + 1):
         total = q * 0
         for i in range(j):
             total = total + c[k - i] * images[k - i].coeffs[k - j]
-        c[k - j] = total / eigenvalue_difference(k, k - j, params, falling=falling)
+        diff = diff + gaps[k - j]
+        if diff == 0:
+            raise DegenerateEigenvalueError(
+                f"lambda_{k} - lambda_{k - j} vanished for n={n}, q={q}, alpha={alpha}"
+            )
+        if isinstance(diff, float) and abs(diff) < sys.float_info.min:
+            raise DegenerateEigenvalueError(
+                f"lambda_{k} - lambda_{k - j} underflowed in float mode "
+                f"(n={n}, q={q}, alpha={alpha})"
+            )
+        c[k - j] = total / diff
     return tuple(c)
 
 
@@ -163,10 +134,8 @@ def eigenvector(k: int, params: OperatorParams) -> Polynomial:
     """The monic degree-k eigenvector polynomial p_k (p_0 = 1, p_1 = x)."""
     if not 0 <= k <= params.n:
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={params.n}")
-    coeffs = _eigenvector_coeffs(
-        k, params, monomial_images(params, k), falling_products(params, k)
-    )
-    return Polynomial(coeffs)
+    images = monomial_images(params, k)
+    return Polynomial(_eigenvector_coeffs(k, params, images, spectrum(params, k)[1]))
 
 
 @dataclass(frozen=True)
@@ -210,15 +179,13 @@ def eigensystem_from_images(
 ) -> EigenSystem:
     """The eigensystem assembled from ``monomial_images(params, params.n)``.
 
-    The falling q-products G_0..G_n are built once and shared by every
-    eigenvalue and eigenvalue difference.
+    One :func:`spectrum` call gives every eigenvalue and the gaps that
+    every eigenvector recursion sums.
     """
-    n = params.n
-    falling = falling_products(params, n)
-    lambdas = tuple(eigenvalue(k, params, falling=falling) for k in range(n + 1))
+    lambdas, gaps = spectrum(params, params.n)
     vectors = tuple(
-        Polynomial(_eigenvector_coeffs(k, params, images, falling))
-        for k in range(n + 1)
+        Polynomial(_eigenvector_coeffs(k, params, images, gaps))
+        for k in range(params.n + 1)
     )
     return EigenSystem(params, lambdas, vectors)
 

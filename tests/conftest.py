@@ -69,3 +69,18 @@ def corrupt_basis(monkeypatch):
         monkeypatch.setattr(aqbernstein.verify, "basis_values", corrupted)
 
     return corrupt
+
+
+@pytest.fixture
+def corrupt_gap(monkeypatch):
+    """Double the gap lambda_2 - lambda_1 that eigen.spectrum returns (for
+    n >= 2); the eigenvalues themselves stay right."""
+    clean = aqbernstein.eigen.spectrum
+
+    def corrupted(params, top):
+        lambdas, gaps = clean(params, top)
+        if top >= 2:
+            gaps = (gaps[0], 2 * gaps[1], *gaps[2:])
+        return lambdas, gaps
+
+    monkeypatch.setattr(aqbernstein.eigen, "spectrum", corrupted)

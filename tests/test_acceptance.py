@@ -15,7 +15,6 @@ from fractions import Fraction
 from aqbernstein.asymptotics import limit_coeffs_q_above_1, limit_coeffs_q_below_1
 from aqbernstein.bernstein import (
     OperatorParams,
-    apply_pointwise,
     apply_to_samples,
     basis_values,
     monomial_image,
@@ -26,6 +25,7 @@ from aqbernstein.eigen import eigensystem, eigenvalue, eigenvector
 from aqbernstein.polynomials import Polynomial, poly_eval, poly_scale
 from aqbernstein.qcalc import q_stirling2
 from aqbernstein.verify import closed_form_eigenvalue
+from test_operator import basis_sum
 from test_qcalc import q_stirling2_rec
 
 F = Fraction
@@ -119,13 +119,13 @@ def test_criterion_05_representation_equivalence():
         for params in full_grid(8):
             n = params.n
             xs = [F(t, 2 * n + 1) for t in range(n + 2)]
+            rows = [basis_values(params, x) for x in xs]
             for _ in range(30):
                 f = [F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n + 1)]
                 direct = apply_to_samples(f, params)
                 # both forms have degree <= n: n + 2 equal values make them equal
-                for x in xs:
-                    assert poly_eval(direct, x) == apply_pointwise(f, params, x), \
-                        (params, x)
+                for x, row in zip(xs, rows):
+                    assert poly_eval(direct, x) == basis_sum(f, row), (params, x)
 
 
 def test_criterion_06_stirling_cross_check():
@@ -205,8 +205,8 @@ def test_criterion_10_operator_axioms():
             for x in xs:
                 assert sum(basis_values(params, x)) == 1, (params, x)
             f = [F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n + 1)]
-            assert apply_pointwise(f, params, F(0)) == f[0]
-            assert apply_pointwise(f, params, F(1)) == f[-1]
+            assert basis_sum(f, basis_values(params, F(0))) == f[0]
+            assert basis_sum(f, basis_values(params, F(1))) == f[-1]
             a = F(rng.randint(-5, 5), rng.randint(1, 5))
             b = F(rng.randint(-5, 5), rng.randint(1, 5))
             assert apply_to_samples([a * t + b for t in nodes], params) == \

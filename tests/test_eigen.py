@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -16,8 +17,8 @@ from aqbernstein.eigen import (
     eigensystem,
     eigensystem_from_dict,
     eigenvalue,
-    eigenvalue_difference,
     eigenvector,
+    spectrum,
 )
 from aqbernstein.polynomials import Polynomial, poly_eval, poly_scale
 from aqbernstein.qcalc import q_factorial, q_integer
@@ -121,45 +122,87 @@ class TestProductForm:
         assert eigenvalue(4, OperatorParams(4, F(5, 3), F(0))) == 0
 
 
+def running_difference(gaps, k, m):
+    """lambda_k - lambda_m summed from the gaps as the eigenvector recursion
+    sums them, from i = k-1 down to m."""
+    diff = gaps[k - 1]
+    for i in range(k - 2, m - 1, -1):
+        diff = diff + gaps[i]
+    return diff
+
+
+def substitute_gap(monkeypatch, i, value):
+    """Make eigen.spectrum return ``value`` as the gap lambda_{i+1} - lambda_i."""
+    clean = eigen.spectrum
+
+    def substituted(params, top):
+        lambdas, gaps = clean(params, top)
+        return lambdas, (*gaps[:i], value, *gaps[i + 1:])
+
+    monkeypatch.setattr(eigen, "spectrum", substituted)
+
+
 class TestEigenvalueDifference:
+    """lambda_k - lambda_m as the eigenvector recursion takes it: a running
+    sum of the gaps that :func:`spectrum` returns."""
+
     def test_identity_with_direct_subtraction(self):
         for n in range(2, 9):
             for q in Q_GRID:
                 for alpha in A_GRID:
                     params = OperatorParams(n, q, alpha)
-                    lams = [eigenvalue(k, params) for k in range(n + 1)]
+                    lams, gaps = spectrum(params, n)
+                    assert len(lams) == n + 1 and len(gaps) == n
                     for k in range(2, n + 1):
                         for m in range(k):
-                            assert eigenvalue_difference(k, m, params) == \
+                            assert running_difference(gaps, k, m) == \
                                 lams[k] - lams[m], (n, q, alpha, k, m)
+
+    def test_gaps_have_one_sign(self):
+        # so their running sums add without cancellation
+        for n in range(2, 9):
+            for q in Q_GRID:
+                for alpha in A_GRID:
+                    gaps = spectrum(OperatorParams(n, q, alpha), n)[1]
+                    assert gaps[0] == 0
+                    assert all(g < 0 for g in gaps[1:]), (n, q, alpha, gaps)
 
     def test_order_validation(self):
         params = OperatorParams(4, F(1, 2), F(1))
         with pytest.raises(ValueError):
-            eigenvalue_difference(2, 2, params)
+            spectrum(params, 5)
         with pytest.raises(ValueError):
-            eigenvalue_difference(1, 2, params)
+            spectrum(params, -1)
 
-    def test_exact_collision_detected(self):
-        # a difference that comes out exactly zero is refused, not divided by:
-        # in floats lambda_40 - lambda_39 cancels to 0.0 at n = 60, q = 1/3
-        params = OperatorParams(60, 1 / 3, 0.5)
-        with pytest.raises(DegenerateEigenvalueError, match="vanished"):
-            eigenvalue_difference(40, 39, params)
+    def test_exact_collision_detected(self, monkeypatch):
+        # in floats G_39 underflows to 0 at n = 60, q = 1/3, so the gap
+        # lambda_40 - lambda_39 is 0.0 (monomial_image fails there first);
+        # a difference that comes out zero is refused, not divided by
+        assert spectrum(OperatorParams(60, 1 / 3, 0.5), 40)[1][39] == 0
+        substitute_gap(monkeypatch, 2, F(0))
+        with pytest.raises(DegenerateEigenvalueError, match=r"lambda_3 - lambda_2 "
+                           r"vanished for n=4, q=1/2, alpha=1/2"):
+            eigenvector(3, OperatorParams(4, F(1, 2), F(1, 2)))
 
-    def test_float_underflow_detected(self):
-        # [1023]_2 ~ 9e307, so lambda_2 - lambda_1 ~ -1.1e-308 is subnormal
-        params = OperatorParams(1023, 2.0, 1.0)
-        with pytest.raises(DegenerateEigenvalueError):
-            eigenvalue_difference(2, 1, params)
+    def test_float_underflow_detected(self, monkeypatch):
+        # [1023]_2 ~ 9e307, so lambda_2 - lambda_1 = -1/[1023]_2 ~ -1.1e-308
+        # is subnormal (monomial_image overflows at [1024]_2 first)
+        gap = spectrum(OperatorParams(1023, 2.0, 1.0), 2)[1][1]
+        assert gap == -(2.0**-1023) and -gap < sys.float_info.min
+        substitute_gap(monkeypatch, 1, gap)
+        with pytest.raises(DegenerateEigenvalueError,
+                           match=r"lambda_2 - lambda_1 underflowed in float mode "
+                                 r"\(n=4, q=0.5, alpha=0.5\)"):
+            eigensystem(OperatorParams(4, 0.5, 0.5))
 
     def test_float_accuracy_at_large_n(self):
-        # direct float subtraction loses everything here; the factored form
-        # must track the exact value to near machine precision
+        # direct float subtraction loses everything here; the gap sums must
+        # track the exact value to near machine precision
+        gaps = spectrum(OperatorParams(80, 2.0, 0.5), 4)[1]
+        lams = spectrum(OperatorParams(80, F(2), F(1, 2)), 4)[0]
         for k, m in [(2, 1), (4, 2), (4, 3)]:
-            got = eigenvalue_difference(k, m, OperatorParams(80, 2.0, 0.5))
-            params = OperatorParams(80, F(2), F(1, 2))
-            want = float(eigenvalue(k, params) - eigenvalue(m, params))
+            got = running_difference(gaps, k, m)
+            want = float(lams[k] - lams[m])
             assert got != 0 and abs(got - want) <= 1e-12 * abs(want)
 
 
@@ -227,6 +270,21 @@ class TestEigenSystem:
             assert built == [12]
             assert system.lambdas == tuple(eigenvalue(k, params) for k in range(13))
             assert system.vectors == tuple(eigenvector(k, params) for k in range(13))
+
+    def test_q_integers_linear_in_n(self, monkeypatch):
+        # the eigenvalues and every difference the recursions divide by come
+        # from one spectrum: O(n) q-integers per system, not O(n^2)
+        params = OperatorParams(24, F(3, 2), F(2, 5))
+        images = eigen.monomial_images(params, 24)
+        calls = []
+
+        def counted(m, q):
+            calls.append(m)
+            return q_integer(m, q)
+
+        monkeypatch.setattr(eigen, "q_integer", counted)
+        eigen.eigensystem_from_images(params, images)
+        assert 0 < len(calls) <= 8 * (24 + 1)
 
     def test_strictly_decreasing_from_one(self):
         for n in range(2, 11):

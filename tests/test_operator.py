@@ -8,7 +8,6 @@ from aqbernstein import eigen, verify
 from aqbernstein.bernstein import (
     OperatorParams,
     _g_samples,
-    apply_pointwise,
     apply_to_samples,
     basis_values,
     monomial_image,
@@ -34,6 +33,12 @@ XS = [F(0), F(1, 4), F(1, 2), F(3, 4), F(1)]
 # float parameters; F(v) of each is its exact value, the exact-mode reference
 FLOAT_Q_GRID = [0.5, 1.0, 1.5]
 FLOAT_A_GRID = [0.0, 0.4, 1.0]
+
+
+def basis_sum(samples, row):
+    """T(f; x) as sum_i f_i p_i(x), from the basis row p_0(x)..p_n(x)
+    that ``basis_values(params, x)`` returns."""
+    return sum(fi * b for fi, b in zip(samples, row))
 
 
 def rational_samples(rng, count):
@@ -267,13 +272,13 @@ class TestApply:
             for q, alpha in [(F(3, 2), F(1, 2)), (F(1, 2), F(0)), (F(1), F(1))]:
                 params = OperatorParams(n, q, alpha)
                 f = rational_samples(rng, n + 1)
-                assert apply_pointwise(f, params, F(0)) == f[0]
-                assert apply_pointwise(f, params, F(1)) == f[-1]
+                assert basis_sum(f, basis_values(params, F(0))) == f[0]
+                assert basis_sum(f, basis_values(params, F(1))) == f[-1]
 
     def test_pointwise_ones(self):
         params = OperatorParams(5, F(1, 2), F(3, 4))
         for x in XS:
-            assert apply_pointwise([F(1)] * 6, params, x) == 1
+            assert basis_sum([F(1)] * 6, basis_values(params, x)) == 1
 
     def test_float_matches_exact(self):
         rng = random.Random(6)
@@ -296,10 +301,12 @@ class TestApply:
             for q in Q_GRID:
                 for alpha in A_GRID:
                     params = OperatorParams(n, q, alpha)
+                    xs = [F(0), F(1, 3), F(2, 5), F(1)]
+                    rows = [basis_values(params, x) for x in xs]
                     f = rational_samples(rng, n + 1)
                     image = apply_to_samples(f, params)
-                    for x in [F(0), F(1, 3), F(2, 5), F(1)]:
-                        assert poly_eval(image, x) == apply_pointwise(f, params, x)
+                    for x, row in zip(xs, rows):
+                        assert poly_eval(image, x) == basis_sum(f, row)
 
 
 class TestMonomialImage:
@@ -336,8 +343,9 @@ class TestMonomialImage:
                         f = [t**k for t in nodes]
                         img = Polynomial(monomial_image(k, params).coeffs)
                         for x in [F(t, 2 * n + 1) for t in range(k + 2)]:
-                            assert poly_eval(img, x) == \
-                                apply_pointwise(f, params, x), (n, q, alpha, k, x)
+                            row = basis_values(params, x)
+                            assert poly_eval(img, x) == basis_sum(f, row), \
+                                (n, q, alpha, k, x)
 
     def test_alpha_one_shortcut(self):
         # with alpha = 1 the image coefficients collapse to
@@ -435,6 +443,15 @@ class TestFaultHook:
         failed = [c for c in report.checks if not c.passed]
         assert [c.name for c in failed] == ["leading_coefficient"]
         assert failed[0].counterexample["k"] == 2
+
+    def test_wrong_gap_caught(self, corrupt_gap, capsys):
+        # a wrong eigenvalue gap bends every eigenvector recursion that sums it
+        report = run_verify(max_n=3)
+        failed = {c.name: c for c in report.checks if not c.passed}
+        assert not report.passed
+        assert failed["eigen_relation"].counterexample
+        assert main(["verify", "--max-n", "3"]) == 1
+        assert not json.loads(capsys.readouterr().out)["passed"]
 
     @pytest.mark.parametrize("t", [lambda n: n + 1, lambda n: 1],
                              ids=["surplus_point", "interior_point"])

@@ -7,8 +7,8 @@ import aqbernstein.bernstein
 
 PUBLIC = """
 ConvergenceRow DegenerateEigenvalueError EigenSystem LimitCoeffs MixedModeError
-OperatorParams Polynomial RegimeError Scalar Tolerance apply_pointwise
-apply_to_samples basis_values convergence_table eigensystem eigensystem_from_dict
+OperatorParams Polynomial RegimeError Scalar Tolerance apply_to_samples
+basis_values convergence_table eigensystem eigensystem_from_dict
 eigenvalue eigenvector format_scalar limit_coeffs limit_eigenvalue monomial_image
 parse_scalar poly_eval run_verify sample_nodes scalar_from_json scalar_to_json
 """.split()
