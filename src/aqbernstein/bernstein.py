@@ -17,6 +17,10 @@ operator. The module provides the basis values p_{n,q,i}^{(alpha)}(x)
 above, and the closed-form coefficients of the monomial images T(t^k) from
 which the eigenstructure is built.
 
+The kernels here and in :mod:`aqbernstein.eigen` read their q-sequences
+from one :class:`QTable` per operator, ``OperatorParams.table``. In float
+mode they raise FloatingPointError rather than return a nan or an infinity.
+
 Basis evaluation uses a factored form in which the removable division by
 (1 - q^(n-i-1) x) has been cancelled, so no evaluation point is singular.
 """
@@ -25,11 +29,37 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import accumulate
 from typing import Sequence
 
 from .polynomials import Polynomial
-from .qcalc import q_difference_table, q_integer, q_stirling2
-from .scalars import MixedModeError, Scalar, coerce, common_mode
+from .qcalc import q_difference_table, q_stirling2
+from .scalars import MixedModeError, Scalar, coerce, common_mode, require_finite
+
+
+class QTable:
+    """The q-sequences of one operator in its scalar mode: ``zero``, ``one``,
+    ``powers[m]`` = q^m and ``integers[m]`` = [m]_q for 0 <= m <= 2n-1 (in
+    float mode, infinite past float range), and ``binomials``."""
+
+    def __init__(self, n: int, q: Scalar):
+        self.n, self.zero = n, q * 0
+        self.one = one = self.zero + 1
+        steps = range(2 * n - 1)
+        self.powers = tuple(accumulate(steps, lambda p, _: q * p, initial=one))
+        self.integers = tuple(accumulate(steps, lambda t, _: one + q * t, initial=self.zero))
+
+    @cached_property
+    def binomials(self) -> dict[int, tuple[Scalar, ...]]:
+        """The q-binomial rows (m choose i)_q, i = 0..m, keyed by m = n-2, n-1,
+        n (those >= 0); built on first use, each entry from the one before."""
+        qint = self.integers
+        return {
+            m: tuple(accumulate(range(m), lambda b, i: b * qint[m - i] / qint[i + 1],
+                                initial=self.one))
+            for m in range(max(self.n - 2, 0), self.n + 1)
+        }
 
 
 @dataclass(frozen=True)
@@ -64,6 +94,11 @@ class OperatorParams:
     def mode(self) -> str:
         return "float" if isinstance(self.q, float) else "exact"
 
+    @cached_property
+    def table(self) -> QTable:
+        """This operator's :class:`QTable`, built on first use and kept."""
+        return QTable(self.n, self.q)
+
 
 @dataclass(frozen=True)
 class MonomialImage:
@@ -89,27 +124,10 @@ def _check_samples(samples: Sequence[Scalar], params: OperatorParams) -> tuple[S
     return tuple(coerce(v, params.mode) for v in samples)
 
 
-def _q_integers(n: int, q: Scalar) -> list[Scalar]:
-    """[0]_q..[n]_q from [m+1]_q = 1 + q [m]_q."""
-    qints = [q * 0]
-    for _ in range(n):
-        qints.append(1 + q * qints[-1])
-    return qints
-
-
 def sample_nodes(params: OperatorParams) -> tuple[Scalar, ...]:
     """The nodes [i]_q / [n]_q for i = 0..n; starts at 0, ends at 1."""
-    qints = _q_integers(params.n, params.q)
-    return tuple(t / qints[-1] for t in qints)
-
-
-def _qbinom_row(n: int, q: Scalar) -> tuple[Scalar, ...]:
-    """All q-binomials (n choose i)_q for i = 0..n, by incremental update."""
-    qints = _q_integers(n, q)
-    row = [q * 0 + 1]
-    for i in range(n):
-        row.append(row[-1] * qints[n - i] / qints[i + 1])
-    return tuple(row)
+    qints = params.table.integers[: params.n + 1]
+    return require_finite(tuple(t / qints[-1] for t in qints), "sample_nodes", params)
 
 
 def basis_values(params: OperatorParams, x: Scalar) -> tuple[Scalar, ...]:
@@ -124,25 +142,21 @@ def basis_values(params: OperatorParams, x: Scalar) -> tuple[Scalar, ...]:
 
     The q-power on the middle term must be n-i for the family to sum to 1
     (partition of unity) and to agree with the forward-difference form of
-    the operator; both are enforced by tests. The powers of q and x, the
-    q-shifted-product prefixes and the binomial rows are built once as
-    running products and shared across i.
+    the operator; both are enforced by tests. The q-powers and binomial
+    rows come from the table; the powers of x and the q-shifted-product
+    prefixes are running products shared across i.
     """
-    n, q, alpha = params.n, params.q, params.alpha
-    mode = common_mode(q, x)
+    n, alpha, table = params.n, params.alpha, params.table
+    mode = common_mode(params.q, x)
     if mode is not None and mode != params.mode:
         raise MixedModeError(f"x is {mode}-mode but operator parameters are {params.mode}")
     x = coerce(x, params.mode)
     if n == 1:
-        return (1 - x, x)
-    one = q * 0 + 1
-    qpow, xpow, poch = [one], [one], [one]
-    for _ in range(n):
-        poch.append(poch[-1] * (1 - x * qpow[-1]))
-        qpow.append(qpow[-1] * q)
-        xpow.append(xpow[-1] * x)
-    row_n = _qbinom_row(n, q)
-    row_n2 = _qbinom_row(n - 2, q)
+        return require_finite((1 - x, x), "basis_values", params)
+    one, qpow = table.one, table.powers
+    xpow = list(accumulate(range(n), lambda p, _: p * x, initial=one))
+    poch = list(accumulate(qpow[:n], lambda p, qm: p * (1 - x * qm), initial=one))
+    row_n, row_n2 = table.binomials[n], table.binomials[n - 2]
     values = []
     for i in range(n + 1):
         total = alpha * row_n[i] * xpow[i] * poch[n - i]
@@ -153,23 +167,15 @@ def basis_values(params: OperatorParams, x: Scalar) -> tuple[Scalar, ...]:
                 (1 - alpha) * row_n2[i - 2] * qpow[n - i] * xpow[i - 1] * poch[n - i]
             )
         values.append(total)
-    return tuple(values)
+    return require_finite(tuple(values), "basis_values", params)
 
 
 def _g_samples(samples: tuple[Scalar, ...], params: OperatorParams) -> tuple[Scalar, ...]:
     """The blended sequence g_i, i = 0..n-1 (a q-weighted mix of f_i, f_{i+1})
-    with weights w_i = q^(n-i-1) [i]_q / [n-1]_q, from running q-powers and
-    q-integers."""
-    n, q = params.n, params.q
-    qints = _q_integers(n - 1, q)
-    qpow = [q * 0 + 1]
-    for _ in range(n - 1):
-        qpow.append(qpow[-1] * q)
-    out = []
-    for i in range(n):
-        w = qpow[n - i - 1] * qints[i] / qints[-1]
-        out.append((1 - w) * samples[i] + w * samples[i + 1])
-    return tuple(out)
+    with weights w_i = q^(n-i-1) [i]_q / [n-1]_q."""
+    n, qpow, qint = params.n, params.table.powers, params.table.integers
+    weights = (qpow[n - i - 1] * qint[i] / qint[n - 1] for i in range(n))
+    return tuple((1 - w) * f0 + w * f1 for w, f0, f1 in zip(weights, samples, samples[1:]))
 
 
 def apply_to_samples(samples: Sequence[Scalar], params: OperatorParams) -> Polynomial:
@@ -182,33 +188,31 @@ def apply_to_samples(samples: Sequence[Scalar], params: OperatorParams) -> Polyn
     f = _check_samples(samples, params)
     n, q, alpha = params.n, params.q, params.alpha
     if n == 1:
-        return Polynomial((f[0], f[1] - f[0]))
+        return Polynomial(require_finite((f[0], f[1] - f[0]), "apply_to_samples", params))
     ftable = q_difference_table(f, q)
     gtable = q_difference_table(_g_samples(f, params), q)
-    row_n = _qbinom_row(n, q)
-    row_n1 = _qbinom_row(n - 1, q)
+    row_n, row_n1 = params.table.binomials[n], params.table.binomials[n - 1]
     coeffs = []
     for r in range(n + 1):
         c = alpha * row_n[r] * ftable[r][0]
         if r <= n - 1:
             c = c + (1 - alpha) * row_n1[r] * gtable[r][0]
         coeffs.append(c)
-    return Polynomial(tuple(coeffs))
+    return Polynomial(require_finite(tuple(coeffs), "apply_to_samples", params))
 
 
 def falling_products(params: OperatorParams, m: int) -> tuple[Scalar, ...]:
     """G_0..G_m with G_r = prod_{t=1}^{r-1} (1 - [t]_q/[n]_q), G_0 = G_1 = 1.
 
     The falling q-product behind the eigenvalues, their differences and the
-    monomial images, built as a prefix product with [t+1]_q = 1 + q [t]_q.
+    monomial images, built as a prefix product over the table's [t]_q and
+    only as far as m.
     """
-    n, q = params.n, params.q
-    dn = q_integer(n, q)
-    out = [q * 0 + 1]
-    t_q = q * 0  # [0]_q, so G_1 = G_0
-    for _ in range(m):
-        out.append(out[-1] * (1 - t_q / dn))
-        t_q = 1 + q * t_q
+    table = params.table
+    dn = table.integers[params.n]
+    out = [table.one]
+    for t in table.integers[:m]:
+        out.append(out[-1] * (1 - t / dn))
     return tuple(out)
 
 
@@ -226,24 +230,23 @@ def monomial_image(k: int, params: OperatorParams) -> MonomialImage:
     [n]_q^2, with G_r from :func:`falling_products`: the same value, since
     1 - [t]_q/[n]_q = q^t [n-t]_q/[n]_q, without the raw q-factorials.
     """
-    n, q, alpha = params.n, params.q, params.alpha
+    n, q, alpha, table = params.n, params.q, params.alpha, params.table
     if not 1 <= k <= n:
         raise ValueError(f"monomial image needs 1 <= k <= n, got k={k}, n={n}")
     if n == 1:
-        return MonomialImage(1, (q * 0, q * 0 + 1))
+        return MonomialImage(1, (table.zero, table.one))
 
-    dn = q_integer(n, q)
-    ratio_n1 = q_integer(n - 1, q) / dn
-    lead = dn / q_integer(n - 1, q)
+    qint, dn = table.integers, table.integers[n]
+    ratio_n1 = qint[n - 1] / dn
+    lead = dn / qint[n - 1]
     falling = falling_products(params, k)
     coeffs = []
     for r in range(k + 1):
         s_up = q_stirling2(k + 1, r + 1, q)
         s_mid = q_stirling2(k, r + 1, q)
         s_low = q_stirling2(k, r, q)
-        braces = (1 - alpha) * (q_integer(n - r, q) / dn) * (
-            (q_integer(n + r - 1, q) / dn) * s_up
-            - q_integer(r + 1, q) * ratio_n1 * s_mid
+        braces = (1 - alpha) * (qint[n - r] / dn) * (
+            (qint[n + r - 1] / dn) * s_up - qint[r + 1] * ratio_n1 * s_mid
         ) + alpha * ratio_n1 * s_low
         coeffs.append(falling[r] * lead / dn ** (k - r) * braces)
-    return MonomialImage(k, tuple(coeffs))
+    return MonomialImage(k, require_finite(tuple(coeffs), "monomial_image", params, k))

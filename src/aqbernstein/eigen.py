@@ -16,6 +16,8 @@ which serves only as the oracle (``verify.closed_form_eigenvalue``).
 The monic eigenvector of degree k is built top-down: its coefficient
 of x^(k-j) is a linear combination of already-known higher coefficients
 weighted by monomial-image coefficients, divided by lambda_k - lambda_{k-j}.
+The q-sequences come from ``OperatorParams.table``, as for the images; in
+float mode a nan or an infinity raises FloatingPointError.
 
 :func:`spectrum` builds the eigenvalues together with their gaps
 
@@ -40,8 +42,7 @@ from dataclasses import dataclass
 
 from .bernstein import MonomialImage, OperatorParams, falling_products, monomial_image
 from .polynomials import Polynomial
-from .qcalc import q_integer
-from .scalars import Scalar, scalar_from_json, scalar_to_json
+from .scalars import Scalar, require_finite, scalar_from_json, scalar_to_json
 
 
 class DegenerateEigenvalueError(ArithmeticError):
@@ -58,29 +59,28 @@ def spectrum(
     lambda_k - lambda_{k-1} is -G_{k-1} (u_k [k-1]_q/[n]_q + u_{k-1} - u_k),
     where u_{k-1} - u_k = (1-alpha) q^(n-k) [2k-2]_q / ([n]_q [n-1]_q).
     """
-    n, q, alpha = params.n, params.q, params.alpha
+    n, alpha, table = params.n, params.alpha, params.table
     if not 0 <= top <= n:
         raise ValueError(f"eigenvalue index needs 0 <= k <= n, got k={top}, n={n}")
-    one = q * 0 + 1
     # lambda_0 = lambda_1 = 1 and their zero gap need no q-integer, so they
     # come out even where [n]_q overflows float range
-    lambdas, gaps = [one, one][: top + 1], [q * 0][:top]
+    lambdas, gaps = [table.one, table.one][: top + 1], [table.zero][:top]
     if top < 2:
         return tuple(lambdas), tuple(gaps)
-    dn, dn1 = q_integer(n, q), q_integer(n - 1, q)
+    qint, dn, dn1 = table.integers, table.integers[n], table.integers[n - 1]
     falling = falling_products(params, top)
     for k in range(2, top + 1):
-        u, u_drop = one, q * 0
+        u, u_drop = table.one, table.zero
         if alpha != 1:
             # skip the vanishing (1-alpha) terms at alpha = 1: [n+k-1]_q may
             # overflow float range at extreme n even though it contributes
             # nothing
-            u = alpha + (1 - alpha) * (q_integer(n - k, q) / dn) * (
-                q_integer(n + k - 1, q) / dn1
-            )
-            u_drop = (1 - alpha) * q ** (n - k) * q_integer(2 * k - 2, q) / (dn * dn1)
+            u = alpha + (1 - alpha) * (qint[n - k] / dn) * (qint[n + k - 1] / dn1)
+            u_drop = (1 - alpha) * table.powers[n - k] * qint[2 * k - 2] / (dn * dn1)
         lambdas.append(u * falling[k])
-        gaps.append(-falling[k - 1] * (u * q_integer(k - 1, q) / dn + u_drop))
+        gaps.append(-falling[k - 1] * (u * qint[k - 1] / dn + u_drop))
+    # at alpha = 1 an infinite [n]_q would leave every lambda_k = 1
+    require_finite((dn, *lambdas, *gaps), "spectrum", params)
     return tuple(lambdas), tuple(gaps)
 
 
@@ -106,14 +106,14 @@ def _eigenvector_coeffs(
     is zero, or in float mode when it underflows below the smallest normal
     float (no relative precision left).
     """
-    n, q, alpha = params.n, params.q, params.alpha
+    n, q, alpha, table = params.n, params.q, params.alpha, params.table
     if k == 1:
-        return (q * 0, q * 0 + 1)
-    c: list[Scalar] = [q * 0] * (k + 1)
-    c[k] = q * 0 + 1
-    diff = q * 0  # lambda_k - lambda_{k-j}
+        return (table.zero, table.one)
+    c: list[Scalar] = [table.zero] * (k + 1)
+    c[k] = table.one
+    diff = table.zero  # lambda_k - lambda_{k-j}
     for j in range(1, k + 1):
-        total = q * 0
+        total = table.zero
         for i in range(j):
             total = total + c[k - i] * images[k - i].coeffs[k - j]
         diff = diff + gaps[k - j]
@@ -127,7 +127,7 @@ def _eigenvector_coeffs(
                 f"(n={n}, q={q}, alpha={alpha})"
             )
         c[k - j] = total / diff
-    return tuple(c)
+    return require_finite(tuple(c), "eigenvector", params, k)
 
 
 def eigenvector(k: int, params: OperatorParams) -> Polynomial:

@@ -14,13 +14,18 @@ to rounding.
 Serialized forms: an exact rational becomes ``{"num": "...", "den": "..."}``
 (strings, so arbitrary precision survives JSON); a float stays a plain JSON
 number. In CSV, exact values print as ``p/q`` and floats with 17 significant
-digits, both of which round-trip losslessly.
+digits, both of which round-trip losslessly. Integers of any length are
+written and read: past the interpreter's int/str digit cap (4300 digits by
+default) the digits go through ``decimal.Decimal``, whose conversion the
+cap does not bound, so the caller's interpreter setting is left alone.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from typing import Union
 
@@ -93,6 +98,50 @@ def common_mode(*values: Scalar | int) -> str | None:
     return mode
 
 
+def require_finite(values: tuple, where: str, params, k: int | None = None) -> tuple:
+    """``values``, computed by ``where`` for the operator ``params``; in
+    float mode a nan or an infinity among them raises FloatingPointError
+    naming ``where`` and (n, q, alpha[, k])."""
+    if isinstance(params.q, float) and not all(map(math.isfinite, values)):
+        bad = next(v for v in values if not math.isfinite(v))
+        at = f"n={params.n}, q={params.q}, alpha={params.alpha}"
+        raise FloatingPointError(
+            f"non-finite float in {where}: {bad} "
+            f"({at}{'' if k is None else f', k={k}'})"
+        )
+    return values
+
+
+def _integer(text: str) -> int:
+    """int(text), also for more digits than the int/str cap allows."""
+    try:
+        return int(text)
+    except ValueError:
+        if re.fullmatch(r"\s*[-+]?[0-9]+\s*", text) is None:
+            raise
+        return int(Decimal(text))
+
+
+def _rational(text: str) -> Fraction:
+    """Fraction(text), also for an integer or ``p/q`` with more digits than
+    the int/str cap allows."""
+    try:
+        return Fraction(text)
+    except ValueError:
+        match = re.fullmatch(r"\s*([-+]?[0-9]+)(?:/([0-9]+))?\s*", text)
+        if match is None:
+            raise
+        return Fraction(_integer(match[1]), _integer(match[2] or "1"))
+
+
+def _digits(n: int) -> str:
+    """str(n), also for more digits than the int/str cap allows."""
+    try:
+        return str(n)
+    except ValueError:
+        return str(Decimal(n))
+
+
 def parse_scalar(text: str, mode: str = EXACT) -> Scalar:
     """Parse ``"p/q"`` or a decimal string.
 
@@ -105,11 +154,11 @@ def parse_scalar(text: str, mode: str = EXACT) -> Scalar:
         raise ValueError(f"unknown scalar mode {mode!r}")
     try:
         if mode == EXACT:
-            return Fraction(text)
+            return _rational(text)
         try:
             value = float(text)
         except ValueError:
-            value = float(Fraction(text))
+            value = float(_rational(text))
     except (ZeroDivisionError, OverflowError):
         value = math.inf
     if not math.isfinite(value):
@@ -123,14 +172,14 @@ def scalar_to_json(x: Scalar | int):
         return x
     if isinstance(x, (Fraction, int)):
         f = Fraction(x)
-        return {"num": str(f.numerator), "den": str(f.denominator)}
+        return {"num": _digits(f.numerator), "den": _digits(f.denominator)}
     raise TypeError(f"not a scalar: {x!r}")
 
 
 def scalar_from_json(obj) -> Scalar:
     """Inverse of :func:`scalar_to_json`."""
     if isinstance(obj, dict):
-        return Fraction(int(obj["num"]), int(obj["den"]))
+        return Fraction(_integer(obj["num"]), _integer(obj["den"]))
     if isinstance(obj, bool):
         raise TypeError("bool is not a scalar")
     if isinstance(obj, (int, float)):
@@ -144,4 +193,7 @@ def format_scalar(x: Scalar | int) -> str:
         if x == 0.0:
             return "0"
         return format(x, ".17g")
-    return str(Fraction(x))
+    f = Fraction(x)
+    if f.denominator == 1:
+        return _digits(f.numerator)
+    return f"{_digits(f.numerator)}/{_digits(f.denominator)}"

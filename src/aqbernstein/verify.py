@@ -17,7 +17,9 @@ reads eigenvalues or eigenvectors (eigen relation, leading coefficient,
 distinctness, the low-degree eigenvectors and degree reduction). The
 q-Stirling recurrence table is built once per q and compared entry by entry
 with the explicit sum, and the representation check evaluates each basis
-row once for all its sample vectors.
+row once for all its sample vectors. Every check reads the same grid
+objects, so each operator's q-table (``OperatorParams.table``) and its
+q-binomial rows are built once.
 
 Every check reports its case count and, on failure, the first
 counterexample in serialized form. The suite is deterministic: the random
@@ -146,12 +148,12 @@ def _basis_sum(samples: list[Scalar], row: tuple[Scalar, ...]) -> Scalar:
     return sum(fi * b for fi, b in zip(samples, row))
 
 
-def check_representation_equivalence(max_n: int) -> CheckResult:
+def check_representation_equivalence(grid: list[OperatorParams]) -> CheckResult:
     """The difference form and the basis sum agree at n + 2 points; both are
     polynomials of degree <= n, so they are then the same polynomial."""
     rng = random.Random(SEED)
     cases = 0
-    for params in _grid(max_n):
+    for params in grid:
         xs = [Fraction(t, 2 * params.n + 1) for t in range(params.n + 2)]
         rows = [basis_values(params, x) for x in xs]
         for _ in range(VECTORS_PER_CASE):
@@ -362,7 +364,8 @@ def run_verify(max_n: int = 6) -> VerifyReport:
 
     The monomial images of each grid operator are built once; its
     eigensystem is assembled from them, and both are shared by the checks
-    that read them.
+    that read them. Every check takes the grid's own objects, so each
+    operator's q-table is built once.
     """
     if max_n < 1:
         raise ValueError(f"max_n must be >= 1, got {max_n}")
@@ -374,7 +377,7 @@ def run_verify(max_n: int = 6) -> VerifyReport:
     ]
     checks = (
         check_stirling_cross(),
-        check_representation_equivalence(max_n),
+        check_representation_equivalence(grid),
         check_eigen_relation(systems),
         check_leading_coefficient(systems, images),
         check_distinctness(systems),

@@ -3,6 +3,7 @@ import io
 import json
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,8 @@ import pytest
 from aqbernstein.bernstein import OperatorParams
 from aqbernstein.cli import _json_text, main
 from aqbernstein.eigen import eigensystem, eigensystem_from_dict
+from aqbernstein.polynomials import Polynomial
+from aqbernstein.scalars import parse_scalar
 
 F = Fraction
 
@@ -246,6 +249,39 @@ class TestConverge:
         assert "no limit regime at q=1" in proc.stderr
 
 
+class TestExactOutputOfAnySize:
+    """Exact numerators past the interpreter's 4300-digit int/str cap are
+    written and read back, without changing the interpreter's setting."""
+
+    ARGS = ["eig", "--n", "28", "--q", "3/2", "--alpha", "2/5"]
+
+    @pytest.fixture(scope="class")
+    def system(self):
+        system = eigensystem(OperatorParams(28, F(3, 2), F(2, 5)))
+        digits = max(len(str(Decimal(abs(c.numerator))))
+                     for p in system.vectors for c in p.coeffs)
+        assert digits > sys.get_int_max_str_digits() > 0
+        return system
+
+    def test_json_roundtrip(self, system, capsys):
+        assert main(self.ARGS) == 0
+        assert eigensystem_from_dict(json.loads(capsys.readouterr().out)) == system
+        assert sys.get_int_max_str_digits() == 4300
+
+    def test_csv_parses_back(self, system, capsys):
+        assert main([*self.ARGS, "--format", "csv"]) == 0
+        rows = parse_csv(capsys.readouterr().out)[1:]
+        assert [parse_scalar(r[1]) for r in rows] == list(system.lambdas)
+        vectors = [Polynomial(tuple(parse_scalar(c) for c in r[2:])) for r in rows]
+        assert vectors == list(system.vectors)
+
+    def test_converge_exact_to_200(self, capsys):
+        assert main(["converge", "--q", "3/2", "--alpha", "2/5", "--k", "12",
+                     "--n", "25,50,100,200", "--mode", "exact"]) == 0
+        rows = parse_csv(capsys.readouterr().out)
+        assert len(rows) == 1 + 4 * 13
+
+
 class TestPlotData:
     def test_grid_shape(self):
         rows = parse_csv(
@@ -340,12 +376,15 @@ NON_FINITE = [
 @pytest.mark.parametrize("command", NON_FINITE, ids=NON_FINITE)
 def test_non_finite_result_exit_1(command, capsys):
     # a nan or an infinity in the result is an arithmetic failure in either
-    # format, never printed as a cell and never a usage error
+    # format, never printed as a cell and never a usage error; the library
+    # kernel that produced it refuses it and names itself and the operator
     assert main(command.split()) == 1
     out, err = capsys.readouterr()
     assert out == ""
+    where, at = (("basis_values", "n=1800, q=1.5") if command.startswith("basis")
+                 else ("apply_to_samples", "n=1000, q=2.0"))
     assert err == (f"arithmetic failure in '{command}': FloatingPointError: "
-                   "float result is not finite: nan\n")
+                   f"non-finite float in {where}: nan ({at}, alpha=0.4)\n")
 
 
 # Full stdout of small commands, byte for byte. A JSON answer is written here

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 import sys
@@ -5,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from aqbernstein import eigen
+from aqbernstein import bernstein, eigen
 from aqbernstein.bernstein import (
     OperatorParams,
     apply_to_samples,
@@ -271,20 +272,45 @@ class TestEigenSystem:
             assert system.lambdas == tuple(eigenvalue(k, params) for k in range(13))
             assert system.vectors == tuple(eigenvector(k, params) for k in range(13))
 
-    def test_q_integers_linear_in_n(self, monkeypatch):
-        # the eigenvalues and every difference the recursions divide by come
-        # from one spectrum: O(n) q-integers per system, not O(n^2)
-        params = OperatorParams(24, F(3, 2), F(2, 5))
-        images = eigen.monomial_images(params, 24)
-        calls = []
+    def test_one_table_per_system(self, monkeypatch):
+        # the spectrum, the monomial images and every recursion read the
+        # q-sequences of one table, built once per OperatorParams object
+        built = []
+        clean = bernstein.QTable
 
-        def counted(m, q):
-            calls.append(m)
-            return q_integer(m, q)
+        def counted(*args):
+            built.append(args)
+            return clean(*args)
 
-        monkeypatch.setattr(eigen, "q_integer", counted)
-        eigen.eigensystem_from_images(params, images)
-        assert 0 < len(calls) <= 8 * (24 + 1)
+        monkeypatch.setattr(bernstein, "QTable", counted)
+        for params in [OperatorParams(12, F(3, 2), F(2, 5)), OperatorParams(12, 1.5, 0.4)]:
+            built.clear()
+            eigensystem(params)
+            eigensystem(params)
+            assert len(built) == 1
+            assert params.table is params.table
+        # an equal but distinct object builds its own table
+        OperatorParams(12, F(3, 2), F(2, 5)).table
+        assert len(built) == 2
+
+    def test_recursion_refuses_non_finite(self, monkeypatch):
+        # an image coefficient past float range overflows p_3's x^2
+        # coefficient; the recursion refuses it instead of returning inf
+        clean = eigen.monomial_image
+
+        def huge(k, params):
+            image = clean(k, params)
+            if k != 3:
+                return image
+            coeffs = list(image.coeffs)
+            coeffs[2] = 1e308
+            return dataclasses.replace(image, coeffs=tuple(coeffs))
+
+        monkeypatch.setattr(eigen, "monomial_image", huge)
+        with pytest.raises(FloatingPointError,
+                           match=r"non-finite float in eigenvector: (-?inf|nan) "
+                                 r"\(n=4, q=0.5, alpha=0.5, k=3\)"):
+            eigenvector(3, OperatorParams(4, 0.5, 0.5))
 
     def test_strictly_decreasing_from_one(self):
         for n in range(2, 11):

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from aqbernstein import eigen, verify
+from aqbernstein import bernstein, eigen, verify
 from aqbernstein.bernstein import (
     OperatorParams,
     _g_samples,
@@ -14,7 +14,7 @@ from aqbernstein.bernstein import (
     sample_nodes,
 )
 from aqbernstein.cli import main
-from aqbernstein.eigen import eigenvalue
+from aqbernstein.eigen import eigenvalue, spectrum
 from aqbernstein.polynomials import Polynomial, poly_eval
 from aqbernstein.qcalc import (
     q_binomial,
@@ -387,10 +387,15 @@ class TestMonomialImage:
 @pytest.fixture(scope="class")
 def verify_calls():
     """run_verify(3) with the per-operator and per-q builders counted."""
-    calls = {"systems": [], "images": 0, "tables": []}
+    calls = {"systems": [], "images": 0, "tables": [], "qtables": []}
     build_system = verify.eigensystem_from_images
     build_image = eigen.monomial_image
     build_table = verify.q_stirling2_table
+    build_qtable = bernstein.QTable
+
+    def qtable(*args):
+        calls["qtables"].append(build_qtable(*args))
+        return calls["qtables"][-1]
 
     def system(params, images):
         calls["systems"].append(params)
@@ -408,6 +413,7 @@ def verify_calls():
         mp.setattr(verify, "eigensystem_from_images", system)
         mp.setattr(eigen, "monomial_image", image)
         mp.setattr(verify, "q_stirling2_table", table)
+        mp.setattr(bernstein, "QTable", qtable)
         report = run_verify(max_n=3)
     assert report.passed
     return calls
@@ -424,6 +430,84 @@ class TestVerify:
 
     def test_one_stirling_table_per_q(self, verify_calls):
         assert verify_calls["tables"] == list(verify.Q_GRID)
+
+    def test_one_q_table_per_grid_operator(self, verify_calls):
+        # every check reads the grid's own objects: 75 tables, and one set
+        # of q-binomial rows for each of the 50 operators with n >= 2 (the
+        # n = 1 kernels read no rows)
+        qtables = verify_calls["qtables"]
+        assert len(qtables) == 75
+        assert sum("binomials" in vars(t) for t in qtables) == 50
+
+
+class TestQTable:
+    def test_exact_entries(self):
+        for n in range(1, 13):
+            for q in verify.Q_GRID:
+                table = OperatorParams(n, q, F(1, 2)).table
+                assert (table.zero, table.one) == (0, 1)
+                assert table.powers == tuple(q**m for m in range(2 * n))
+                assert table.integers == tuple(q_integer(m, q) for m in range(2 * n))
+                assert sorted(table.binomials) == list(range(max(n - 2, 0), n + 1))
+                for m, row in table.binomials.items():
+                    assert row == tuple(q_binomial(m, i, q) for i in range(m + 1))
+
+    def test_float_entries_near_exact(self):
+        for q in [0.5, 1.0, 1.5, 2.0]:
+            table = OperatorParams(60, q, 0.4).table
+            exact = OperatorParams(60, F(q), F(2, 5)).table
+            assert isinstance(table.one, float) and isinstance(table.zero, float)
+            pairs = [(table.powers, exact.powers), (table.integers, exact.integers)]
+            pairs += [(table.binomials[m], exact.binomials[m]) for m in (58, 59, 60)]
+            for got, want in pairs:
+                assert len(got) == len(want)
+                for g, w in zip(got, want):
+                    assert abs(F(g) - w) <= F(1, 10**14) * abs(w), (q, g, w)
+
+    def test_rows_built_on_first_use(self):
+        params = OperatorParams(200, F(3, 2), F(2, 5))
+        eigen.eigenvector(12, params)
+        assert "binomials" not in vars(params.table)
+        basis_values(params, F(1, 3))
+        assert "binomials" in vars(params.table)
+
+
+class TestFloatRefusal:
+    """Float kernels raise FloatingPointError, naming themselves and the
+    operator, where a float overflow would leave a nan or an infinity."""
+
+    def test_nodes_and_basis(self):
+        params = OperatorParams(1800, 1.5, 0.4)  # [1800]_1.5 overflows
+        at = r"\(n=1800, q=1.5, alpha=0.4\)"
+        with pytest.raises(FloatingPointError, match=r"in sample_nodes: nan " + at):
+            sample_nodes(params)
+        with pytest.raises(FloatingPointError, match=r"in basis_values: nan " + at):
+            basis_values(params, 0.5)
+
+    def test_apply(self):
+        # the q-binomial row n overflows at n = 1000, q = 2
+        params = OperatorParams(1000, 2.0, 0.4)
+        with pytest.raises(FloatingPointError, match=r"in apply_to_samples: nan "
+                                                     r"\(n=1000, q=2.0, alpha=0.4\)"):
+            apply_to_samples([t**2 for t in sample_nodes(params)], params)
+
+    @pytest.mark.parametrize("n, q, alpha", [
+        (1023, 2.0, 0.5), (1000, 2.0, 0.4), (1800, 1.5, 0.4),
+        (1024, 2.0, 1.0),  # [n]_q is infinite: every lambda_k would read 1
+    ])
+    def test_spectrum(self, n, q, alpha):
+        with pytest.raises(FloatingPointError,
+                           match=rf"in spectrum: .* \(n={n}, q={q}, alpha={alpha}\)"):
+            spectrum(OperatorParams(n, q, alpha), n)
+
+    def test_monomial_image(self):
+        with pytest.raises(FloatingPointError, match=r"in monomial_image: .* "
+                                                     r"\(n=1800, q=1.5, alpha=0.4, k=3\)"):
+            monomial_image(3, OperatorParams(1800, 1.5, 0.4))
+
+    def test_unit_eigenvalues_need_no_table_entry(self):
+        # lambda_0 = lambda_1 = 1 read no q-integer, so they come out at any n
+        assert spectrum(OperatorParams(1024, 2.0, 0.5), 1) == ((1.0, 1.0), (0.0,))
 
 
 class TestFaultHook:

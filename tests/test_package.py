@@ -1,5 +1,7 @@
 import ast
 import pathlib
+import subprocess
+import sys
 from collections import Counter
 
 import aqbernstein
@@ -64,3 +66,21 @@ def test_no_uncalled_definitions():
         if refs[name] == _references(node)[name]
     ]
     assert unused == []
+
+
+def test_kernels_read_the_operator_table():
+    # bernstein and eigen take their q-integers and q-binomials from
+    # OperatorParams.table, not from the closed forms in qcalc
+    src = pathlib.Path(aqbernstein.__file__).parent
+    for module in ("bernstein.py", "eigen.py"):
+        names = set(_references(ast.parse((src / module).read_text())))
+        assert not names & {"q_integer", "q_binomial", "q_factorial"}, module
+
+
+def test_benchmark_selftest():
+    # the benchmark's own checkers accept this package's output and reject
+    # corrupted copies of it
+    root = pathlib.Path(__file__).resolve().parent.parent
+    result = subprocess.run([sys.executable, "perfbench/selftest.py"], cwd=root,
+                            capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr[-2000:]

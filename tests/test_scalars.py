@@ -1,5 +1,7 @@
 import json
 import math
+import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -84,6 +86,33 @@ class TestSerialization:
     def test_float_roundtrip(self):
         x = math.pi
         assert scalar_from_json(json.loads(json.dumps(scalar_to_json(x)))) == x
+
+    def test_past_the_digit_cap(self):
+        # numerator and denominator of about 5000 digits, past the default
+        # int/str cap of 4300; x is close to -7/3
+        x = Fraction(-(7**5916) - 1, 3 * 7**5915)
+        assert len(str(Decimal(x.numerator))) > sys.get_int_max_str_digits()
+        encoded = json.loads(json.dumps(scalar_to_json(x)))
+        assert encoded["num"] == str(Decimal(x.numerator))
+        assert scalar_from_json(encoded) == x
+        text = format_scalar(x)
+        assert text == f"{Decimal(x.numerator)}/{Decimal(x.denominator)}"
+        assert parse_scalar(text) == x
+        assert parse_scalar(f"  {text} ") == x
+        assert parse_scalar(encoded["num"]) == x.numerator
+        assert parse_scalar(text, "float") == float(x) == -7 / 3
+        # malformed long texts are refused as before, and the cap stays
+        for bad in (f"{text}/2", f"{text}x", text.replace("/", "/-"), "1" * 5000 + ".5/3"):
+            with pytest.raises(ValueError):
+                parse_scalar(bad)
+        with pytest.raises(ValueError):
+            scalar_from_json({"num": "1" * 5000 + "x", "den": "1"})
+        assert sys.get_int_max_str_digits() == 4300
+
+    def test_bytes_below_the_cap_unchanged(self):
+        for x in (Fraction(-(10**40) + 1, 3**30), Fraction(10**4299), Fraction(0)):
+            assert scalar_to_json(x) == {"num": str(x.numerator), "den": str(x.denominator)}
+            assert format_scalar(x) == str(x)
 
     def test_formats(self):
         assert format_scalar(Fraction(1, 3)) == "1/3"
