@@ -205,14 +205,16 @@ def falling_products(params: OperatorParams, m: int) -> tuple[Scalar, ...]:
     """G_0..G_m with G_r = prod_{t=1}^{r-1} (1 - [t]_q/[n]_q), G_0 = G_1 = 1.
 
     The falling q-product behind the eigenvalues, their differences and the
-    monomial images, built as a prefix product over the table's [t]_q and
-    only as far as m.
+    monomial images, built as a prefix product over the table and only as
+    far as m. Each factor is formed as q^t [n-t]_q/[n]_q, the same value
+    without the subtraction, which cancels in floats for q < 1 once [t]_q
+    nears [n]_q.
     """
-    table = params.table
-    dn = table.integers[params.n]
+    n, table = params.n, params.table
+    qpow, qint, dn = table.powers, table.integers, table.integers[n]
     out = [table.one]
-    for t in table.integers[:m]:
-        out.append(out[-1] * (1 - t / dn))
+    for t in range(m):
+        out.append(out[-1] * (qpow[t] * qint[n - t] / dn))
     return tuple(out)
 
 
@@ -229,6 +231,11 @@ def monomial_image(k: int, params: OperatorParams) -> MonomialImage:
     evaluated as G_r ([n]_q/[n-1]_q) / [n]_q^(k-r) times the braces over
     [n]_q^2, with G_r from :func:`falling_products`: the same value, since
     1 - [t]_q/[n]_q = q^t [n-t]_q/[n]_q, without the raw q-factorials.
+    The q-Stirling numbers come from two rows built once per call,
+    S_q(k, r) and S_q(k+1, r) for r = 0..k+1, so S_q(k, r+1), which the
+    coefficients of x^r and x^(r+1) share, is summed once. In float mode an
+    overflow or a division by zero raises FloatingPointError naming
+    (n, q, alpha, k).
     """
     n, q, alpha, table = params.n, params.q, params.alpha, params.table
     if not 1 <= k <= n:
@@ -240,13 +247,19 @@ def monomial_image(k: int, params: OperatorParams) -> MonomialImage:
     ratio_n1 = qint[n - 1] / dn
     lead = dn / qint[n - 1]
     falling = falling_products(params, k)
-    coeffs = []
-    for r in range(k + 1):
-        s_up = q_stirling2(k + 1, r + 1, q)
-        s_mid = q_stirling2(k, r + 1, q)
-        s_low = q_stirling2(k, r, q)
-        braces = (1 - alpha) * (qint[n - r] / dn) * (
-            (qint[n + r - 1] / dn) * s_up - qint[r + 1] * ratio_n1 * s_mid
-        ) + alpha * ratio_n1 * s_low
-        coeffs.append(falling[r] * lead / dn ** (k - r) * braces)
+    try:
+        row_k = [q_stirling2(k, r, q) for r in range(k + 2)]
+        row_up = [q_stirling2(k + 1, r, q) for r in range(k + 2)]
+        coeffs = []
+        for r in range(k + 1):
+            braces = (1 - alpha) * (qint[n - r] / dn) * (
+                (qint[n + r - 1] / dn) * row_up[r + 1]
+                - qint[r + 1] * ratio_n1 * row_k[r + 1]
+            ) + alpha * ratio_n1 * row_k[r]
+            coeffs.append(falling[r] * lead / dn ** (k - r) * braces)
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise FloatingPointError(
+            f"float {type(exc).__name__} in monomial_image: {exc} "
+            f"(n={n}, q={q}, alpha={alpha}, k={k})"
+        ) from exc
     return MonomialImage(k, require_finite(tuple(coeffs), "monomial_image", params, k))

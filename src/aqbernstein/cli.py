@@ -294,8 +294,9 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except ArithmeticError as exc:
-        # DegenerateEigenvalueError, float OverflowError/ZeroDivisionError,
-        # and the writer's FloatingPointError on a non-finite result
+        # DegenerateEigenvalueError, the FloatingPointError of a float kernel
+        # or of the writer, and an OverflowError/ZeroDivisionError that
+        # unguarded float code raises
         print(f"arithmetic failure in '{' '.join(argv)}': "
               f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

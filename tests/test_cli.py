@@ -90,12 +90,16 @@ class TestEig:
             _json_text({"lambda": float("nan")})
 
     def test_float_range_failure_exit_1(self):
-        for n, q in [("40", "1.5"), ("50", "0.5")]:
+        # an overflow and a division by zero, both named by the kernel
+        for n, q, k, cause in [("40", "1.5", 40, "OverflowError"),
+                               ("50", "0.5", 46, "ZeroDivisionError")]:
             proc = run_cli("eig", "--n", n, "--q", q, "--alpha", "0.4",
                            "--mode", "float", expect=1)
             assert "Traceback" not in proc.stderr
             assert proc.stderr.count("\n") == 1
             assert f"eig --n {n} --q {q} --alpha 0.4 --mode float" in proc.stderr
+            assert f": FloatingPointError: float {cause} in monomial_image: " in proc.stderr
+            assert proc.stderr.endswith(f" (n={n}, q={q}, alpha=0.4, k={k})\n")
 
     def test_out_file(self, tmp_path):
         path = tmp_path / "eig.json"
@@ -424,8 +428,8 @@ GOLDEN = [
     ("converge --q 1/2 --alpha 2/5 --k 3 --n 3",
      'n,j,finite,limit,abs_error\n'
      '3,0,0,0,0\n'
-     '3,1,0.64550264550264547,0.66666666666666674,0.021164021164021274\n'
-     '3,2,-1.6455026455026454,-1.6666666666666667,0.021164021164021385\n'
+     '3,1,0.64550264550264524,0.66666666666666674,0.021164021164021496\n'
+     '3,2,-1.6455026455026451,-1.6666666666666667,0.021164021164021607\n'
      '3,3,1,1,0\n'),
     ("converge --q 1/2 --alpha 2/5 --k 2 --n 3 --mode exact --format json",
      '[{"n": 3, "j": 0, "finite": {"num": "0", "den": "1"}, "limit": '

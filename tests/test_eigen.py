@@ -122,6 +122,23 @@ class TestProductForm:
     def test_top_vanishes_at_alpha_zero(self):
         assert eigenvalue(4, OperatorParams(4, F(5, 3), F(0))) == 0
 
+    @pytest.mark.parametrize("n, q, alpha, top", [(60, 0.5, 0.4, 60), (100, 0.3, 0.0, 36)])
+    def test_float_spectrum_without_cancellation(self, n, q, alpha, top):
+        # each factor of G_k is q^t [n-t]_q/[n]_q, not 1 - [t]_q/[n]_q, which
+        # cancelled for q < 1 (3.1e-5 and 1.0 here); every lambda_k and gap in
+        # float's normal range now comes within a few ulps of the exact value
+        # (at q = 0.3 everything from k = 35 on is below that range)
+        lams, gaps = spectrum(OperatorParams(n, q, alpha), n)
+        exact_lams, exact_gaps = spectrum(OperatorParams(n, F(q), F(alpha)), top)
+        assert top == n or abs(float(exact_lams[top])) < sys.float_info.min
+        checked = 0
+        for got, want in [*zip(lams, exact_lams), *zip(gaps, exact_gaps)]:
+            want = float(want)
+            if abs(want) >= sys.float_info.min:
+                assert abs(got - want) <= 1e-13 * abs(want), (got, want)
+                checked += 1
+        assert checked > top
+
 
 def running_difference(gaps, k, m):
     """lambda_k - lambda_m summed from the gaps as the eigenvector recursion

@@ -10,11 +10,12 @@ from aqbernstein.bernstein import (
     _g_samples,
     apply_to_samples,
     basis_values,
+    falling_products,
     monomial_image,
     sample_nodes,
 )
 from aqbernstein.cli import main
-from aqbernstein.eigen import eigenvalue, spectrum
+from aqbernstein.eigen import eigensystem, eigenvalue, spectrum
 from aqbernstein.polynomials import Polynomial, poly_eval
 from aqbernstein.qcalc import (
     q_binomial,
@@ -309,6 +310,30 @@ class TestApply:
                         assert poly_eval(image, x) == basis_sum(f, row)
 
 
+def per_coefficient_image(k, params):
+    """T(t^k) coefficients as the kernel formed them before it built its two
+    q-Stirling rows: three q_stirling2 calls per coefficient, the same table,
+    the same falling products and the same arithmetic in the braces. It
+    reads ``bernstein.q_stirling2``, as the kernel does."""
+    n, q, alpha, table = params.n, params.q, params.alpha, params.table
+    if n == 1:
+        return (table.zero, table.one)
+    qint, dn = table.integers, table.integers[n]
+    ratio_n1 = qint[n - 1] / dn
+    lead = dn / qint[n - 1]
+    falling = falling_products(params, k)
+    coeffs = []
+    for r in range(k + 1):
+        s_up = bernstein.q_stirling2(k + 1, r + 1, q)
+        s_mid = bernstein.q_stirling2(k, r + 1, q)
+        s_low = bernstein.q_stirling2(k, r, q)
+        braces = (1 - alpha) * (qint[n - r] / dn) * (
+            (qint[n + r - 1] / dn) * s_up - qint[r + 1] * ratio_n1 * s_mid
+        ) + alpha * ratio_n1 * s_low
+        coeffs.append(falling[r] * lead / dn ** (k - r) * braces)
+    return tuple(coeffs)
+
+
 class TestMonomialImage:
     def test_k1_is_identity(self):
         for n in range(1, 6):
@@ -375,6 +400,59 @@ class TestMonomialImage:
                         assert image.degree <= k
                         if eigenvalue(k, params) != 0:
                             assert image.degree == k
+
+    def test_equals_per_coefficient_reference(self, monkeypatch):
+        # the rows change which q_stirling2 calls are made, not the values or
+        # the arithmetic, so both modes stay bit-identical; kernel and
+        # reference read each (pure) sum from one memo, keyed by q's type
+        # too since F(1) == 1.0, so the test costs one sum per (k, r, q)
+        sums = {}
+
+        def memo(k, r, q):
+            key = (k, r, q, type(q))
+            if key not in sums:
+                sums[key] = q_stirling2(k, r, q)
+            return sums[key]
+
+        monkeypatch.setattr(bernstein, "q_stirling2", memo)
+        grid = [(n, q, alpha) for n in range(1, 13)
+                for q in verify.Q_GRID for alpha in A_GRID]
+        grid += [(n, float(q), float(alpha)) for n, q, alpha in grid]
+        grid += [(20, q, 0.4) for q in FLOAT_Q_GRID]
+        for n, q, alpha in grid:
+            params = OperatorParams(n, q, alpha)
+            for k in range(1, n + 1):
+                assert monomial_image(k, params).coeffs == \
+                    per_coefficient_image(k, params), (n, q, alpha, k)
+
+    def test_two_stirling_rows_per_image(self, monkeypatch):
+        # a call-count guard, free of timing: an image sums S_q(k, r) and
+        # S_q(k+1, r) once each for r = 0..k+1, 2k + 4 sums where three per
+        # coefficient made 3k + 3
+        calls = []
+
+        def counted(k, r, q):
+            calls.append((k, r))
+            return q_stirling2(k, r, q)
+
+        monkeypatch.setattr(bernstein, "q_stirling2", counted)
+        for k in range(1, 25):
+            calls.clear()
+            monomial_image(k, OperatorParams(24, 1.0, 0.4))
+            assert len(calls) <= 2 * k + 4, k
+        calls.clear()
+        eigensystem(OperatorParams(24, F(1), F(2, 5)))
+        assert len(calls) == 696  # sum of 2k + 4 over k = 1..24 (972 before)
+
+    def test_float_failure_names_the_image(self):
+        # an overflow of [n]_q^(k-r) or a q-Stirling sum, and a division by
+        # an underflowed q^(r(r-1)/2) in one, name the kernel and (n, q, alpha, k)
+        with pytest.raises(FloatingPointError, match=r"^float OverflowError in "
+                           r"monomial_image: .* \(n=40, q=1.5, alpha=0.4, k=40\)$"):
+            monomial_image(40, OperatorParams(40, 1.5, 0.4))
+        with pytest.raises(FloatingPointError, match=r"^float ZeroDivisionError in "
+                           r"monomial_image: .* \(n=50, q=0.5, alpha=0.4, k=46\)$"):
+            monomial_image(46, OperatorParams(50, 0.5, 0.4))
 
     def test_range_check(self):
         params = OperatorParams(3, F(1, 2), F(1))
