@@ -34,7 +34,7 @@ from typing import Sequence
 
 from .bernstein import OperatorParams
 from .eigen import eigenvector
-from .qcalc import q_integer, q_stirling2
+from .qcalc import q_integer, q_stirling2, q_stirling2_next_row
 from .scalars import Scalar, coerce, common_mode
 
 Q_BELOW_1 = "q_below_1"
@@ -97,6 +97,9 @@ def limit_coeffs_q_below_1(q: Scalar, alpha: Scalar, k: int) -> LimitCoeffs:
 
         b(j,k) = sum_{i=j+1}^{k} (1-q)^(i-j) S_q(i,j)
                  / (q^((k-j)(k+j-1)/2) - 1) * b(i,k).
+
+    S_q(i, .) is row i of the q-Stirling triangle, built from row 0 by
+    Carlitz's recurrence; the explicit sum cancels in floats for q < 1.
     """
     q, alpha = _coerced_pair(q, alpha)
     if regime_of(q) != Q_BELOW_1:
@@ -107,12 +110,16 @@ def limit_coeffs_q_below_1(q: Scalar, alpha: Scalar, k: int) -> LimitCoeffs:
     b[k] = q * 0 + 1
     # k = 1 is pinned directly: its j = 0 step would divide by q^0 - 1
     if k >= 2:
+        qints = [q_integer(m, q) for m in range(k + 1)]
+        stirling = [[q * 0 + 1] + [q * 0] * k]  # S_q(0, r) = [r = 0]
+        for _ in range(k):
+            stirling.append(q_stirling2_next_row(stirling[-1], qints))
         for j in range(k - 1, -1, -1):
             denom = q ** ((k - j) * (k + j - 1) // 2) - 1
             assert denom != 0, "unreachable for q != 1 and j < k with k >= 2"
             total = q * 0
             for i in range(j + 1, k + 1):
-                total = total + (1 - q) ** (i - j) * q_stirling2(i, j, q) * b[i]
+                total = total + (1 - q) ** (i - j) * stirling[i][j] * b[i]
             b[j] = total / denom
     return LimitCoeffs(Q_BELOW_1, q, alpha, k, tuple(b), limit_eigenvalue(q, k))
 

@@ -34,7 +34,7 @@ from itertools import accumulate
 from typing import Sequence
 
 from .polynomials import Polynomial
-from .qcalc import q_difference_table, q_stirling2
+from .qcalc import q_difference_table, q_stirling2, q_stirling2_next_row
 from .scalars import MixedModeError, Scalar, coerce, common_mode, require_finite
 
 
@@ -231,11 +231,13 @@ def monomial_image(k: int, params: OperatorParams) -> MonomialImage:
     evaluated as G_r ([n]_q/[n-1]_q) / [n]_q^(k-r) times the braces over
     [n]_q^2, with G_r from :func:`falling_products`: the same value, since
     1 - [t]_q/[n]_q = q^t [n-t]_q/[n]_q, without the raw q-factorials.
-    The q-Stirling numbers come from two rows built once per call,
-    S_q(k, r) and S_q(k+1, r) for r = 0..k+1, so S_q(k, r+1), which the
-    coefficients of x^r and x^(r+1) share, is summed once. In float mode an
-    overflow or a division by zero raises FloatingPointError naming
-    (n, q, alpha, k).
+    The q-Stirling numbers come from two rows built once per call: S_q(k, r)
+    for r = 0..k+1 by the explicit sum, and S_q(k+1, r) from it by one step
+    of Carlitz's recurrence (:func:`~aqbernstein.qcalc.q_stirling2_next_row`),
+    which is exact over the rationals and replaces the costliest sums. Rows
+    are local to the call; ``verify``'s recurrence table stays the oracle.
+    In float mode an overflow or a division by zero raises
+    FloatingPointError naming (n, q, alpha, k).
     """
     n, q, alpha, table = params.n, params.q, params.alpha, params.table
     if not 1 <= k <= n:
@@ -249,7 +251,7 @@ def monomial_image(k: int, params: OperatorParams) -> MonomialImage:
     falling = falling_products(params, k)
     try:
         row_k = [q_stirling2(k, r, q) for r in range(k + 2)]
-        row_up = [q_stirling2(k + 1, r, q) for r in range(k + 2)]
+        row_up = q_stirling2_next_row(row_k, qint)
         coeffs = []
         for r in range(k + 1):
             braces = (1 - alpha) * (qint[n - r] / dn) * (

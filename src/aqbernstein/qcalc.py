@@ -6,8 +6,11 @@ the second kind, and iterated forward q-differences of sample sequences. Everyth
 object at q = 1.
 
 All functions are generic over the scalar mode of q: exact rationals give
-exact results, floats give floats. Functions are pure. The recurrence form
-of the q-Stirling numbers, an oracle for the explicit sum, lives in
+exact results, floats give floats. Functions are pure. The q-Stirling
+numbers come by the explicit sum (``q_stirling2``) and, one row from the
+row before, by Carlitz's recurrence (``q_stirling2_next_row``). The monomial
+images use both, the q < 1 limit coefficients the recurrence alone. The
+full recurrence table, the oracle for the explicit sum, lives in
 :mod:`aqbernstein.verify`.
 """
 
@@ -86,6 +89,17 @@ def q_stirling2(k: int, r: int, q: Scalar) -> Scalar:
         term = q ** (i * (i - 1) // 2) * q_binomial(r, i, q) * q_integer(r - i, q) ** k
         total = total - term if i % 2 else total + term
     return total / (q_factorial(r, q) * q ** (r * (r - 1) // 2))
+
+
+def q_stirling2_next_row(row: Sequence[Scalar], qints: Sequence[Scalar]) -> list[Scalar]:
+    """The row S_q(k+1, r), r = 0..len(row)-1, from ``row`` = S_q(k, r).
+
+    Carlitz's recurrence S_q(k+1, r) = S_q(k, r-1) + [r]_q S_q(k, r), with
+    entry 0 equal to [0]_q = 0 (k + 1 >= 1); ``qints[r]`` is [r]_q for
+    r < len(row). One addition and one product per entry, where the
+    explicit sum makes O(r) terms that cancel in floats.
+    """
+    return [qints[0]] + [row[r - 1] + qints[r] * row[r] for r in range(1, len(row))]
 
 
 def q_difference_table(samples: Sequence[Scalar], q: Scalar) -> tuple[tuple[Scalar, ...], ...]:

@@ -165,6 +165,16 @@ class TestLimitsBelowOne:
             assert errs[2] <= errs[1] + 1e-9 and errs[1] <= errs[0] + 1e-9
             assert errs[2] < 1e-10
 
+    def test_float_agrees_with_exact(self):
+        # the q-Stirling rows come from the recurrence, which does not cancel
+        # in floats as the explicit sum does (relative error 8.2 and 9.6e52
+        # at these points with the sum)
+        for q, k in [(F(1, 2), 12), (F(1, 5), 12)]:
+            exact = limit_coeffs_q_below_1(q, F(2, 5), k).coeffs
+            floats = limit_coeffs_q_below_1(float(q), 0.4, k).coeffs
+            for j, (got, want) in enumerate(zip(floats, exact)):
+                assert abs(got - want) <= 1e-10 * abs(want), (q, k, j)
+
     def test_literal_index_reading_diverges(self):
         # with S_q(i,k) instead of S_q(i,j) every interior term vanishes and
         # the finite-n coefficients never approach the result

@@ -91,8 +91,8 @@ class TestEig:
 
     def test_float_range_failure_exit_1(self):
         # an overflow and a division by zero, both named by the kernel
-        for n, q, k, cause in [("40", "1.5", 40, "OverflowError"),
-                               ("50", "0.5", 46, "ZeroDivisionError")]:
+        for n, q, k, cause in [("41", "1.5", 41, "OverflowError"),
+                               ("50", "0.5", 47, "ZeroDivisionError")]:
             proc = run_cli("eig", "--n", n, "--q", q, "--alpha", "0.4",
                            "--mode", "float", expect=1)
             assert "Traceback" not in proc.stderr

@@ -311,10 +311,12 @@ class TestApply:
 
 
 def per_coefficient_image(k, params):
-    """T(t^k) coefficients as the kernel formed them before it built its two
-    q-Stirling rows: three q_stirling2 calls per coefficient, the same table,
-    the same falling products and the same arithmetic in the braces. It
-    reads ``bernstein.q_stirling2``, as the kernel does."""
+    """T(t^k) coefficients one at a time, with no q-Stirling rows: the
+    kernel's table, falling products and braces arithmetic, and the three
+    q-Stirling numbers of each coefficient read from ``bernstein.q_stirling2``
+    as the kernel reads them. In exact mode all three are explicit sums; in
+    float mode S_q(k+1, r+1) is formed as S_q(k, r) + [r+1]_q S_q(k, r+1),
+    the kernel's Carlitz step."""
     n, q, alpha, table = params.n, params.q, params.alpha, params.table
     if n == 1:
         return (table.zero, table.one)
@@ -324,9 +326,12 @@ def per_coefficient_image(k, params):
     falling = falling_products(params, k)
     coeffs = []
     for r in range(k + 1):
-        s_up = bernstein.q_stirling2(k + 1, r + 1, q)
         s_mid = bernstein.q_stirling2(k, r + 1, q)
         s_low = bernstein.q_stirling2(k, r, q)
+        if params.mode == "exact":
+            s_up = bernstein.q_stirling2(k + 1, r + 1, q)
+        else:
+            s_up = s_low + qint[r + 1] * s_mid
         braces = (1 - alpha) * (qint[n - r] / dn) * (
             (qint[n + r - 1] / dn) * s_up - qint[r + 1] * ratio_n1 * s_mid
         ) + alpha * ratio_n1 * s_low
@@ -402,8 +407,10 @@ class TestMonomialImage:
                             assert image.degree == k
 
     def test_equals_per_coefficient_reference(self, monkeypatch):
-        # the rows change which q_stirling2 calls are made, not the values or
-        # the arithmetic, so both modes stay bit-identical; kernel and
+        # the rows change which q_stirling2 calls are made, not the values:
+        # Carlitz's recurrence is an identity over the rationals, so exact
+        # mode equals the three explicit sums, and float mode equals the same
+        # arithmetic as the kernel's recurrence step; kernel and
         # reference read each (pure) sum from one memo, keyed by q's type
         # too since F(1) == 1.0, so the test costs one sum per (k, r, q)
         sums = {}
@@ -426,9 +433,10 @@ class TestMonomialImage:
                     per_coefficient_image(k, params), (n, q, alpha, k)
 
     def test_two_stirling_rows_per_image(self, monkeypatch):
-        # a call-count guard, free of timing: an image sums S_q(k, r) and
-        # S_q(k+1, r) once each for r = 0..k+1, 2k + 4 sums where three per
-        # coefficient made 3k + 3
+        # a call-count guard, free of timing: an image sums S_q(k, r) once for
+        # r = 0..k+1, k + 2 sums, and takes the row S_q(k+1, .) from it by
+        # one recurrence step, so no sum of degree k + 1 is made (two summed
+        # rows made 2k + 4, three sums per coefficient 3k + 3)
         calls = []
 
         def counted(k, r, q):
@@ -439,20 +447,31 @@ class TestMonomialImage:
         for k in range(1, 25):
             calls.clear()
             monomial_image(k, OperatorParams(24, 1.0, 0.4))
-            assert len(calls) <= 2 * k + 4, k
+            assert calls == [(k, r) for r in range(k + 2)], k
         calls.clear()
         eigensystem(OperatorParams(24, F(1), F(2, 5)))
-        assert len(calls) == 696  # sum of 2k + 4 over k = 1..24 (972 before)
+        assert len(calls) == 348  # sum of k + 2 over k = 1..24 (696 before)
+        assert calls == [(k, r) for k in range(1, 25) for r in range(k + 2)]
 
     def test_float_failure_names_the_image(self):
-        # an overflow of [n]_q^(k-r) or a q-Stirling sum, and a division by
-        # an underflowed q^(r(r-1)/2) in one, name the kernel and (n, q, alpha, k)
+        # an overflow of a q-Stirling sum's [r-i]_q^k, and a division by an
+        # underflowed q^(r(r-1)/2) in one, name the kernel and (n, q, alpha, k)
         with pytest.raises(FloatingPointError, match=r"^float OverflowError in "
-                           r"monomial_image: .* \(n=40, q=1.5, alpha=0.4, k=40\)$"):
-            monomial_image(40, OperatorParams(40, 1.5, 0.4))
+                           r"monomial_image: .* \(n=41, q=1.5, alpha=0.4, k=41\)$"):
+            monomial_image(41, OperatorParams(41, 1.5, 0.4))
         with pytest.raises(FloatingPointError, match=r"^float ZeroDivisionError in "
-                           r"monomial_image: .* \(n=50, q=0.5, alpha=0.4, k=46\)$"):
-            monomial_image(46, OperatorParams(50, 0.5, 0.4))
+                           r"monomial_image: .* \(n=50, q=0.5, alpha=0.4, k=47\)$"):
+            monomial_image(47, OperatorParams(50, 0.5, 0.4))
+
+    def test_float_images_near_the_float_range_edge(self):
+        # the largest images at n = 40, q = 3/2, where a sum of degree k + 1
+        # used to overflow, match the exact ones coefficient by coefficient
+        exact, floats = OperatorParams(40, F(3, 2), F(2, 5)), OperatorParams(40, 1.5, 0.4)
+        for k in (38, 39, 40):
+            want = monomial_image(k, exact).coeffs
+            got = monomial_image(k, floats).coeffs
+            for r, (g, w) in enumerate(zip(got, want)):
+                assert abs(g - w) <= 1e-12 * abs(w), (k, r)
 
     def test_range_check(self):
         params = OperatorParams(3, F(1, 2), F(1))

@@ -11,6 +11,7 @@ from aqbernstein.qcalc import (
     q_factorial,
     q_integer,
     q_stirling2,
+    q_stirling2_next_row,
 )
 from aqbernstein.verify import q_stirling2_table
 from test_operator import q_pochhammer
@@ -168,6 +169,17 @@ class TestQStirling:
             for k in range(13):
                 for r in range(13):
                     assert q_stirling2(k, r, q) == q_stirling2_rec(k, r, q), (k, r, q)
+
+    def test_next_row_steps_the_oracle_table(self):
+        # each step keeps the row's length and reproduces the next row of the
+        # recurrence table, from the row of k = 0 on
+        for q in Q_GRID:
+            table = q_stirling2_table(12, q)
+            qints = [q_integer(m, q) for m in range(13)]
+            for k in range(12):
+                for width in (k + 2, 13):
+                    row = q_stirling2_next_row(table[k][:width], qints)
+                    assert row == list(table[k + 1][:width]), (q, k, width)
 
     def test_classical(self):
         for k in range(9):
