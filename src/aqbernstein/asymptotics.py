@@ -4,7 +4,8 @@ Two regimes exist, split by q (there is no limit regime at q = 1):
 
 * 0 < q < 1: lambda_k tends to q^(k(k-1)/2) and the eigenvector
   coefficients c_n(j,k) tend to alpha-independent limits b(j,k), defined by
-  a top-down recursion whose weights are q-Stirling numbers.
+  a top-down recursion whose weights are q-Stirling numbers, read from the
+  production recurrence :func:`~aqbernstein.qcalc.q_stirling2_rows`.
 
 * q > 1: every lambda_k tends to 1, and c_n(j,k) tends to d(j,k), a running
   product of one-step ratio limits that genuinely depend on alpha.
@@ -17,6 +18,9 @@ the closed forms gives
     rho_j = - -----------------------------------------------------------
             [k-1]_q + ... + [k-j]_q
               + (1-alpha) q^(1-k) (q^j - 1)(q^(2k-j-1) - 1) / (q - 1)
+
+where S_q(m+1, m) = [1]_q + ... + [m]_q by Carlitz's recurrence, since
+S_q(m, m) = 1 and S_q(1, 0) = 0; the code sums those q-integers.
 
 Both (1-alpha) corrections are essential: dropping the (q-1) factor in the
 numerator or the second denominator term is only harmless at alpha = 1
@@ -34,7 +38,7 @@ from typing import Sequence
 
 from .bernstein import OperatorParams
 from .eigen import eigenvector
-from .qcalc import q_integer, q_stirling2, q_stirling2_next_row
+from .qcalc import q_integer, q_stirling2_rows
 from .scalars import Scalar, coerce, common_mode
 
 Q_BELOW_1 = "q_below_1"
@@ -98,8 +102,8 @@ def limit_coeffs_q_below_1(q: Scalar, alpha: Scalar, k: int) -> LimitCoeffs:
         b(j,k) = sum_{i=j+1}^{k} (1-q)^(i-j) S_q(i,j)
                  / (q^((k-j)(k+j-1)/2) - 1) * b(i,k).
 
-    S_q(i, .) is row i of the q-Stirling triangle, built from row 0 by
-    Carlitz's recurrence; the explicit sum cancels in floats for q < 1.
+    S_q(i, .) is row i of :func:`~aqbernstein.qcalc.q_stirling2_rows`,
+    Carlitz's recurrence from row 0.
     """
     q, alpha = _coerced_pair(q, alpha)
     if regime_of(q) != Q_BELOW_1:
@@ -110,10 +114,7 @@ def limit_coeffs_q_below_1(q: Scalar, alpha: Scalar, k: int) -> LimitCoeffs:
     b[k] = q * 0 + 1
     # k = 1 is pinned directly: its j = 0 step would divide by q^0 - 1
     if k >= 2:
-        qints = [q_integer(m, q) for m in range(k + 1)]
-        stirling = [[q * 0 + 1] + [q * 0] * k]  # S_q(0, r) = [r = 0]
-        for _ in range(k):
-            stirling.append(q_stirling2_next_row(stirling[-1], qints))
+        stirling = q_stirling2_rows(k, [q_integer(m, q) for m in range(k + 1)])
         for j in range(k - 1, -1, -1):
             denom = q ** ((k - j) * (k + j - 1) // 2) - 1
             assert denom != 0, "unreachable for q != 1 and j < k with k >= 2"
@@ -135,12 +136,10 @@ def limit_ratio_q_above_1(q: Scalar, alpha: Scalar, k: int, j: int) -> Scalar:
         raise RegimeError(f"this ratio limit needs q > 1, got q={q}")
     if not 1 <= j <= k - 1:
         raise ValueError(f"need 1 <= j <= k-1, got j={j}, k={k}")
-    num = q_stirling2(k - j + 1, k - j, q) + (1 - alpha) * (q - 1) * q ** (
-        j - k
-    ) * q_integer(k - j, q) * q_integer(k - j + 1, q)
-    den = q * 0
-    for t in range(k - j, k):
-        den = den + q_integer(t, q)
+    num = sum((q_integer(t, q) for t in range(1, k - j + 1)), q * 0) + (
+        1 - alpha
+    ) * (q - 1) * q ** (j - k) * q_integer(k - j, q) * q_integer(k - j + 1, q)
+    den = sum((q_integer(t, q) for t in range(k - j, k)), q * 0)
     den = den + (1 - alpha) * q ** (1 - k) * (q**j - 1) * (
         q ** (2 * k - j - 1) - 1
     ) / (q - 1)

@@ -15,7 +15,9 @@ operator. The module provides the basis values p_{n,q,i}^{(alpha)}(x)
 
 (``apply_to_samples``), which the verify suite checks against the basis sum
 above, and the closed-form coefficients of the monomial images T(t^k) from
-which the eigenstructure is built.
+which the eigenstructure is built. The images read their q-Stirling numbers
+from the one production recurrence, :func:`~aqbernstein.qcalc.q_stirling2_rows`;
+the explicit sum is an oracle in :mod:`aqbernstein.verify`.
 
 The kernels here and in :mod:`aqbernstein.eigen` read their q-sequences
 from one :class:`QTable` per operator, ``OperatorParams.table``. In float
@@ -34,7 +36,7 @@ from itertools import accumulate
 from typing import Sequence
 
 from .polynomials import Polynomial
-from .qcalc import q_difference_table, q_stirling2, q_stirling2_next_row
+from .qcalc import q_difference_table, q_stirling2_rows
 from .scalars import MixedModeError, Scalar, coerce, common_mode, require_finite
 
 
@@ -231,13 +233,10 @@ def monomial_image(k: int, params: OperatorParams) -> MonomialImage:
     evaluated as G_r ([n]_q/[n-1]_q) / [n]_q^(k-r) times the braces over
     [n]_q^2, with G_r from :func:`falling_products`: the same value, since
     1 - [t]_q/[n]_q = q^t [n-t]_q/[n]_q, without the raw q-factorials.
-    The q-Stirling numbers come from two rows built once per call: S_q(k, r)
-    for r = 0..k+1 by the explicit sum, and S_q(k+1, r) from it by one step
-    of Carlitz's recurrence (:func:`~aqbernstein.qcalc.q_stirling2_next_row`),
-    which is exact over the rationals and replaces the costliest sums. Rows
-    are local to the call; ``verify``'s recurrence table stays the oracle.
-    In float mode an overflow or a division by zero raises
-    FloatingPointError naming (n, q, alpha, k).
+    The q-Stirling numbers are read from rows k and k+1 of
+    :func:`~aqbernstein.qcalc.q_stirling2_rows`, built from row 0 for
+    r = 0..k+1 and local to the call. In float mode an overflow of
+    [n]_q^(k-r) raises FloatingPointError naming (n, q, alpha, k).
     """
     n, q, alpha, table = params.n, params.q, params.alpha, params.table
     if not 1 <= k <= n:
@@ -249,9 +248,8 @@ def monomial_image(k: int, params: OperatorParams) -> MonomialImage:
     ratio_n1 = qint[n - 1] / dn
     lead = dn / qint[n - 1]
     falling = falling_products(params, k)
+    *_, row_k, row_up = q_stirling2_rows(k + 1, qint[: k + 2])
     try:
-        row_k = [q_stirling2(k, r, q) for r in range(k + 2)]
-        row_up = q_stirling2_next_row(row_k, qint)
         coeffs = []
         for r in range(k + 1):
             braces = (1 - alpha) * (qint[n - r] / dn) * (
@@ -259,9 +257,9 @@ def monomial_image(k: int, params: OperatorParams) -> MonomialImage:
                 - qint[r + 1] * ratio_n1 * row_k[r + 1]
             ) + alpha * ratio_n1 * row_k[r]
             coeffs.append(falling[r] * lead / dn ** (k - r) * braces)
-    except (OverflowError, ZeroDivisionError) as exc:
+    except OverflowError as exc:
         raise FloatingPointError(
-            f"float {type(exc).__name__} in monomial_image: {exc} "
+            f"float OverflowError in monomial_image: {exc} "
             f"(n={n}, q={q}, alpha={alpha}, k={k})"
         ) from exc
     return MonomialImage(k, require_finite(tuple(coeffs), "monomial_image", params, k))

@@ -5,19 +5,25 @@ degrees n up to a cap: the two operator representations agree, eigenvectors
 satisfy the eigen relation exactly, the production eigenvalues (product
 form) equal the leading monomial-image coefficient and the paper's closed
 form (the oracle, in q-factorials), eigenvalues are strictly
-decreasing from k = 1, the two q-Stirling computation paths agree, the
-closed-form low-degree eigenvectors come out, and the operator axioms
-(endpoint interpolation, invariance of a t + b, degree reduction, partition
-of unity) hold.
+decreasing from k = 1, the production q-Stirling recurrence agrees with the
+explicit sum, the closed-form low-degree eigenvectors come out, and the
+operator axioms (endpoint interpolation, invariance of a t + b, degree
+reduction, partition of unity) hold.
+
+The oracles that exist only to be compared against live here: the explicit
+alternating sum for the q-Stirling numbers, and the q-factorials and
+q-binomials it and the closed-form eigenvalue are built from. Production
+computes the q-Stirling numbers one way only, by
+:func:`aqbernstein.qcalc.q_stirling2_rows`.
 
 Each grid operator's monomial images T(t^m), m = 1..n, are built once: the
 eigensystem is assembled from them, and the leading-coefficient check reads
 a(k,k) from the same images. That eigensystem is shared by every check that
 reads eigenvalues or eigenvectors (eigen relation, leading coefficient,
 distinctness, the low-degree eigenvectors and degree reduction). The
-q-Stirling recurrence table is built once per q and compared entry by entry
-with the explicit sum, and the representation check evaluates each basis
-row once for all its sample vectors. Every check reads the same grid
+production q-Stirling rows are built once per q and compared entry by
+entry with the explicit sum, and the representation check evaluates each
+basis row once for all its sample vectors. Every check reads the same grid
 objects, so each operator's q-table (``OperatorParams.table``) and its
 q-binomial rows are built once.
 
@@ -42,7 +48,7 @@ from .bernstein import (
 )
 from .eigen import EigenSystem, eigensystem_from_images, monomial_images
 from .polynomials import Polynomial, poly_eval, poly_scale
-from .qcalc import q_factorial, q_integer, q_stirling2
+from .qcalc import q_integer, q_stirling2_rows
 from .scalars import Scalar, format_scalar
 
 Q_GRID = (Fraction(1, 3), Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2))
@@ -107,32 +113,59 @@ def _grid(max_n: int):
                 yield OperatorParams(n, q, alpha)
 
 
-def q_stirling2_table(size: int, q: Scalar) -> tuple[tuple[Scalar, ...], ...]:
-    """S_q(k, r) for 0 <= k, r <= size as ``table[k][r]``, by the recurrence
-    S_q(k+1, r) = S_q(k, r-1) + [r]_q S_q(k, r) from S_q(0, r) = [r = 0].
+def q_factorial(n: int, q: Scalar) -> Scalar:
+    """[n]_q! = [1]_q [2]_q ... [n]_q, with [0]_q! = 1."""
+    out = q * 0 + 1
+    for m in range(1, n + 1):
+        out = out * q_integer(m, q)
+    return out
 
-    An independent computation path kept solely for cross-checking the
-    explicit sum :func:`aqbernstein.qcalc.q_stirling2`.
+
+def q_binomial(n: int, k: int, q: Scalar) -> Scalar:
+    """q-binomial coefficient, extended by 0 outside 0 <= k <= n."""
+    if k < 0 or k > n:
+        return q * 0
+    k = min(k, n - k)
+    out = q * 0 + 1
+    for i in range(1, k + 1):
+        out = out * q_integer(n - k + i, q) / q_integer(i, q)
+    return out
+
+
+def q_stirling2(k: int, r: int, q: Scalar) -> Scalar:
+    """q-Stirling number of the second kind S_q(k, r), by its explicit sum.
+
+    S_q(k, r) = (1 / ([r]_q! q^(r(r-1)/2)))
+                * sum_{i=0}^{r} (-1)^i q^(i(i-1)/2) qbinom(r, i) [r-i]_q^k.
+
+    Boundary values are pinned before the sum is consulted: S_q(0,0) = 1,
+    S_q(k,0) = 0 for k > 0, and S_q(k,r) = 0 for k < r. The oracle for the
+    production recurrence :func:`aqbernstein.qcalc.q_stirling2_rows`; its
+    alternating terms cancel in floats, so it is meant for exact mode.
     """
-    zero = q * 0
-    qints = [q_integer(m, q) for m in range(size + 1)]
-    row = [zero + 1] + [zero] * size
-    table = [tuple(row)]
-    for _ in range(size):
-        row = [zero] + [row[r - 1] + qints[r] * row[r] for r in range(1, size + 1)]
-        table.append(tuple(row))
-    return tuple(table)
+    if k < 0 or r < 0:
+        raise ValueError(f"q-Stirling number needs k, r >= 0, got ({k}, {r})")
+    if r == 0:
+        return q * 0 + 1 if k == 0 else q * 0
+    if k < r:
+        return q * 0
+    total = q * 0
+    for i in range(r + 1):
+        term = q ** (i * (i - 1) // 2) * q_binomial(r, i, q) * q_integer(r - i, q) ** k
+        total = total - term if i % 2 else total + term
+    return total / (q_factorial(r, q) * q ** (r * (r - 1) // 2))
 
 
 def check_stirling_cross() -> CheckResult:
+    """The explicit sum equals the production recurrence's rows, entry by
+    entry, for 0 <= k, r <= STIRLING_MAX_KR; one set of rows per q."""
     cases = 0
     for q in Q_GRID:
-        table = q_stirling2_table(STIRLING_MAX_KR, q)
-        for k in range(STIRLING_MAX_KR + 1):
-            for r in range(STIRLING_MAX_KR + 1):
+        qints = [q_integer(m, q) for m in range(STIRLING_MAX_KR + 1)]
+        for k, row in enumerate(q_stirling2_rows(STIRLING_MAX_KR, qints)):
+            for r, b in enumerate(row):
                 cases += 1
                 a = q_stirling2(k, r, q)
-                b = table[k][r]
                 if a != b:
                     return CheckResult(
                         "stirling_cross_check",

@@ -23,10 +23,9 @@ from aqbernstein.bernstein import (
 from aqbernstein.cli import main
 from aqbernstein.eigen import eigensystem, eigenvalue, eigenvector
 from aqbernstein.polynomials import Polynomial, poly_eval, poly_scale
-from aqbernstein.qcalc import q_stirling2
-from aqbernstein.verify import closed_form_eigenvalue
+from aqbernstein.qcalc import q_integer, q_stirling2_rows
+from aqbernstein.verify import closed_form_eigenvalue, q_stirling2
 from test_operator import basis_sum
-from test_qcalc import q_stirling2_rec
 
 F = Fraction
 Q_GRID = [F(1, 3), F(1, 2), F(1), F(3, 2), F(2)]
@@ -131,9 +130,10 @@ def test_criterion_05_representation_equivalence():
 def test_criterion_06_stirling_cross_check():
     with criterion(6, "q-Stirling explicit sum vs recurrence, k,r <= 12"):
         for q in Q_GRID:
-            for k in range(13):
-                for r in range(13):
-                    assert q_stirling2(k, r, q) == q_stirling2_rec(k, r, q), (q, k, r)
+            rows = q_stirling2_rows(12, [q_integer(m, q) for m in range(13)])
+            for k, row in enumerate(rows):
+                for r, value in enumerate(row):
+                    assert q_stirling2(k, r, q) == value, (q, k, r)
 
 
 def test_criterion_07_limit_convergence_q_below_1():

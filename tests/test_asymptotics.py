@@ -16,7 +16,8 @@ from aqbernstein.asymptotics import (
 )
 from aqbernstein.bernstein import OperatorParams, monomial_image
 from aqbernstein.eigen import eigenvector, spectrum
-from aqbernstein.qcalc import q_integer, q_stirling2
+from aqbernstein.qcalc import q_integer
+from aqbernstein.verify import q_stirling2
 
 F = Fraction
 

@@ -90,16 +90,20 @@ class TestEig:
             _json_text({"lambda": float("nan")})
 
     def test_float_range_failure_exit_1(self):
-        # an overflow and a division by zero, both named by the kernel
-        for n, q, k, cause in [("41", "1.5", 41, "OverflowError"),
-                               ("50", "0.5", 47, "ZeroDivisionError")]:
+        # an overflow named by the image kernel, and an eigenvalue difference
+        # below the float range, named by the eigenvector recursion
+        for n, q, error, ending in [
+            ("41", "1.5", "FloatingPointError: float OverflowError in monomial_image: ",
+             " (n=41, q=1.5, alpha=0.4, k=41)\n"),
+            ("50", "0.5", "DegenerateEigenvalueError: lambda_47 - lambda_46 underflowed ",
+             " (n=50, q=0.5, alpha=0.4)\n"),
+        ]:
             proc = run_cli("eig", "--n", n, "--q", q, "--alpha", "0.4",
                            "--mode", "float", expect=1)
             assert "Traceback" not in proc.stderr
             assert proc.stderr.count("\n") == 1
-            assert f"eig --n {n} --q {q} --alpha 0.4 --mode float" in proc.stderr
-            assert f": FloatingPointError: float {cause} in monomial_image: " in proc.stderr
-            assert proc.stderr.endswith(f" (n={n}, q={q}, alpha=0.4, k={k})\n")
+            assert f"eig --n {n} --q {q} --alpha 0.4 --mode float': {error}" in proc.stderr
+            assert proc.stderr.endswith(ending)
 
     def test_out_file(self, tmp_path):
         path = tmp_path / "eig.json"

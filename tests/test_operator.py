@@ -1,3 +1,4 @@
+import functools
 import json
 import random
 from fractions import Fraction
@@ -15,17 +16,11 @@ from aqbernstein.bernstein import (
     sample_nodes,
 )
 from aqbernstein.cli import main
-from aqbernstein.eigen import eigensystem, eigenvalue, spectrum
+from aqbernstein.eigen import eigenvalue, spectrum
 from aqbernstein.polynomials import Polynomial, poly_eval
-from aqbernstein.qcalc import (
-    q_binomial,
-    q_difference_table,
-    q_factorial,
-    q_integer,
-    q_stirling2,
-)
+from aqbernstein.qcalc import q_difference_table, q_integer
 from aqbernstein.scalars import MixedModeError, Tolerance, format_scalar
-from aqbernstein.verify import run_verify
+from aqbernstein.verify import q_binomial, q_factorial, q_stirling2, run_verify
 
 F = Fraction
 Q_GRID = [F(1, 2), F(1), F(3, 2), F(2)]
@@ -310,13 +305,10 @@ class TestApply:
                         assert poly_eval(image, x) == basis_sum(f, row)
 
 
-def per_coefficient_image(k, params):
+def per_coefficient_image(k, params, stirling):
     """T(t^k) coefficients one at a time, with no q-Stirling rows: the
-    kernel's table, falling products and braces arithmetic, and the three
-    q-Stirling numbers of each coefficient read from ``bernstein.q_stirling2``
-    as the kernel reads them. In exact mode all three are explicit sums; in
-    float mode S_q(k+1, r+1) is formed as S_q(k, r) + [r+1]_q S_q(k, r+1),
-    the kernel's Carlitz step."""
+    kernel's table, falling products and braces arithmetic, with the three
+    q-Stirling numbers of each coefficient read from ``stirling(k, r, q)``."""
     n, q, alpha, table = params.n, params.q, params.alpha, params.table
     if n == 1:
         return (table.zero, table.one)
@@ -326,15 +318,10 @@ def per_coefficient_image(k, params):
     falling = falling_products(params, k)
     coeffs = []
     for r in range(k + 1):
-        s_mid = bernstein.q_stirling2(k, r + 1, q)
-        s_low = bernstein.q_stirling2(k, r, q)
-        if params.mode == "exact":
-            s_up = bernstein.q_stirling2(k + 1, r + 1, q)
-        else:
-            s_up = s_low + qint[r + 1] * s_mid
         braces = (1 - alpha) * (qint[n - r] / dn) * (
-            (qint[n + r - 1] / dn) * s_up - qint[r + 1] * ratio_n1 * s_mid
-        ) + alpha * ratio_n1 * s_low
+            (qint[n + r - 1] / dn) * stirling(k + 1, r + 1, q)
+            - qint[r + 1] * ratio_n1 * stirling(k, r + 1, q)
+        ) + alpha * ratio_n1 * stirling(k, r, q)
         coeffs.append(falling[r] * lead / dn ** (k - r) * braces)
     return tuple(coeffs)
 
@@ -406,62 +393,31 @@ class TestMonomialImage:
                         if eigenvalue(k, params) != 0:
                             assert image.degree == k
 
-    def test_equals_per_coefficient_reference(self, monkeypatch):
-        # the rows change which q_stirling2 calls are made, not the values:
+    def test_equals_per_coefficient_reference(self):
         # Carlitz's recurrence is an identity over the rationals, so exact
-        # mode equals the three explicit sums, and float mode equals the same
-        # arithmetic as the kernel's recurrence step; kernel and
-        # reference read each (pure) sum from one memo, keyed by q's type
-        # too since F(1) == 1.0, so the test costs one sum per (k, r, q)
-        sums = {}
-
-        def memo(k, r, q):
-            key = (k, r, q, type(q))
-            if key not in sums:
-                sums[key] = q_stirling2(k, r, q)
-            return sums[key]
-
-        monkeypatch.setattr(bernstein, "q_stirling2", memo)
+        # images equal the per-coefficient explicit sums; float images, read
+        # from the same recurrence in floats, are within 1e-12 (relative) of
+        # them, q < 1 included, where the explicit sum cancels. The sums are
+        # pure, so one memo costs one sum per (k, r, q).
+        stirling = functools.cache(q_stirling2)
         grid = [(n, q, alpha) for n in range(1, 13)
                 for q in verify.Q_GRID for alpha in A_GRID]
-        grid += [(n, float(q), float(alpha)) for n, q, alpha in grid]
-        grid += [(20, q, 0.4) for q in FLOAT_Q_GRID]
+        grid += [(20, q, F(2, 5)) for q in (F(1, 2), F(1), F(3, 2))]
         for n, q, alpha in grid:
-            params = OperatorParams(n, q, alpha)
+            exact = OperatorParams(n, q, alpha)
+            floats = OperatorParams(n, float(q), float(alpha))
             for k in range(1, n + 1):
-                assert monomial_image(k, params).coeffs == \
-                    per_coefficient_image(k, params), (n, q, alpha, k)
-
-    def test_two_stirling_rows_per_image(self, monkeypatch):
-        # a call-count guard, free of timing: an image sums S_q(k, r) once for
-        # r = 0..k+1, k + 2 sums, and takes the row S_q(k+1, .) from it by
-        # one recurrence step, so no sum of degree k + 1 is made (two summed
-        # rows made 2k + 4, three sums per coefficient 3k + 3)
-        calls = []
-
-        def counted(k, r, q):
-            calls.append((k, r))
-            return q_stirling2(k, r, q)
-
-        monkeypatch.setattr(bernstein, "q_stirling2", counted)
-        for k in range(1, 25):
-            calls.clear()
-            monomial_image(k, OperatorParams(24, 1.0, 0.4))
-            assert calls == [(k, r) for r in range(k + 2)], k
-        calls.clear()
-        eigensystem(OperatorParams(24, F(1), F(2, 5)))
-        assert len(calls) == 348  # sum of k + 2 over k = 1..24 (696 before)
-        assert calls == [(k, r) for k in range(1, 25) for r in range(k + 2)]
+                want = per_coefficient_image(k, exact, stirling)
+                assert monomial_image(k, exact).coeffs == want, (n, q, alpha, k)
+                got = monomial_image(k, floats).coeffs
+                for r, (g, w) in enumerate(zip(got, want)):
+                    assert abs(g - float(w)) <= 1e-12 * abs(float(w)), (n, q, alpha, k, r)
 
     def test_float_failure_names_the_image(self):
-        # an overflow of a q-Stirling sum's [r-i]_q^k, and a division by an
-        # underflowed q^(r(r-1)/2) in one, name the kernel and (n, q, alpha, k)
+        # an overflow of [n]_q^(k-r) names the kernel and (n, q, alpha, k)
         with pytest.raises(FloatingPointError, match=r"^float OverflowError in "
                            r"monomial_image: .* \(n=41, q=1.5, alpha=0.4, k=41\)$"):
             monomial_image(41, OperatorParams(41, 1.5, 0.4))
-        with pytest.raises(FloatingPointError, match=r"^float ZeroDivisionError in "
-                           r"monomial_image: .* \(n=50, q=0.5, alpha=0.4, k=47\)$"):
-            monomial_image(47, OperatorParams(50, 0.5, 0.4))
 
     def test_float_images_near_the_float_range_edge(self):
         # the largest images at n = 40, q = 3/2, where a sum of degree k + 1
@@ -487,7 +443,7 @@ def verify_calls():
     calls = {"systems": [], "images": 0, "tables": [], "qtables": []}
     build_system = verify.eigensystem_from_images
     build_image = eigen.monomial_image
-    build_table = verify.q_stirling2_table
+    build_rows = verify.q_stirling2_rows
     build_qtable = bernstein.QTable
 
     def qtable(*args):
@@ -502,14 +458,14 @@ def verify_calls():
         calls["images"] += 1
         return build_image(k, params)
 
-    def table(size, q):
-        calls["tables"].append(q)
-        return build_table(size, q)
+    def rows(k, qints):
+        calls["tables"].append(qints[2] - 1)  # [2]_q = 1 + q
+        return build_rows(k, qints)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(verify, "eigensystem_from_images", system)
         mp.setattr(eigen, "monomial_image", image)
-        mp.setattr(verify, "q_stirling2_table", table)
+        mp.setattr(verify, "q_stirling2_rows", rows)
         mp.setattr(bernstein, "QTable", qtable)
         report = run_verify(max_n=3)
     assert report.passed
@@ -624,6 +580,22 @@ class TestFaultHook:
         failed = [c for c in report.checks if not c.passed]
         assert [c.name for c in failed] == ["leading_coefficient"]
         assert failed[0].counterexample["k"] == 2
+
+    def test_wrong_stirling_rows_caught(self, monkeypatch):
+        # Carlitz's step with [r-1]_q in place of [r]_q, in the one production
+        # kernel: the explicit-sum oracle and the eigen relation both see it
+        clean = verify.q_stirling2_rows
+
+        def corrupted(k, qints):
+            return clean(k, [qints[0], *qints[:-1]])
+
+        monkeypatch.setattr(bernstein, "q_stirling2_rows", corrupted)
+        monkeypatch.setattr(verify, "q_stirling2_rows", corrupted)
+        report = run_verify(max_n=2)
+        failed = {c.name: c for c in report.checks if not c.passed}
+        assert not report.passed
+        assert failed["stirling_cross_check"].counterexample
+        assert failed["eigen_relation"].counterexample
 
     def test_wrong_gap_caught(self, corrupt_gap, capsys):
         # a wrong eigenvalue gap bends every eigenvector recursion that sums it

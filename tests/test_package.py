@@ -70,11 +70,19 @@ def test_no_uncalled_definitions():
 
 def test_kernels_read_the_operator_table():
     # bernstein and eigen take their q-integers and q-binomials from
-    # OperatorParams.table, not from the closed forms in qcalc
+    # OperatorParams.table, not from the closed forms in qcalc; no production
+    # kernel reads the explicit q-Stirling sum or its q-factorials and
+    # q-binomials, which only verify defines, as the oracle
     src = pathlib.Path(aqbernstein.__file__).parent
-    for module in ("bernstein.py", "eigen.py"):
-        names = set(_references(ast.parse((src / module).read_text())))
-        assert not names & {"q_integer", "q_binomial", "q_factorial"}, module
+    trees = {path.name: ast.parse(path.read_text()) for path in src.glob("*.py")}
+    oracles = {"q_stirling2", "q_binomial", "q_factorial"}
+    for module, banned in [("bernstein.py", oracles | {"q_integer"}),
+                           ("eigen.py", oracles | {"q_integer"}),
+                           ("asymptotics.py", oracles)]:
+        assert not set(_references(trees[module])) & banned, module
+    for module, tree in trees.items():
+        defined = {name for node in tree.body for name in _bound_names(node)}
+        assert defined & oracles == (oracles if module == "verify.py" else set()), module
 
 
 def test_benchmark_selftest():

@@ -5,15 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aqbernstein.qcalc import (
-    q_binomial,
-    q_difference_table,
-    q_factorial,
-    q_integer,
-    q_stirling2,
-    q_stirling2_next_row,
-)
-from aqbernstein.verify import q_stirling2_table
+from aqbernstein.qcalc import q_difference_table, q_integer, q_stirling2_rows
+from aqbernstein.verify import q_binomial, q_factorial, q_stirling2
 from test_operator import q_pochhammer
 
 F = Fraction
@@ -22,11 +15,10 @@ Q_GRID = [F(1, 3), F(1, 2), F(2, 3), F(1), F(3, 2), F(2)]
 positive_q = st.fractions(min_value=F(1, 5), max_value=5, max_denominator=10)
 
 
-def q_stirling2_rec(k, r, q):
-    """S_q(k, r) read from the recurrence table, the oracle path."""
-    if k < 0 or r < 0:
-        raise ValueError(f"q-Stirling number needs k, r >= 0, got ({k}, {r})")
-    return q_stirling2_table(max(k, r), q)[k][r]
+def stirling_rows(k, q, width=None):
+    """Rows S_q(0, .)..S_q(k, .) of the production recurrence, r < width
+    (default k + 1)."""
+    return q_stirling2_rows(k, [q_integer(m, q) for m in range(width or k + 1)])
 
 
 def classical_stirling2(k, r):
@@ -159,27 +151,40 @@ class TestQStirling:
         assert q_stirling2(2, 2, q) == 1
 
     def test_recurrence_path_values(self):
-        q = F(4, 3)
-        assert q_stirling2_rec(1, 1, q) == 1
-        assert q_stirling2_rec(3, 1, q) == 1
-        assert q_stirling2_rec(0, 1, q) == 0
+        rows = stirling_rows(3, F(4, 3), width=2)
+        assert rows[1][1] == 1
+        assert rows[3][1] == 1
+        assert rows[0][1] == 0
 
     def test_two_paths_agree(self):
         for q in Q_GRID:
-            for k in range(13):
-                for r in range(13):
-                    assert q_stirling2(k, r, q) == q_stirling2_rec(k, r, q), (k, r, q)
+            for k, row in enumerate(stirling_rows(12, q)):
+                for r, value in enumerate(row):
+                    assert q_stirling2(k, r, q) == value, (k, r, q)
 
-    def test_next_row_steps_the_oracle_table(self):
-        # each step keeps the row's length and reproduces the next row of the
-        # recurrence table, from the row of k = 0 on
+    def test_rows_are_leading_blocks_of_one_triangle(self):
+        # k + 1 rows of the width of qints from S_q(0, r) = [r = 0]; fewer
+        # rows or a narrower qints (as monomial_image passes [0]_q..[k+1]_q)
+        # give the leading block of the larger triangle
         for q in Q_GRID:
-            table = q_stirling2_table(12, q)
-            qints = [q_integer(m, q) for m in range(13)]
-            for k in range(12):
-                for width in (k + 2, 13):
-                    row = q_stirling2_next_row(table[k][:width], qints)
-                    assert row == list(table[k + 1][:width]), (q, k, width)
+            rows = stirling_rows(12, q, width=14)
+            assert len(rows) == 13 and {len(row) for row in rows} == {14}
+            assert rows[0] == [1] + [0] * 13
+            for k in range(13):
+                for width in (k + 2, 14):
+                    assert stirling_rows(k, q, width) == \
+                        [row[:width] for row in rows[: k + 1]], (q, k, width)
+
+    def test_float_rows_are_accurate(self):
+        # a sum of positive terms: every entry of a float row is within a
+        # few ulps per step of the exact one, where the explicit sum loses
+        # all of its digits at q = 1/2
+        for q in [F(1, 5), F(1, 2), F(1), F(3, 2)]:
+            exact = stirling_rows(30, q)
+            floats = stirling_rows(30, float(q))
+            for k, (got, want) in enumerate(zip(floats, exact)):
+                for r in range(k + 1):
+                    assert abs(got[r] - want[r]) <= 1e-14 * k * want[r], (q, k, r)
 
     def test_classical(self):
         for k in range(9):
