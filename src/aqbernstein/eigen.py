@@ -16,6 +16,13 @@ which serves only as the oracle (``verify.closed_form_eigenvalue``).
 The monic eigenvector of degree k is built top-down: its coefficient
 of x^(k-j) is a linear combination of already-known higher coefficients
 weighted by monomial-image coefficients, divided by lambda_k - lambda_{k-j}.
+In exact mode the recursion runs on integers, in the spirit of Bareiss's
+fraction-free elimination (Math. Comp. 22, 1968): each row of image
+coefficients is put over one denominator once per call, p_k is carried as
+integer numerators over one common denominator, and each coefficient is
+one integer dot product reduced once into its Fraction, so the values are
+those of the reduced scalar recursion. Float mode runs the same loop with
+every denominator 1, which is the plain float arithmetic.
 The q-sequences come from ``OperatorParams.table``, as for the images; in
 float mode a nan or an infinity raises FloatingPointError.
 
@@ -37,8 +44,10 @@ against direct subtraction).
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .bernstein import MonomialImage, OperatorParams, falling_products, monomial_image
 from .polynomials import Polynomial
@@ -94,39 +103,83 @@ def monomial_images(params: OperatorParams, top: int) -> dict[int, MonomialImage
     return {m: monomial_image(m, params) for m in range(1, top + 1)}
 
 
+def _image_rows(
+    params: OperatorParams, images: dict[int, MonomialImage], top: int
+) -> list[tuple[int, list]]:
+    """The rows r < top of the image matrix a(r, m), the x^r coefficient of
+    T(t^m), each over one denominator.
+
+    Entry r is (d_r, R_r) with a(r, m) = R_r[m] / d_r for r < m <= top
+    (R_r[m] is None for m <= r). In exact mode d_r is the lcm of the row's
+    denominators and R_r holds integers; in float mode d_r = 1 and R_r
+    holds the image coefficients themselves.
+    """
+    rows = []
+    for r in range(top):
+        row = [images[m].coeffs[r] for m in range(r + 1, top + 1)]
+        d = 1
+        if params.mode == "exact":
+            d = math.lcm(*(a.denominator for a in row))
+            row = [a.numerator * (d // a.denominator) for a in row]
+        rows.append((d, [None] * (r + 1) + row))
+    return rows
+
+
 def _eigenvector_coeffs(
     k: int,
     params: OperatorParams,
-    images: dict[int, MonomialImage],
+    rows: list[tuple[int, list]],
     gaps: tuple[Scalar, ...],
 ) -> tuple[Scalar, ...]:
-    """Coefficients of p_k; ``gaps`` holds lambda_{i+1} - lambda_i for i < k.
+    """Coefficients c_0..c_k of p_k, from the :func:`_image_rows` of any
+    top >= k and the gaps lambda_{i+1} - lambda_i for i < k.
 
-    Raises DegenerateEigenvalueError when a difference lambda_k - lambda_m
+    c_r = sum_{m=r+1..k} c_m a(r, m) / (lambda_k - lambda_r), for r = k-1
+    down to 0. The known c_m are carried as integer numerators v[m] over one
+    common denominator w, so the sum is the integer dot product
+    total = sum_m v[m] R_r[m], taken from m = k down, and
+    c_r = total / (w d_r (lambda_k - lambda_r)) is the one reduced Fraction
+    formed per coefficient. When c_r's denominator does not divide w, v and
+    w are scaled by the missing factor. A float is its own numerator over 1:
+    in float mode w = d_r = 1, v[m] = c_m, and c_r = total / diff.
+
+    Raises DegenerateEigenvalueError when a difference lambda_k - lambda_r
     is zero, or in float mode when it underflows below the smallest normal
-    float (no relative precision left).
+    float (no relative precision left), before dividing by it.
     """
     n, q, alpha, table = params.n, params.q, params.alpha, params.table
     if k == 1:
         return (table.zero, table.one)
+    exact = params.mode == "exact"
     c: list[Scalar] = [table.zero] * (k + 1)
     c[k] = table.one
-    diff = table.zero  # lambda_k - lambda_{k-j}
-    for j in range(1, k + 1):
-        total = table.zero
-        for i in range(j):
-            total = total + c[k - i] * images[k - i].coeffs[k - j]
-        diff = diff + gaps[k - j]
+    v: list = [0] * (k + 1)
+    v[k] = w = 1
+    diff = table.zero  # lambda_k - lambda_r
+    for r in range(k - 1, -1, -1):
+        d, row = rows[r]
+        total = 0
+        for m in range(k, r, -1):
+            total = total + v[m] * row[m]
+        diff = diff + gaps[r]
         if diff == 0:
             raise DegenerateEigenvalueError(
-                f"lambda_{k} - lambda_{k - j} vanished for n={n}, q={q}, alpha={alpha}"
+                f"lambda_{k} - lambda_{r} vanished for n={n}, q={q}, alpha={alpha}"
             )
-        if isinstance(diff, float) and abs(diff) < sys.float_info.min:
-            raise DegenerateEigenvalueError(
-                f"lambda_{k} - lambda_{k - j} underflowed in float mode "
-                f"(n={n}, q={q}, alpha={alpha})"
-            )
-        c[k - j] = total / diff
+        if not exact:
+            if abs(diff) < sys.float_info.min:
+                raise DegenerateEigenvalueError(
+                    f"lambda_{k} - lambda_{r} underflowed in float mode "
+                    f"(n={n}, q={q}, alpha={alpha})"
+                )
+            c[r] = v[r] = total / diff
+            continue
+        c[r] = coeff = Fraction(total * diff.denominator, w * d * diff.numerator)
+        missing = coeff.denominator // math.gcd(w, coeff.denominator)
+        if missing > 1:
+            w *= missing
+            v[r + 1:] = [x * missing for x in v[r + 1:]]
+        v[r] = coeff.numerator * (w // coeff.denominator)
     return require_finite(tuple(c), "eigenvector", params, k)
 
 
@@ -134,8 +187,8 @@ def eigenvector(k: int, params: OperatorParams) -> Polynomial:
     """The monic degree-k eigenvector polynomial p_k (p_0 = 1, p_1 = x)."""
     if not 0 <= k <= params.n:
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={params.n}")
-    images = monomial_images(params, k)
-    return Polynomial(_eigenvector_coeffs(k, params, images, spectrum(params, k)[1]))
+    rows = _image_rows(params, monomial_images(params, k), k)
+    return Polynomial(_eigenvector_coeffs(k, params, rows, spectrum(params, k)[1]))
 
 
 @dataclass(frozen=True)
@@ -180,11 +233,13 @@ def eigensystem_from_images(
     """The eigensystem assembled from ``monomial_images(params, params.n)``.
 
     One :func:`spectrum` call gives every eigenvalue and the gaps that
-    every eigenvector recursion sums.
+    every eigenvector recursion sums, and one :func:`_image_rows` call the
+    rows over one denominator that every recursion reads.
     """
     lambdas, gaps = spectrum(params, params.n)
+    rows = _image_rows(params, images, params.n)
     vectors = tuple(
-        Polynomial(_eigenvector_coeffs(k, params, images, gaps))
+        Polynomial(_eigenvector_coeffs(k, params, rows, gaps))
         for k in range(params.n + 1)
     )
     return EigenSystem(params, lambdas, vectors)

@@ -198,9 +198,11 @@ class TestEigenvalueDifference:
         # a difference that comes out zero is refused, not divided by
         assert spectrum(OperatorParams(60, 1 / 3, 0.5), 40)[1][39] == 0
         substitute_gap(monkeypatch, 2, F(0))
-        with pytest.raises(DegenerateEigenvalueError, match=r"lambda_3 - lambda_2 "
-                           r"vanished for n=4, q=1/2, alpha=1/2"):
-            eigenvector(3, OperatorParams(4, F(1, 2), F(1, 2)))
+        params = OperatorParams(4, F(1, 2), F(1, 2))
+        for compute in [lambda: eigenvector(3, params), lambda: eigensystem(params)]:
+            with pytest.raises(DegenerateEigenvalueError, match=r"lambda_3 - lambda_2 "
+                               r"vanished for n=4, q=1/2, alpha=1/2"):
+                compute()
 
     def test_float_underflow_detected(self, monkeypatch):
         # [1023]_2 ~ 9e307, so lambda_2 - lambda_1 = -1/[1023]_2 ~ -1.1e-308
@@ -208,10 +210,12 @@ class TestEigenvalueDifference:
         gap = spectrum(OperatorParams(1023, 2.0, 1.0), 2)[1][1]
         assert gap == -(2.0**-1023) and -gap < sys.float_info.min
         substitute_gap(monkeypatch, 1, gap)
-        with pytest.raises(DegenerateEigenvalueError,
-                           match=r"lambda_2 - lambda_1 underflowed in float mode "
-                                 r"\(n=4, q=0.5, alpha=0.5\)"):
-            eigensystem(OperatorParams(4, 0.5, 0.5))
+        params = OperatorParams(4, 0.5, 0.5)
+        for compute in [lambda: eigensystem(params), lambda: eigenvector(2, params)]:
+            with pytest.raises(DegenerateEigenvalueError,
+                               match=r"lambda_2 - lambda_1 underflowed in float mode "
+                                     r"\(n=4, q=0.5, alpha=0.5\)"):
+                compute()
 
     def test_float_accuracy_at_large_n(self):
         # direct float subtraction loses everything here; the gap sums must
@@ -246,6 +250,70 @@ class TestEigenvector:
         params = OperatorParams(4, F(1, 2), F(1, 2))
         assert eigenvector(0, params) == Polynomial((1,))
         assert eigenvector(1, params) == Polynomial((0, 1))
+
+
+def recursion_oracle(k, params, images, gaps):
+    """Coefficients of p_k by the top-down recursion in scalar arithmetic,
+    one product and one sum at a time (each reduced, in exact mode), from
+    the images T(t^m), m <= k, and the gaps lambda_{i+1} - lambda_i."""
+    table = params.table
+    if k == 1:
+        return (table.zero, table.one)
+    c = [table.zero] * (k + 1)
+    c[k] = table.one
+    diff = table.zero
+    for j in range(1, k + 1):
+        total = table.zero
+        for i in range(j):
+            total = total + c[k - i] * images[k - i].coeffs[k - j]
+        diff = diff + gaps[k - j]
+        c[k - j] = total / diff
+    return tuple(c)
+
+
+def exact_parts(coeffs):
+    """Each exact coefficient as (type, numerator, denominator)."""
+    return [(type(c), c.numerator, c.denominator) for c in coeffs]
+
+
+class TestIntegerRecursion:
+    """The kernel carries p_k as integer numerators over one denominator;
+    its output must be the scalar recursion's, value for value."""
+
+    @staticmethod
+    def assert_matches_oracle(params, form):
+        got = eigensystem(params).vectors
+        images = eigen.monomial_images(params, params.n)
+        gaps = spectrum(params, params.n)[1]
+        for k in range(params.n + 1):
+            want = recursion_oracle(k, params, images, gaps)
+            assert form(got[k].coeffs) == form(want), (params, k)
+
+    @pytest.mark.parametrize("q", [F(1, 2), F(1), F(3, 2), F(7, 3)])
+    def test_exact_equals_oracle(self, q):
+        for alpha in [F(0), F(2, 5), F(1)]:
+            for n in range(1, 17):
+                self.assert_matches_oracle(OperatorParams(n, q, alpha), exact_parts)
+
+    @pytest.mark.parametrize("q", [F(1, 2), F(3, 2)])
+    def test_exact_equals_oracle_at_n24(self, q):
+        self.assert_matches_oracle(OperatorParams(24, q, F(2, 5)), exact_parts)
+
+    @pytest.mark.parametrize("n", [10, 20, 30])
+    @pytest.mark.parametrize("q", [0.5, 1.0, 1.5, 2.0])
+    def test_float_bits_equal_oracle(self, q, n):
+        self.assert_matches_oracle(OperatorParams(n, q, 0.4), repr)
+
+    def test_eigenvector_equals_system_vector(self):
+        # eigenvector(k) builds its rows up to k and eigensystem up to n, so
+        # their row denominators differ; the output must not show it
+        for n in range(1, 13):
+            for q in [F(1, 2), F(1), F(3, 2)]:
+                for params in [OperatorParams(n, q, F(2, 5)), OperatorParams(n, float(q), 0.4)]:
+                    vectors = eigensystem(params).vectors
+                    for k in range(n + 1):
+                        got = eigenvector(k, params).coeffs
+                        assert repr(got) == repr(vectors[k].coeffs), (params, k)
 
 
 class TestEigenSystem:
