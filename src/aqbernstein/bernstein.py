@@ -15,9 +15,10 @@ operator. The module provides the basis values p_{n,q,i}^{(alpha)}(x)
 
 (``apply_to_samples``), which the verify suite checks against the basis sum
 above, and the closed-form coefficients of the monomial images T(t^k) from
-which the eigenstructure is built. The images read their q-Stirling numbers
-from the one production recurrence, :func:`~aqbernstein.qcalc.q_stirling2_rows`;
-the explicit sum is an oracle in :mod:`aqbernstein.verify`.
+which the eigenstructure is built. One ``monomial_images`` call builds a
+set T(t^1)..T(t^top) from one triangle of the one production recurrence,
+:func:`~aqbernstein.qcalc.q_stirling2_rows`, built to row top + 1; the
+explicit sum is an oracle in :mod:`aqbernstein.verify`.
 
 The kernels here and in :mod:`aqbernstein.eigen` read their q-sequences
 from one :class:`QTable` per operator, ``OperatorParams.table``. In float
@@ -220,10 +221,10 @@ def falling_products(params: OperatorParams, m: int) -> tuple[Scalar, ...]:
     return tuple(out)
 
 
-def monomial_image(k: int, params: OperatorParams) -> MonomialImage:
-    """Coefficients of T(t^k; x) for 1 <= k <= n.
+def monomial_images(params: OperatorParams, top: int) -> dict[int, MonomialImage]:
+    """The monomial images T(t^k) for k = 1..top, keyed by k; 0 <= top <= n.
 
-    The coefficient of x^r is
+    The coefficient of x^r in T(t^k; x) is
 
         q^(r(r-1)/2) * ([n-2]_q! / ([n]_q^k [n-r]_q!))
           * { (1-alpha) [n-r]_q ([n+r-1]_q S_q(k+1,r+1)
@@ -233,33 +234,44 @@ def monomial_image(k: int, params: OperatorParams) -> MonomialImage:
     evaluated as G_r ([n]_q/[n-1]_q) / [n]_q^(k-r) times the braces over
     [n]_q^2, with G_r from :func:`falling_products`: the same value, since
     1 - [t]_q/[n]_q = q^t [n-t]_q/[n]_q, without the raw q-factorials.
-    The q-Stirling numbers are read from rows k and k+1 of
-    :func:`~aqbernstein.qcalc.q_stirling2_rows`, built from row 0 for
-    r = 0..k+1 and local to the call. In float mode an overflow of
-    [n]_q^(k-r) raises FloatingPointError naming (n, q, alpha, k).
+    Every image reads one table G_0..G_top and one triangle of q-Stirling
+    rows 0..top+1 (:func:`~aqbernstein.qcalc.q_stirling2_rows`), sized by
+    top, not by n. In float mode an overflow of [n]_q^(k-r) raises
+    FloatingPointError naming (n, q, alpha, k).
     """
     n, q, alpha, table = params.n, params.q, params.alpha, params.table
-    if not 1 <= k <= n:
-        raise ValueError(f"monomial image needs 1 <= k <= n, got k={k}, n={n}")
+    if not 0 <= top <= n:
+        raise ValueError(f"need 0 <= k <= n, got k={top}, n={n}")
     if n == 1:
-        return MonomialImage(1, (table.zero, table.one))
+        return {k: MonomialImage(k, (table.zero, table.one)) for k in range(1, top + 1)}
 
     qint, dn = table.integers, table.integers[n]
     ratio_n1 = qint[n - 1] / dn
     lead = dn / qint[n - 1]
-    falling = falling_products(params, k)
-    *_, row_k, row_up = q_stirling2_rows(k + 1, qint[: k + 2])
-    try:
-        coeffs = []
-        for r in range(k + 1):
-            braces = (1 - alpha) * (qint[n - r] / dn) * (
-                (qint[n + r - 1] / dn) * row_up[r + 1]
-                - qint[r + 1] * ratio_n1 * row_k[r + 1]
-            ) + alpha * ratio_n1 * row_k[r]
-            coeffs.append(falling[r] * lead / dn ** (k - r) * braces)
-    except OverflowError as exc:
-        raise FloatingPointError(
-            f"float OverflowError in monomial_image: {exc} "
-            f"(n={n}, q={q}, alpha={alpha}, k={k})"
-        ) from exc
-    return MonomialImage(k, require_finite(tuple(coeffs), "monomial_image", params, k))
+    falling = falling_products(params, top)
+    stirling = q_stirling2_rows(top + 1, qint[: top + 2])
+    images = {}
+    for k in range(1, top + 1):
+        try:
+            coeffs = []
+            for r in range(k + 1):
+                braces = (1 - alpha) * (qint[n - r] / dn) * (
+                    (qint[n + r - 1] / dn) * stirling[k + 1][r + 1]
+                    - qint[r + 1] * ratio_n1 * stirling[k][r + 1]
+                ) + alpha * ratio_n1 * stirling[k][r]
+                coeffs.append(falling[r] * lead / dn ** (k - r) * braces)
+        except OverflowError as exc:
+            raise FloatingPointError(
+                f"float OverflowError in monomial_image: {exc} "
+                f"(n={n}, q={q}, alpha={alpha}, k={k})"
+            ) from exc
+        coeffs = require_finite(tuple(coeffs), "monomial_image", params, k)
+        images[k] = MonomialImage(k, coeffs)
+    return images
+
+
+def monomial_image(k: int, params: OperatorParams) -> MonomialImage:
+    """T(t^k) for 1 <= k <= n, read from :func:`monomial_images`."""
+    if not 1 <= k <= params.n:
+        raise ValueError(f"monomial image needs 1 <= k <= n, got k={k}, n={params.n}")
+    return monomial_images(params, k)[k]

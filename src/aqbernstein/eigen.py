@@ -13,18 +13,19 @@ u_k = alpha + (1-alpha) [n-k]_q [n+k-1]_q / ([n]_q [n-1]_q). Since
 
 which serves only as the oracle (``verify.closed_form_eigenvalue``).
 
-The monic eigenvector of degree k is built top-down: its coefficient
-of x^(k-j) is a linear combination of already-known higher coefficients
-weighted by monomial-image coefficients, divided by lambda_k - lambda_{k-j}.
-In exact mode the recursion runs on integers, in the spirit of Bareiss's
-fraction-free elimination (Math. Comp. 22, 1968): each row of image
-coefficients is put over one denominator once per call, p_k is carried as
-integer numerators over one common denominator, and each coefficient is
-one integer dot product reduced once into its Fraction, so the values are
-those of the reduced scalar recursion. Float mode runs the same loop with
-every denominator 1, which is the plain float arithmetic.
-The q-sequences come from ``OperatorParams.table``, as for the images; in
-float mode a nan or an infinity raises FloatingPointError.
+The monic eigenvector of degree k is built top-down: its coefficient of
+x^(k-j) is a linear combination of already-known higher coefficients
+weighted by coefficients of the images T(t^m), m <= k, of one
+``monomial_images`` call (one q-Stirling triangle, to row k + 1), divided
+by lambda_k - lambda_{k-j}. In exact mode the recursion runs on integers,
+in the spirit of Bareiss's fraction-free elimination (Math. Comp. 22,
+1968): each row of image coefficients is put over one denominator once per
+call, p_k is carried as integer numerators over one common denominator,
+and each coefficient is one integer dot product reduced once into its
+Fraction, so the values are those of the reduced scalar recursion. Float
+mode runs the same loop with every denominator 1, which is the plain float
+arithmetic. The q-sequences come from ``OperatorParams.table``, as for the
+images; in float mode a nan or an infinity raises FloatingPointError.
 
 :func:`spectrum` builds the eigenvalues together with their gaps
 
@@ -49,7 +50,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bernstein import MonomialImage, OperatorParams, falling_products, monomial_image
+from .bernstein import MonomialImage, OperatorParams, falling_products, monomial_images
 from .polynomials import Polynomial
 from .scalars import Scalar, require_finite, scalar_from_json, scalar_to_json
 
@@ -98,16 +99,9 @@ def eigenvalue(k: int, params: OperatorParams) -> Scalar:
     return spectrum(params, k)[0][k]
 
 
-def monomial_images(params: OperatorParams, top: int) -> dict[int, MonomialImage]:
-    """The monomial images T(t^m) for m = 1..top, keyed by m."""
-    return {m: monomial_image(m, params) for m in range(1, top + 1)}
-
-
-def _image_rows(
-    params: OperatorParams, images: dict[int, MonomialImage], top: int
-) -> list[tuple[int, list]]:
+def _image_rows(images: dict[int, MonomialImage], mode: str) -> list[tuple[int, list]]:
     """The rows r < top of the image matrix a(r, m), the x^r coefficient of
-    T(t^m), each over one denominator.
+    T(t^m), each over one denominator, for the images m = 1..top.
 
     Entry r is (d_r, R_r) with a(r, m) = R_r[m] / d_r for r < m <= top
     (R_r[m] is None for m <= r). In exact mode d_r is the lcm of the row's
@@ -115,10 +109,10 @@ def _image_rows(
     holds the image coefficients themselves.
     """
     rows = []
-    for r in range(top):
-        row = [images[m].coeffs[r] for m in range(r + 1, top + 1)]
+    for r in range(len(images)):
+        row = [image.coeffs[r] for m, image in images.items() if m > r]
         d = 1
-        if params.mode == "exact":
+        if mode == "exact":
             d = math.lcm(*(a.denominator for a in row))
             row = [a.numerator * (d // a.denominator) for a in row]
         rows.append((d, [None] * (r + 1) + row))
@@ -185,9 +179,7 @@ def _eigenvector_coeffs(
 
 def eigenvector(k: int, params: OperatorParams) -> Polynomial:
     """The monic degree-k eigenvector polynomial p_k (p_0 = 1, p_1 = x)."""
-    if not 0 <= k <= params.n:
-        raise ValueError(f"need 0 <= k <= n, got k={k}, n={params.n}")
-    rows = _image_rows(params, monomial_images(params, k), k)
+    rows = _image_rows(monomial_images(params, k), params.mode)
     return Polynomial(_eigenvector_coeffs(k, params, rows, spectrum(params, k)[1]))
 
 
@@ -215,15 +207,21 @@ class EigenSystem:
 
 def eigensystem_from_dict(obj: dict) -> EigenSystem:
     """Rebuild an EigenSystem from its ``as_dict`` form; its parameters are
-    validated as by :class:`OperatorParams` (alpha in [0,1] included)."""
+    validated as by :class:`OperatorParams` (an int n >= 1, alpha in [0,1]),
+    and ``lambdas`` and ``vectors`` must hold n + 1 entries each."""
     q = scalar_from_json(obj["q"])
     alpha = scalar_from_json(obj["alpha"])
-    params = OperatorParams(int(obj["n"]), q, alpha)
+    params = OperatorParams(obj["n"], q, alpha)
     lambdas = tuple(scalar_from_json(v) for v in obj["lambdas"])
     vectors = tuple(
         Polynomial(tuple(scalar_from_json(c) for c in coeffs))
         for coeffs in obj["vectors"]
     )
+    if len(lambdas) != params.n + 1 or len(vectors) != params.n + 1:
+        raise ValueError(
+            f"n={params.n} needs {params.n + 1} lambdas and vectors, "
+            f"got {len(lambdas)} and {len(vectors)}"
+        )
     return EigenSystem(params, lambdas, vectors)
 
 
@@ -237,7 +235,7 @@ def eigensystem_from_images(
     rows over one denominator that every recursion reads.
     """
     lambdas, gaps = spectrum(params, params.n)
-    rows = _image_rows(params, images, params.n)
+    rows = _image_rows(images, params.mode)
     vectors = tuple(
         Polynomial(_eigenvector_coeffs(k, params, rows, gaps))
         for k in range(params.n + 1)
@@ -246,9 +244,5 @@ def eigensystem_from_images(
 
 
 def eigensystem(params: OperatorParams) -> EigenSystem:
-    """All eigenvalues and monic eigenvectors for k = 0..n.
-
-    Monomial images are computed once and shared by the per-degree
-    recursions.
-    """
+    """All eigenvalues and monic eigenvectors for k = 0..n, from one image set."""
     return eigensystem_from_images(params, monomial_images(params, params.n))

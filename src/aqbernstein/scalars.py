@@ -34,6 +34,12 @@ Scalar = Union[Fraction, float]
 EXACT = "exact"
 FLOAT = "float"
 
+# the largest decimal exponent magnitude that exact parsing accepts, the
+# same as the int/str digit cap: an exact q = 1e-100000 parses in 9 ms but
+# carries a 330,000-bit denominator into every later step (`limits` then
+# ran 10 s), and the parse alone takes 12 s at 1e-10000000
+_MAX_EXPONENT = 4300
+
 
 class MixedModeError(TypeError):
     """Raised when exact-rational and float scalars meet in one operation."""
@@ -134,6 +140,14 @@ def _rational(text: str) -> Fraction:
         return Fraction(_integer(match[1]), _integer(match[2] or "1"))
 
 
+def _check_exponent(text: str) -> None:
+    """Refuse a decimal exponent beyond +-_MAX_EXPONENT in ``text``."""
+    match = re.search(r"[eE][-+]?([0-9_]+)$", text)
+    digits = match[1].replace("_", "").lstrip("0") if match else ""
+    if len(digits) > len(str(_MAX_EXPONENT)) or int(digits or "0") > _MAX_EXPONENT:
+        raise ValueError(f"exponent beyond +-{_MAX_EXPONENT} in {text!r}")
+
+
 def _digits(n: int) -> str:
     """str(n), also for more digits than the int/str cap allows."""
     try:
@@ -145,15 +159,17 @@ def _digits(n: int) -> str:
 def parse_scalar(text: str, mode: str = EXACT) -> Scalar:
     """Parse ``"p/q"`` or a decimal string.
 
-    In exact mode decimals convert exactly (``"0.4"`` -> 2/5); in float mode
-    the text is read as a float. Non-finite values, a zero denominator and
-    floats out of range raise ValueError.
+    In exact mode decimals convert exactly (``"0.4"`` -> 2/5), with an
+    exponent of at most 4300 in magnitude; in float mode the text is read as
+    a float. Non-finite values, a zero denominator, a larger exact exponent
+    and floats out of range raise ValueError.
     """
     text = text.strip()
     if mode not in (EXACT, FLOAT):
         raise ValueError(f"unknown scalar mode {mode!r}")
     try:
         if mode == EXACT:
+            _check_exponent(text)
             return _rational(text)
         try:
             value = float(text)
@@ -177,9 +193,12 @@ def scalar_to_json(x: Scalar | int):
 
 
 def scalar_from_json(obj) -> Scalar:
-    """Inverse of :func:`scalar_to_json`."""
+    """Inverse of :func:`scalar_to_json`; a zero denominator raises ValueError."""
     if isinstance(obj, dict):
-        return Fraction(_integer(obj["num"]), _integer(obj["den"]))
+        num, den = _integer(obj["num"]), _integer(obj["den"])
+        if den == 0:
+            raise ValueError(f"zero denominator in {obj!r}")
+        return Fraction(num, den)
     if isinstance(obj, bool):
         raise TypeError("bool is not a scalar")
     if isinstance(obj, (int, float)):

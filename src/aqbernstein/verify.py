@@ -16,11 +16,13 @@ q-binomials it and the closed-form eigenvalue are built from. Production
 computes the q-Stirling numbers one way only, by
 :func:`aqbernstein.qcalc.q_stirling2_rows`.
 
-Each grid operator's monomial images T(t^m), m = 1..n, are built once: the
-eigensystem is assembled from them, and the leading-coefficient check reads
-a(k,k) from the same images. That eigensystem is shared by every check that
-reads eigenvalues or eigenvectors (eigen relation, leading coefficient,
-distinctness, the low-degree eigenvectors and degree reduction). The
+Each grid operator's monomial images T(t^m), m = 1..n, are built once, by
+one :func:`~aqbernstein.bernstein.monomial_images` call on one q-Stirling
+triangle built to row n + 1: the eigensystem is assembled from them, and
+the leading-coefficient check reads a(k,k) from the same images. That
+eigensystem is shared by every check that reads eigenvalues or
+eigenvectors (eigen relation, leading coefficient, distinctness, the
+low-degree eigenvectors and degree reduction). The
 production q-Stirling rows are built once per q and compared entry by
 entry with the explicit sum, and the representation check evaluates each
 basis row once for all its sample vectors. Every check reads the same grid
@@ -44,9 +46,10 @@ from .bernstein import (
     OperatorParams,
     apply_to_samples,
     basis_values,
+    monomial_images,
     sample_nodes,
 )
-from .eigen import EigenSystem, eigensystem_from_images, monomial_images
+from .eigen import EigenSystem, eigensystem_from_images
 from .polynomials import Polynomial, poly_eval, poly_scale
 from .qcalc import q_integer, q_stirling2_rows
 from .scalars import Scalar, format_scalar
@@ -395,10 +398,10 @@ def check_operator_axioms(systems: list[EigenSystem]) -> CheckResult:
 def run_verify(max_n: int = 6) -> VerifyReport:
     """Run every check; the report carries one result per check.
 
-    The monomial images of each grid operator are built once; its
-    eigensystem is assembled from them, and both are shared by the checks
-    that read them. Every check takes the grid's own objects, so each
-    operator's q-table is built once.
+    The monomial images of each grid operator are built by one
+    ``monomial_images`` call; its eigensystem is assembled from them, and
+    both are shared by the checks that read them. Every check takes the
+    grid's own objects, so each operator's q-table is built once.
     """
     if max_n < 1:
         raise ValueError(f"max_n must be >= 1, got {max_n}")

@@ -1,12 +1,25 @@
 import dataclasses
+import os
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import aqbernstein.bernstein
 import aqbernstein.eigen
 import aqbernstein.verify
+
+
+@pytest.fixture(autouse=True, scope="session")
+def _child_pythonpath():
+    """Let child interpreters (``python -m aqbernstein``) import the package
+    this process imported, also where pytest's ``pythonpath`` setting and
+    not PYTHONPATH put it on sys.path."""
+    with pytest.MonkeyPatch.context() as mp:
+        src = str(Path(aqbernstein.__file__).parents[1])
+        mp.setenv("PYTHONPATH", src, prepend=os.pathsep)
+        yield
 
 
 def pytest_terminal_summary(terminalreporter):
@@ -21,20 +34,22 @@ def pytest_terminal_summary(terminalreporter):
 
 
 def _flip_image_coefficient(monkeypatch, offset):
-    """Make eigen (which builds the monomial images for eigensystem and
-    verify) use a monomial_image that flips the sign of the x^(k-offset)
-    coefficient of T(t^k), k >= 2; returns the corrupted function."""
-    clean = aqbernstein.bernstein.monomial_image
+    """Make eigen and verify (which build the monomial images for eigensystem
+    and the verify grid) use a monomial_images that flips the sign of the
+    x^(k-offset) coefficient of T(t^k), k >= 2; returns the corrupted
+    function."""
+    clean = aqbernstein.bernstein.monomial_images
 
-    def corrupted(k, params):
-        image = clean(k, params)
-        if k < 2:
-            return image
-        coeffs = list(image.coeffs)
-        coeffs[k - offset] = -coeffs[k - offset]
-        return dataclasses.replace(image, coeffs=tuple(coeffs))
+    def corrupted(params, top):
+        images = clean(params, top)
+        for k in range(2, top + 1):
+            coeffs = list(images[k].coeffs)
+            coeffs[k - offset] = -coeffs[k - offset]
+            images[k] = dataclasses.replace(images[k], coeffs=tuple(coeffs))
+        return images
 
-    monkeypatch.setattr(aqbernstein.eigen, "monomial_image", corrupted)
+    monkeypatch.setattr(aqbernstein.eigen, "monomial_images", corrupted)
+    monkeypatch.setattr(aqbernstein.verify, "monomial_images", corrupted)
     return corrupted
 
 

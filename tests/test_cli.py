@@ -222,6 +222,13 @@ class TestLimits:
         proc = run_cli("limits", "--q", "1", "--alpha", "0", "--k", "2", expect=2)
         assert "no limit regime at q=1" in proc.stderr
 
+    def test_extreme_exponent_exit_2(self):
+        # an exact 1e-100000 used to run 9.7 s and 1e-1000000 past 60 s
+        proc = run_cli("limits", "--q", "1e-1000000", "--alpha", "0", "--k", "3",
+                       expect=2)
+        assert proc.stdout == ""
+        assert "exponent beyond +-4300 in '1e-1000000'" in proc.stderr
+
     def test_alpha_outside_unit_interval_exit_2(self):
         # as for eig and converge; alpha = 9/5 at q = 2 used to divide by zero
         for alpha in ["9/5", "-3"]:

@@ -283,7 +283,7 @@ class TestIntegerRecursion:
     @staticmethod
     def assert_matches_oracle(params, form):
         got = eigensystem(params).vectors
-        images = eigen.monomial_images(params, params.n)
+        images = bernstein.monomial_images(params, params.n)
         gaps = spectrum(params, params.n)[1]
         for k in range(params.n + 1):
             want = recursion_oracle(k, params, images, gaps)
@@ -357,6 +357,35 @@ class TestEigenSystem:
             assert system.lambdas == tuple(eigenvalue(k, params) for k in range(13))
             assert system.vectors == tuple(eigenvector(k, params) for k in range(13))
 
+    def test_one_triangle_per_image_set(self, monkeypatch):
+        # the images of one call read one q-Stirling triangle, built to row
+        # top + 1, and one falling table G_0..G_top, sized by the highest
+        # image and not by n: a triangle grown to row n + 1 for a small k at
+        # a large n made the convergence tables several times slower
+        built = []
+        clean_rows, clean_falling = bernstein.q_stirling2_rows, bernstein.falling_products
+
+        def rows(k, qints):
+            built.append(("rows", k, len(qints)))
+            return clean_rows(k, qints)
+
+        def falling(params, m):
+            built.append(("falling", m))
+            return clean_falling(params, m)
+
+        monkeypatch.setattr(bernstein, "q_stirling2_rows", rows)
+        monkeypatch.setattr(bernstein, "falling_products", falling)
+        for params in [OperatorParams(12, F(3, 2), F(2, 5)), OperatorParams(12, 1.5, 0.4)]:
+            built.clear()
+            eigensystem(params)
+            assert built == [("falling", 12), ("rows", 13, 14)]
+        for params in [OperatorParams(12, 0.5, 0.4), OperatorParams(200, F(3, 2), F(2, 5))]:
+            for k in (1, 3, 12):
+                for build in (eigenvector, bernstein.monomial_image):
+                    built.clear()
+                    build(k, params)
+                    assert built == [("falling", k), ("rows", k + 1, k + 2)], (params, k)
+
     def test_one_table_per_system(self, monkeypatch):
         # the spectrum, the monomial images and every recursion read the
         # q-sequences of one table, built once per OperatorParams object
@@ -381,17 +410,16 @@ class TestEigenSystem:
     def test_recursion_refuses_non_finite(self, monkeypatch):
         # an image coefficient past float range overflows p_3's x^2
         # coefficient; the recursion refuses it instead of returning inf
-        clean = eigen.monomial_image
+        clean = bernstein.monomial_images
 
-        def huge(k, params):
-            image = clean(k, params)
-            if k != 3:
-                return image
-            coeffs = list(image.coeffs)
+        def huge(params, top):
+            images = clean(params, top)
+            coeffs = list(images[3].coeffs)
             coeffs[2] = 1e308
-            return dataclasses.replace(image, coeffs=tuple(coeffs))
+            images[3] = dataclasses.replace(images[3], coeffs=tuple(coeffs))
+            return images
 
-        monkeypatch.setattr(eigen, "monomial_image", huge)
+        monkeypatch.setattr(eigen, "monomial_images", huge)
         with pytest.raises(FloatingPointError,
                            match=r"non-finite float in eigenvector: (-?inf|nan) "
                                  r"\(n=4, q=0.5, alpha=0.5, k=3\)"):
@@ -432,6 +460,20 @@ class TestEigenSystem:
         system = eigensystem(OperatorParams(4, F(1, 2), F(2, 5)))
         blob = json.dumps(system.as_dict())
         assert eigensystem_from_dict(json.loads(blob)) == system
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("n", 3.9, r"n must be an integer >= 1, got 3\.9"),
+        ("n", True, r"n must be an integer >= 1, got True"),
+        ("lambdas", 2, r"n=3 needs 4 lambdas and vectors, got 2 and 4"),
+        ("vectors", 3, r"n=3 needs 4 lambdas and vectors, got 4 and 3"),
+    ])
+    def test_from_dict_refuses_malformed(self, key, value, message):
+        # a float n used to be truncated and a short list accepted; value
+        # replaces n, or is the length a list is cut to
+        obj = eigensystem(OperatorParams(3, F(1, 2), F(2, 5))).as_dict()
+        obj[key] = value if key == "n" else obj[key][:value]
+        with pytest.raises(ValueError, match=message):
+            eigensystem_from_dict(obj)
 
     def test_from_dict_refuses_alpha_outside(self):
         obj = eigensystem(OperatorParams(2, F(1, 2), F(1))).as_dict()

@@ -13,6 +13,7 @@ from aqbernstein.bernstein import (
     basis_values,
     falling_products,
     monomial_image,
+    monomial_images,
     sample_nodes,
 )
 from aqbernstein.cli import main
@@ -405,11 +406,12 @@ class TestMonomialImage:
         grid += [(20, q, F(2, 5)) for q in (F(1, 2), F(1), F(3, 2))]
         for n, q, alpha in grid:
             exact = OperatorParams(n, q, alpha)
-            floats = OperatorParams(n, float(q), float(alpha))
+            exact_images = monomial_images(exact, n)
+            float_images = monomial_images(OperatorParams(n, float(q), float(alpha)), n)
             for k in range(1, n + 1):
                 want = per_coefficient_image(k, exact, stirling)
-                assert monomial_image(k, exact).coeffs == want, (n, q, alpha, k)
-                got = monomial_image(k, floats).coeffs
+                assert exact_images[k].coeffs == want, (n, q, alpha, k)
+                got = float_images[k].coeffs
                 for r, (g, w) in enumerate(zip(got, want)):
                     assert abs(g - float(w)) <= 1e-12 * abs(float(w)), (n, q, alpha, k, r)
 
@@ -442,7 +444,7 @@ def verify_calls():
     """run_verify(3) with the per-operator and per-q builders counted."""
     calls = {"systems": [], "images": 0, "tables": [], "qtables": []}
     build_system = verify.eigensystem_from_images
-    build_image = eigen.monomial_image
+    build_images = verify.monomial_images
     build_rows = verify.q_stirling2_rows
     build_qtable = bernstein.QTable
 
@@ -454,9 +456,9 @@ def verify_calls():
         calls["systems"].append(params)
         return build_system(params, images)
 
-    def image(k, params):
+    def images(params, top):
         calls["images"] += 1
-        return build_image(k, params)
+        return build_images(params, top)
 
     def rows(k, qints):
         calls["tables"].append(qints[2] - 1)  # [2]_q = 1 + q
@@ -464,7 +466,7 @@ def verify_calls():
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(verify, "eigensystem_from_images", system)
-        mp.setattr(eigen, "monomial_image", image)
+        mp.setattr(verify, "monomial_images", images)
         mp.setattr(verify, "q_stirling2_rows", rows)
         mp.setattr(bernstein, "QTable", qtable)
         report = run_verify(max_n=3)
@@ -478,8 +480,9 @@ class TestVerify:
         assert len(systems) == 75 and len(set(systems)) == 75
 
     def test_one_set_of_images_per_grid_operator(self, verify_calls):
-        # T(t^m), m = 1..n, once per operator: 25 (q, alpha) pairs per n
-        assert verify_calls["images"] == 25 * (1 + 2 + 3)
+        # T(t^m), m = 1..n, by one monomial_images call per operator:
+        # 25 (q, alpha) pairs for each of n = 1, 2, 3
+        assert verify_calls["images"] == 75
 
     def test_one_stirling_table_per_q(self, verify_calls):
         assert verify_calls["tables"] == list(verify.Q_GRID)
@@ -554,8 +557,10 @@ class TestFloatRefusal:
             spectrum(OperatorParams(n, q, alpha), n)
 
     def test_monomial_image(self):
-        with pytest.raises(FloatingPointError, match=r"in monomial_image: .* "
-                                                     r"\(n=1800, q=1.5, alpha=0.4, k=3\)"):
+        # the images of one call are built from k = 1 up, and T(t^1) already
+        # reads the nan [1800]_1.5 / [1800]_1.5
+        with pytest.raises(FloatingPointError, match=r"^non-finite float in monomial_image: "
+                                                     r"nan \(n=1800, q=1.5, alpha=0.4, k=1\)$"):
             monomial_image(3, OperatorParams(1800, 1.5, 0.4))
 
     def test_unit_eigenvalues_need_no_table_entry(self):
@@ -567,7 +572,7 @@ class TestFaultHook:
     def test_fault_changes_coefficients(self, corrupt_kernel):
         # the corrupted kernel reaches the eigen recursion and verify reports it
         params = OperatorParams(4, F(1, 2), F(1, 2))
-        assert eigen.monomial_image(3, params) != monomial_image(3, params)
+        assert eigen.monomial_images(params, 3) != monomial_images(params, 3)
         report = run_verify(max_n=2)
         assert not report.passed
         failed = [c for c in report.checks if not c.passed]

@@ -164,7 +164,7 @@ class TestQStirling:
 
     def test_rows_are_leading_blocks_of_one_triangle(self):
         # k + 1 rows of the width of qints from S_q(0, r) = [r = 0]; fewer
-        # rows or a narrower qints (as monomial_image passes [0]_q..[k+1]_q)
+        # rows or a narrower qints (as monomial_images passes [0]_q..[top+1]_q)
         # give the leading block of the larger triangle
         for q in Q_GRID:
             rows = stirling_rows(12, q, width=14)

@@ -1,6 +1,7 @@
 import json
 import math
 import sys
+import time
 from decimal import Decimal
 from fractions import Fraction
 
@@ -41,6 +42,23 @@ class TestParsing:
         for text in ["inf", "nan", "1/0"]:
             with pytest.raises(ValueError):
                 parse_scalar(text)
+
+    def test_exact_exponent_bound(self):
+        # exponents up to the int/str digit cap parse exactly; a larger one
+        # is refused before Fraction builds 10**|exponent|, which took
+        # 12 s at 1e-10000000
+        assert parse_scalar("1e-4300") == Fraction(1, 10**4300)
+        assert parse_scalar(" 3E+4_300 ") == 3 * 10**4300
+        assert parse_scalar("2.5e-0004300") == Fraction(5, 2 * 10**4300)
+        for text in ["1e-4301", "1e-1000000", "1.5E+1_000_000", "1e" + "9" * 5000]:
+            start = time.perf_counter()
+            with pytest.raises(ValueError, match=r"^exponent beyond \+-4300 in "):
+                parse_scalar(text)
+            assert time.perf_counter() - start < 0.1, text
+        # float mode reads such texts as before
+        assert parse_scalar("1e-1000000", "float") == 0.0
+        with pytest.raises(ValueError, match="must be finite"):
+            parse_scalar("1e1000000", "float")
 
 
 class TestModes:
@@ -86,6 +104,10 @@ class TestSerialization:
     def test_float_roundtrip(self):
         x = math.pi
         assert scalar_from_json(json.loads(json.dumps(scalar_to_json(x)))) == x
+
+    def test_zero_denominator_refused(self):
+        with pytest.raises(ValueError, match="zero denominator"):
+            scalar_from_json({"num": "1", "den": "0"})
 
     def test_past_the_digit_cap(self):
         # numerator and denominator of about 5000 digits, past the default
