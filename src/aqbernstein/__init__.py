@@ -36,7 +36,6 @@ from .polynomials import Polynomial, poly_eval
 from .scalars import (
     MixedModeError,
     Scalar,
-    Tolerance,
     format_scalar,
     parse_scalar,
     scalar_from_json,
@@ -56,7 +55,6 @@ __all__ = [
     "Polynomial",
     "RegimeError",
     "Scalar",
-    "Tolerance",
     "apply_to_samples",
     "basis_values",
     "convergence_table",

@@ -4,11 +4,18 @@ Two regimes exist, split by q (there is no limit regime at q = 1):
 
 * 0 < q < 1: lambda_k tends to q^(k(k-1)/2) and the eigenvector
   coefficients c_n(j,k) tend to alpha-independent limits b(j,k), defined by
-  a top-down recursion whose weights are q-Stirling numbers, read from the
-  production recurrence :func:`~aqbernstein.qcalc.q_stirling2_rows`.
+  a top-down recursion whose weights are q-Stirling numbers.
 
 * q > 1: every lambda_k tends to 1, and c_n(j,k) tends to d(j,k), a running
   product of one-step ratio limits that genuinely depend on alpha.
+
+:func:`limit_coeffs` is the one kernel for both regimes. It checks q and
+alpha once, by the rules of :class:`~aqbernstein.bernstein.OperatorParams`,
+builds [0]_q .. [k]_q once by the recurrence the operator's q-table runs,
+:func:`~aqbernstein.qcalc.q_integers`, and runs the recursion of the regime
+on that sequence: below 1 on the q-Stirling rows that
+:func:`~aqbernstein.qcalc.q_stirling2_rows` builds from it, above 1 on
+running sums of it.
 
 The one-step ratio for q > 1 is the limit of
 a_n(k-j, k-j+1) / (lambda_k - lambda_{k-j}). Carrying out that limit from
@@ -34,12 +41,13 @@ ratios move away from the simplified variants with either correction dropped.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Sequence
 
-from .bernstein import OperatorParams
+from .bernstein import OperatorParams, checked_q_alpha
 from .eigen import eigenvector
-from .qcalc import q_integer, q_stirling2_rows
-from .scalars import Scalar, coerce, common_mode
+from .qcalc import q_integers, q_stirling2_rows
+from .scalars import Scalar
 
 Q_BELOW_1 = "q_below_1"
 Q_ABOVE_1 = "q_above_1"
@@ -84,97 +92,48 @@ def limit_eigenvalue(q: Scalar, k: int) -> Scalar:
     return q * 0 + 1
 
 
-def _coerced_pair(q: Scalar, alpha: Scalar) -> tuple[Scalar, Scalar]:
-    """q and alpha in their common mode, with alpha in [0,1] as for
-    :class:`~aqbernstein.bernstein.OperatorParams`."""
-    mode = common_mode(q, alpha) or "exact"
-    q, alpha = coerce(q, mode), coerce(alpha, mode)
-    if not 0 <= alpha <= 1:
-        raise ValueError(f"alpha={alpha} is outside [0,1]")
-    return q, alpha
+def limit_coeffs(q: Scalar, alpha: Scalar, k: int) -> LimitCoeffs:
+    """The limit coefficients of degree k in the regime of q: b(j,k) for
+    0 < q < 1, d(j,k) for q > 1 (RegimeError at q = 1).
 
-
-def limit_coeffs_q_below_1(q: Scalar, alpha: Scalar, k: int) -> LimitCoeffs:
-    """Limit coefficients b(j,k) for 0 < q < 1 (alpha-free).
-
-    b(k,k) = 1, b(0,1) = 0, and for j = k-1 .. 0:
+    In both regimes coeffs[k] = 1 and, for k >= 1, coeffs[0] = 0. For
+    j = k-1 .. 1, below 1
 
         b(j,k) = sum_{i=j+1}^{k} (1-q)^(i-j) S_q(i,j)
-                 / (q^((k-j)(k+j-1)/2) - 1) * b(i,k).
+                 / (q^((k-j)(k+j-1)/2) - 1) * b(i,k),
 
-    S_q(i, .) is row i of :func:`~aqbernstein.qcalc.q_stirling2_rows`,
-    Carlitz's recurrence from row 0.
+    which gives 0 at j = 0 since S_q(i,0) = 0 for i >= 1; above 1
+    d(j,k) = rho_(k-j) d(j+1,k), the running product of the ratio limits
+    (see the module docstring), whose step to j = 0 would carry the factor
+    S_q(1,0) + (1-alpha) q^(-k) (q-1) [0]_q [1]_q = 0.
     """
-    q, alpha = _coerced_pair(q, alpha)
-    if regime_of(q) != Q_BELOW_1:
-        raise RegimeError(f"b-coefficients need 0 < q < 1, got q={q}")
+    q, alpha = checked_q_alpha(q, alpha)
+    regime = regime_of(q)
     if k < 0:
         raise ValueError(f"need k >= 0, got {k}")
-    b: list[Scalar] = [q * 0] * (k + 1)
-    b[k] = q * 0 + 1
-    # k = 1 is pinned directly: its j = 0 step would divide by q^0 - 1
-    if k >= 2:
-        stirling = q_stirling2_rows(k, [q_integer(m, q) for m in range(k + 1)])
-        for j in range(k - 1, -1, -1):
-            denom = q ** ((k - j) * (k + j - 1) // 2) - 1
-            assert denom != 0, "unreachable for q != 1 and j < k with k >= 2"
+    qint = q_integers(q, k)
+    coeffs = [q * 0] * k + [q * 0 + 1]
+    if regime == Q_BELOW_1:
+        stirling = q_stirling2_rows(k, qint)
+        for j in range(k - 1, 0, -1):
             total = q * 0
             for i in range(j + 1, k + 1):
-                total = total + (1 - q) ** (i - j) * stirling[i][j] * b[i]
-            b[j] = total / denom
-    return LimitCoeffs(Q_BELOW_1, q, alpha, k, tuple(b), limit_eigenvalue(q, k))
-
-
-def limit_ratio_q_above_1(q: Scalar, alpha: Scalar, k: int, j: int) -> Scalar:
-    """One-step coefficient ratio limit rho_j for q > 1 (see module docstring).
-
-    Valid for 1 <= j <= k-1; this is the limit of
-    a_n(k-j, k-j+1) / (lambda_k - lambda_{k-j}).
-    """
-    q, alpha = _coerced_pair(q, alpha)
-    if regime_of(q) != Q_ABOVE_1:
-        raise RegimeError(f"this ratio limit needs q > 1, got q={q}")
-    if not 1 <= j <= k - 1:
-        raise ValueError(f"need 1 <= j <= k-1, got j={j}, k={k}")
-    num = sum((q_integer(t, q) for t in range(1, k - j + 1)), q * 0) + (
-        1 - alpha
-    ) * (q - 1) * q ** (j - k) * q_integer(k - j, q) * q_integer(k - j + 1, q)
-    den = sum((q_integer(t, q) for t in range(k - j, k)), q * 0)
-    den = den + (1 - alpha) * q ** (1 - k) * (q**j - 1) * (
-        q ** (2 * k - j - 1) - 1
-    ) / (q - 1)
-    return -num / den
-
-
-def limit_coeffs_q_above_1(q: Scalar, alpha: Scalar, k: int) -> LimitCoeffs:
-    """Limit coefficients d(j,k) for q > 1: d(k,k) = 1, d(0,1) = 0, and
-    d(j,k) = prod over the ratio limits rho_1 .. rho_(k-j), built here by
-    the equivalent one-step recursion d(j,k) = rho_(k-j) d(j+1,k)."""
-    q, alpha = _coerced_pair(q, alpha)
-    if regime_of(q) != Q_ABOVE_1:
-        raise RegimeError(f"d-coefficients need q > 1, got q={q}")
-    if k < 0:
-        raise ValueError(f"need k >= 0, got {k}")
-    if k == 0:
-        coeffs: tuple[Scalar, ...] = (q * 0 + 1,)
-    elif k == 1:
-        coeffs = (q * 0, q * 0 + 1)
+                total = total + (1 - q) ** (i - j) * stirling[i][j] * coeffs[i]
+            coeffs[j] = total / (q ** ((k - j) * (k + j - 1) // 2) - 1)
     else:
-        # d(0,k) = 0 is pinned directly: the j = k product step would carry
-        # the factor S_q(1,0) + (1-alpha) q^(-k) (q-1) [0]_q [1]_q = 0.
-        d: list[Scalar] = [q * 0] * (k + 1)
-        d[k] = q * 0 + 1
+        heads = tuple(accumulate(qint))  # heads[j] = S_q(j+1, j)
+        tail = q * 0  # [j]_q + ... + [k-1]_q at step j
         for j in range(k - 1, 0, -1):
-            d[j] = d[j + 1] * limit_ratio_q_above_1(q, alpha, k, k - j)
-        coeffs = tuple(d)
-    return LimitCoeffs(Q_ABOVE_1, q, alpha, k, coeffs, limit_eigenvalue(q, k))
-
-
-def limit_coeffs(q: Scalar, alpha: Scalar, k: int) -> LimitCoeffs:
-    """Dispatch on the regime of q (RegimeError at q = 1)."""
-    if regime_of(q) == Q_BELOW_1:
-        return limit_coeffs_q_below_1(q, alpha, k)
-    return limit_coeffs_q_above_1(q, alpha, k)
+            tail = tail + qint[j]
+            # the second term of den keeps its closed form: in floats it is
+            # closer than (q-1) [k-j]_q [k+j-1]_q, and its power q^(2k-2)
+            # at j = k-1 raises OverflowError before any [m]_q here is inf
+            num = heads[j] + (1 - alpha) * (q - 1) * q ** -j * qint[j] * qint[j + 1]
+            den = tail + (1 - alpha) * q ** (1 - k) * (q ** (k - j) - 1) * (
+                q ** (k + j - 1) - 1
+            ) / (q - 1)
+            coeffs[j] = coeffs[j + 1] * (-num / den)
+    return LimitCoeffs(regime, q, alpha, k, tuple(coeffs), limit_eigenvalue(q, k))
 
 
 @dataclass(frozen=True)
@@ -209,8 +168,8 @@ def convergence_table(
         q, alpha = float(q), float(alpha)
     elif mode != "exact":
         raise ValueError(f"unknown mode {mode!r}")
-    q, alpha = _coerced_pair(q, alpha)
     limits = limit_coeffs(q, alpha, k)
+    q, alpha = limits.q, limits.alpha
     rows = []
     for n in n_list:
         if n < max(k, 1):

@@ -37,7 +37,7 @@ from itertools import accumulate
 from typing import Sequence
 
 from .polynomials import Polynomial
-from .qcalc import q_difference_table, q_stirling2_rows
+from .qcalc import q_difference_table, q_integers, q_stirling2_rows
 from .scalars import MixedModeError, Scalar, coerce, common_mode, require_finite
 
 
@@ -49,9 +49,8 @@ class QTable:
     def __init__(self, n: int, q: Scalar):
         self.n, self.zero = n, q * 0
         self.one = one = self.zero + 1
-        steps = range(2 * n - 1)
-        self.powers = tuple(accumulate(steps, lambda p, _: q * p, initial=one))
-        self.integers = tuple(accumulate(steps, lambda t, _: one + q * t, initial=self.zero))
+        self.powers = tuple(accumulate(range(2 * n - 1), lambda p, _: q * p, initial=one))
+        self.integers = q_integers(q, 2 * n - 1)
 
     @cached_property
     def binomials(self) -> dict[int, tuple[Scalar, ...]]:
@@ -63,6 +62,20 @@ class QTable:
                                 initial=self.one))
             for m in range(max(self.n - 2, 0), self.n + 1)
         }
+
+
+def checked_q_alpha(q: Scalar, alpha: Scalar) -> tuple[Scalar, Scalar]:
+    """q and alpha in their common scalar mode (ints count as exact), or
+    ValueError unless q is finite and positive and alpha lies in [0,1]."""
+    mode = common_mode(q, alpha) or "exact"
+    q, alpha = coerce(q, mode), coerce(alpha, mode)
+    if mode == "float" and not math.isfinite(q):
+        raise ValueError(f"q must be finite, got {q}")
+    if not q > 0:
+        raise ValueError(f"q must be positive, got {q}")
+    if not 0 <= alpha <= 1:
+        raise ValueError(f"alpha={alpha} is outside [0,1]")
+    return q, alpha
 
 
 @dataclass(frozen=True)
@@ -81,17 +94,9 @@ class OperatorParams:
     def __post_init__(self):
         if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 1:
             raise ValueError(f"n must be an integer >= 1, got {self.n!r}")
-        mode = common_mode(self.q, self.alpha) or "exact"
-        object.__setattr__(self, "q", coerce(self.q, mode))
-        object.__setattr__(self, "alpha", coerce(self.alpha, mode))
-        if mode == "float" and not (math.isfinite(self.q) and math.isfinite(self.alpha)):
-            raise ValueError(
-                f"q and alpha must be finite, got q={self.q}, alpha={self.alpha}"
-            )
-        if not self.q > 0:
-            raise ValueError(f"q must be positive, got {self.q}")
-        if not 0 <= self.alpha <= 1:
-            raise ValueError(f"alpha={self.alpha} is outside [0,1]")
+        q, alpha = checked_q_alpha(self.q, self.alpha)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "alpha", alpha)
 
     @property
     def mode(self) -> str:

@@ -208,7 +208,8 @@ class EigenSystem:
 def eigensystem_from_dict(obj: dict) -> EigenSystem:
     """Rebuild an EigenSystem from its ``as_dict`` form; its parameters are
     validated as by :class:`OperatorParams` (an int n >= 1, alpha in [0,1]),
-    and ``lambdas`` and ``vectors`` must hold n + 1 entries each."""
+    ``lambdas`` and ``vectors`` must hold n + 1 entries each, and
+    ``vectors[k]`` must be monic of degree k."""
     q = scalar_from_json(obj["q"])
     alpha = scalar_from_json(obj["alpha"])
     params = OperatorParams(obj["n"], q, alpha)
@@ -222,6 +223,9 @@ def eigensystem_from_dict(obj: dict) -> EigenSystem:
             f"n={params.n} needs {params.n + 1} lambdas and vectors, "
             f"got {len(lambdas)} and {len(vectors)}"
         )
+    for k, vec in enumerate(vectors):
+        if vec.degree != k or vec.coeffs[k] != 1:
+            raise ValueError(f"vectors[{k}] is not monic of degree {k}")
     return EigenSystem(params, lambdas, vectors)
 
 

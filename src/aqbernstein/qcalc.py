@@ -6,16 +6,20 @@ q-differences of sample sequences. Everything specializes to the classical
 object at q = 1.
 
 All functions are generic over the scalar mode of q: exact rationals give
-exact results, floats give floats. Functions are pure. The q-Stirling
-numbers have one production kernel, ``q_stirling2_rows``: Carlitz's
-recurrence run from row 0, which the monomial images and the q < 1 limit
-coefficients both read. The explicit alternating sum for the same numbers
-(with the q-factorials and q-binomials it needs) is the oracle, and lives
-in :mod:`aqbernstein.verify`.
+exact results, floats give floats. Functions are pure. Each object has one
+production kernel. The q-integers come from ``q_integers``, the recurrence
+[m+1]_q = 1 + q [m]_q that the operator's q-table and the limit
+coefficients both run. The q-Stirling numbers come from
+``q_stirling2_rows``, Carlitz's recurrence run from row 0, which the
+monomial images and the q < 1 limit coefficients both read. The closed
+form (q^n - 1)/(q - 1) and the explicit alternating q-Stirling sum (with
+the q-factorials and q-binomials it needs) are the oracles, and live in
+:mod:`aqbernstein.verify`.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import Sequence
 
 from .scalars import Scalar
@@ -26,16 +30,10 @@ def _require_positive_q(q: Scalar) -> None:
         raise ValueError(f"q must be positive, got {q}")
 
 
-def q_integer(n: int, q: Scalar) -> Scalar:
-    """[n]_q = 1 + q + ... + q^(n-1), with [0]_q = 0."""
-    _require_positive_q(q)
-    if n < 0:
-        raise ValueError(f"q-integer needs n >= 0, got {n}")
-    if n == 0:
-        return q * 0
-    if q == 1:
-        return q * 0 + n
-    return (q**n - 1) / (q - 1)
+def q_integers(q: Scalar, top: int) -> tuple[Scalar, ...]:
+    """[0]_q .. [top]_q, each from the one before by [m+1]_q = 1 + q [m]_q
+    (in float mode, infinite past float range)."""
+    return tuple(accumulate(range(top), lambda t, _: 1 + q * t, initial=q * 0))
 
 
 def q_stirling2_rows(k: int, qints: Sequence[Scalar]) -> list[list[Scalar]]:

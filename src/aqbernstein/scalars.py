@@ -7,9 +7,9 @@ silently; combining scalars of different modes raises MixedModeError.
 
 Python ints are accepted wherever a scalar is expected and absorb into the
 surrounding mode (they are exact in either). Exact mode is the default
-throughout; float mode exists for large-degree asymptotics runs and carries
-an explicit comparison tolerance, since float results are only meaningful up
-to rounding.
+throughout; float mode exists for large-degree asymptotics runs, and its
+results are only meaningful up to rounding, so compare them with
+``math.isclose`` and a stated tolerance, not with ``==``.
 
 Serialized forms: an exact rational becomes ``{"num": "...", "den": "..."}``
 (strings, so arbitrary precision survives JSON); a float stays a plain JSON
@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from typing import Union
@@ -43,21 +42,6 @@ _MAX_EXPONENT = 4300
 
 class MixedModeError(TypeError):
     """Raised when exact-rational and float scalars meet in one operation."""
-
-
-@dataclass(frozen=True)
-class Tolerance:
-    """Comparison tolerance for float-mode scalars.
-
-    Two floats compare equal when they are within ``rel_tol`` relatively or
-    ``abs_tol`` absolutely (the ``math.isclose`` convention).
-    """
-
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-12
-
-    def close(self, a: float, b: float) -> bool:
-        return math.isclose(a, b, rel_tol=self.rel_tol, abs_tol=self.abs_tol)
 
 
 def coerce(x: Scalar | int, mode: str) -> Scalar:

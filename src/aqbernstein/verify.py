@@ -10,11 +10,12 @@ explicit sum, the closed-form low-degree eigenvectors come out, and the
 operator axioms (endpoint interpolation, invariance of a t + b, degree
 reduction, partition of unity) hold.
 
-The oracles that exist only to be compared against live here: the explicit
-alternating sum for the q-Stirling numbers, and the q-factorials and
-q-binomials it and the closed-form eigenvalue are built from. Production
-computes the q-Stirling numbers one way only, by
-:func:`aqbernstein.qcalc.q_stirling2_rows`.
+The oracles that exist only to be compared against live here: the closed
+form (q^n - 1)/(q - 1) of the q-integers, the explicit alternating sum for
+the q-Stirling numbers, and the q-factorials and q-binomials it and the
+closed-form eigenvalue are built from. Production computes the q-integers
+one way only, by :func:`aqbernstein.qcalc.q_integers`, and the q-Stirling
+numbers one way only, by :func:`aqbernstein.qcalc.q_stirling2_rows`.
 
 Each grid operator's monomial images T(t^m), m = 1..n, are built once, by
 one :func:`~aqbernstein.bernstein.monomial_images` call on one q-Stirling
@@ -22,12 +23,12 @@ triangle built to row n + 1: the eigensystem is assembled from them, and
 the leading-coefficient check reads a(k,k) from the same images. That
 eigensystem is shared by every check that reads eigenvalues or
 eigenvectors (eigen relation, leading coefficient, distinctness, the
-low-degree eigenvectors and degree reduction). The
-production q-Stirling rows are built once per q and compared entry by
-entry with the explicit sum, and the representation check evaluates each
-basis row once for all its sample vectors. Every check reads the same grid
-objects, so each operator's q-table (``OperatorParams.table``) and its
-q-binomial rows are built once.
+low-degree eigenvectors and degree reduction). The production q-Stirling
+rows are built once per q, from the production q-integers, and compared
+entry by entry with the explicit sum, and the representation check
+evaluates each basis row once for all its sample vectors. Every check
+reads the same grid objects, so each operator's q-table
+(``OperatorParams.table``) and its q-binomial rows are built once.
 
 Every check reports its case count and, on failure, the first
 counterexample in serialized form. The suite is deterministic: the random
@@ -51,7 +52,7 @@ from .bernstein import (
 )
 from .eigen import EigenSystem, eigensystem_from_images
 from .polynomials import Polynomial, poly_eval, poly_scale
-from .qcalc import q_integer, q_stirling2_rows
+from .qcalc import q_integers, q_stirling2_rows
 from .scalars import Scalar, format_scalar
 
 Q_GRID = (Fraction(1, 3), Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2))
@@ -116,6 +117,20 @@ def _grid(max_n: int):
                 yield OperatorParams(n, q, alpha)
 
 
+def q_integer(n: int, q: Scalar) -> Scalar:
+    """[n]_q = 1 + q + ... + q^(n-1), with [0]_q = 0, by the closed form
+    (q^n - 1)/(q - 1); the oracle for :func:`aqbernstein.qcalc.q_integers`."""
+    if not q > 0:
+        raise ValueError(f"q must be positive, got {q}")
+    if n < 0:
+        raise ValueError(f"q-integer needs n >= 0, got {n}")
+    if n == 0:
+        return q * 0
+    if q == 1:
+        return q * 0 + n
+    return (q**n - 1) / (q - 1)
+
+
 def q_factorial(n: int, q: Scalar) -> Scalar:
     """[n]_q! = [1]_q [2]_q ... [n]_q, with [0]_q! = 1."""
     out = q * 0 + 1
@@ -164,8 +179,8 @@ def check_stirling_cross() -> CheckResult:
     entry, for 0 <= k, r <= STIRLING_MAX_KR; one set of rows per q."""
     cases = 0
     for q in Q_GRID:
-        qints = [q_integer(m, q) for m in range(STIRLING_MAX_KR + 1)]
-        for k, row in enumerate(q_stirling2_rows(STIRLING_MAX_KR, qints)):
+        rows = q_stirling2_rows(STIRLING_MAX_KR, q_integers(q, STIRLING_MAX_KR))
+        for k, row in enumerate(rows):
             for r, b in enumerate(row):
                 cases += 1
                 a = q_stirling2(k, r, q)

@@ -12,7 +12,7 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 
-from aqbernstein.asymptotics import limit_coeffs_q_above_1, limit_coeffs_q_below_1
+from aqbernstein.asymptotics import limit_coeffs
 from aqbernstein.bernstein import (
     OperatorParams,
     apply_to_samples,
@@ -23,8 +23,8 @@ from aqbernstein.bernstein import (
 from aqbernstein.cli import main
 from aqbernstein.eigen import eigensystem, eigenvalue, eigenvector
 from aqbernstein.polynomials import Polynomial, poly_eval, poly_scale
-from aqbernstein.qcalc import q_integer, q_stirling2_rows
-from aqbernstein.verify import closed_form_eigenvalue, q_stirling2
+from aqbernstein.qcalc import q_stirling2_rows
+from aqbernstein.verify import closed_form_eigenvalue, q_integer, q_stirling2
 from test_operator import basis_sum
 
 F = Fraction
@@ -142,7 +142,7 @@ def test_criterion_07_limit_convergence_q_below_1():
         schedule = [25, 50, 100, 200]
         alphas = [0.0, 0.5, 1.0]
         for k in range(2, 6):
-            limits = limit_coeffs_q_below_1(q, 0.0, k).coeffs
+            limits = limit_coeffs(q, 0.0, k).coeffs
             coeffs = {}  # (n, alpha) -> coefficient list
             for n in schedule:
                 for alpha in alphas:
@@ -173,7 +173,7 @@ def test_criterion_08_limit_convergence_q_above_1():
         for q in [1.5, 2.0]:
             for alpha in [0.0, 0.5, 1.0]:
                 for k in range(2, 5):
-                    limits = limit_coeffs_q_above_1(q, alpha, k).coeffs
+                    limits = limit_coeffs(q, alpha, k).coeffs
                     errs = []
                     for n in schedule:
                         vec = eigenvector(k, OperatorParams(n, q, alpha))

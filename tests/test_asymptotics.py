@@ -1,4 +1,6 @@
+import math
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
@@ -8,18 +10,69 @@ from aqbernstein.asymptotics import (
     RegimeError,
     convergence_table,
     limit_coeffs,
-    limit_coeffs_q_above_1,
-    limit_coeffs_q_below_1,
     limit_eigenvalue,
-    limit_ratio_q_above_1,
     regime_of,
 )
 from aqbernstein.bernstein import OperatorParams, monomial_image
 from aqbernstein.eigen import eigenvector, spectrum
-from aqbernstein.qcalc import q_integer
-from aqbernstein.verify import q_stirling2
+from aqbernstein.verify import q_integer, q_stirling2
 
 F = Fraction
+# the exact grid on which limit_coeffs must equal the oracles below
+ORACLE_QS = [F(1, 3), F(1, 2), F(2, 3), F(3, 2), F(2), F(3), F(7, 3)]
+ORACLE_ALPHAS = [F(0), F(1, 4), F(2, 5), F(1, 2), F(1)]
+ORACLE_MAX_K = 15
+
+
+@lru_cache(maxsize=None)
+def stirling_oracle(k, r, q):
+    return q_stirling2(k, r, q)
+
+
+def recursion_oracle_q_below_1(q, k):
+    """b(j,k) by its top-down recursion, j = k-1 .. 0, with S_q(i,j) from the
+    explicit sum; b(k,k) = 1, and b(0,1) = 0 is pinned (its step would
+    divide by q^0 - 1)."""
+    if k <= 1:
+        return (F(1),) if k == 0 else (F(0), F(1))
+    b = [F(0)] * k + [F(1)]
+    for j in range(k - 1, -1, -1):
+        total = sum((1 - q) ** (i - j) * stirling_oracle(i, j, q) * b[i]
+                    for i in range(j + 1, k + 1))
+        b[j] = total / (q ** ((k - j) * (k + j - 1) // 2) - 1)
+    return tuple(b)
+
+
+@lru_cache(maxsize=None)
+def ratio_oracle_q_above_1(q, alpha, k, j):
+    """rho_j of the asymptotics module docstring, each q-integer by its
+    closed form and S_q(k-j+1, k-j) by the explicit sum."""
+    num = stirling_oracle(k - j + 1, k - j, q) + (1 - alpha) * (q - 1) * q ** (
+        j - k) * q_integer(k - j, q) * q_integer(k - j + 1, q)
+    den = sum(q_integer(t, q) for t in range(k - j, k)) + (1 - alpha) * q ** (
+        1 - k) * (q**j - 1) * (q ** (2 * k - j - 1) - 1) / (q - 1)
+    return -num / den
+
+
+def product_oracle_q_above_1(q, alpha, k):
+    """d(j,k) = rho_1 ... rho_(k-j), from scratch for each j; for k >= 2 the
+    product runs to j = 0, where rho_k has a zero numerator, and d(0,1) = 0
+    is pinned (rho_1 at k = 1 is 0/0)."""
+    if k <= 1:
+        return (F(1),) if k == 0 else (F(0), F(1))
+    d = []
+    for j in range(k + 1):
+        product = F(1)
+        for i in range(1, k - j + 1):
+            product *= ratio_oracle_q_above_1(q, alpha, k, i)
+        d.append(product)
+    return tuple(d)
+
+
+def limit_ratio(q, alpha, k, j):
+    """rho_j read from limit_coeffs as d(k-j,k) / d(k-j+1,k)."""
+    d = limit_coeffs(q, alpha, k).coeffs
+    return d[k - j] / d[k - j + 1]
 
 
 def literal_limit_coeffs_q_below_1(q, k):
@@ -136,29 +189,25 @@ class TestLimitMonomialCoeff:
 
 class TestLimitsBelowOne:
     def test_boundary_rows(self):
-        assert limit_coeffs_q_below_1(F(1, 2), F(0), 0).coeffs == (1,)
-        assert limit_coeffs_q_below_1(F(1, 2), F(1), 1).coeffs == (0, 1)
+        assert limit_coeffs(F(1, 2), F(0), 0).coeffs == (1,)
+        assert limit_coeffs(F(1, 2), F(1), 1).coeffs == (0, 1)
 
     def test_degree_two_matches_universal_eigenvector(self):
         for q in [F(1, 4), F(1, 2), F(3, 4)]:
-            lc = limit_coeffs_q_below_1(q, F(1, 2), 2)
+            lc = limit_coeffs(q, F(1, 2), 2)
             assert lc.coeffs == (0, -1, 1)
             assert lc.limit_lambda == q
 
     def test_alpha_free(self):
         for k in range(5):
-            a = limit_coeffs_q_below_1(F(2, 5), F(0), k)
-            b = limit_coeffs_q_below_1(F(2, 5), F(1), k)
+            a = limit_coeffs(F(2, 5), F(0), k)
+            b = limit_coeffs(F(2, 5), F(1), k)
             assert a.coeffs == b.coeffs
-
-    def test_regime_guard(self):
-        with pytest.raises(RegimeError):
-            limit_coeffs_q_below_1(F(2), F(0), 2)
 
     def test_finite_coefficients_converge(self):
         q = 0.5
         for k in range(2, 6):
-            b = limit_coeffs_q_below_1(q, 0.5, k).coeffs
+            b = limit_coeffs(q, 0.5, k).coeffs
             errs = []
             for n in [25, 50, 100]:
                 c = eigenvector(k, OperatorParams(n, q, 0.5))
@@ -171,8 +220,8 @@ class TestLimitsBelowOne:
         # in floats as the explicit sum does (relative error 8.2 and 9.6e52
         # at these points with the sum)
         for q, k in [(F(1, 2), 12), (F(1, 5), 12)]:
-            exact = limit_coeffs_q_below_1(q, F(2, 5), k).coeffs
-            floats = limit_coeffs_q_below_1(float(q), 0.4, k).coeffs
+            exact = limit_coeffs(q, F(2, 5), k).coeffs
+            floats = limit_coeffs(float(q), 0.4, k).coeffs
             for j, (got, want) in enumerate(zip(floats, exact)):
                 assert abs(got - want) <= 1e-10 * abs(want), (q, k, j)
 
@@ -182,7 +231,7 @@ class TestLimitsBelowOne:
         q = F(1, 2)
         for k in [3, 4]:
             literal = literal_limit_coeffs_q_below_1(q, k)
-            correct = limit_coeffs_q_below_1(q, F(1, 2), k).coeffs
+            correct = limit_coeffs(q, F(1, 2), k).coeffs
             assert literal != correct
             c = eigenvector(k, OperatorParams(100, 0.5, 0.5))
             err_lit = max(abs(c.coeff(j) - float(literal[j])) for j in range(k + 1))
@@ -193,36 +242,30 @@ class TestLimitsBelowOne:
 
 class TestLimitsAboveOne:
     def test_boundary_rows(self):
-        assert limit_coeffs_q_above_1(F(2), F(0), 0).coeffs == (1,)
-        assert limit_coeffs_q_above_1(F(2), F(0), 1).coeffs == (0, 1)
-        assert limit_coeffs_q_above_1(F(2), F(0), 1).limit_lambda == 1
+        assert limit_coeffs(F(2), F(0), 0).coeffs == (1,)
+        assert limit_coeffs(F(2), F(0), 1).coeffs == (0, 1)
+        assert limit_coeffs(F(2), F(0), 1).limit_lambda == 1
 
     def test_degree_two_matches_universal_eigenvector(self):
         # the exact degree-2 eigenvector x^2 - x holds at every n, so the
         # limit coefficient must be -1 for every alpha
         for q in [F(3, 2), F(2), F(3)]:
             for alpha in [F(0), F(1, 2), F(1)]:
-                assert limit_coeffs_q_above_1(q, alpha, 2).coeffs == (0, -1, 1)
+                assert limit_coeffs(q, alpha, 2).coeffs == (0, -1, 1)
 
     def test_ratio_alpha_one_specialization(self):
         for k in range(2, 6):
             for j in range(1, k):
-                got = limit_ratio_q_above_1(F(2), F(1), k, j)
+                got = limit_ratio(F(2), F(1), k, j)
                 denom = sum(q_integer(t, F(2)) for t in range(k - j, k))
                 assert got == -q_stirling2(k - j + 1, k - j, F(2)) / denom
-
-    def test_ratio_range_guards(self):
-        with pytest.raises(RegimeError):
-            limit_ratio_q_above_1(F(1, 2), F(0), 3, 1)
-        with pytest.raises(ValueError):
-            limit_ratio_q_above_1(F(2), F(0), 3, 3)
 
     def test_finite_ratios_converge_to_corrected(self):
         for q in [1.5, 2.0]:
             for alpha in [0.0, 0.5, 1.0]:
                 for k in range(2, 6):
                     for j in range(1, k):
-                        want = limit_ratio_q_above_1(q, alpha, k, j)
+                        want = limit_ratio(q, alpha, k, j)
                         e30 = abs(finite_ratio(q, alpha, k, j, j - 1, 30) - want)
                         e60 = abs(finite_ratio(q, alpha, k, j, j - 1, 60) - want)
                         assert e60 <= e30 + 1e-9
@@ -233,7 +276,7 @@ class TestLimitsAboveOne:
             for alpha in [0.0, 0.5]:
                 got = finite_ratio(q, alpha, 3, 1, 0, 60)
                 literal = uncorrected_limit_ratio_q_above_1(q, alpha, 3, 1)
-                corrected = limit_ratio_q_above_1(q, alpha, 3, 1)
+                corrected = limit_ratio(q, alpha, 3, 1)
                 assert abs(got - corrected) < 1e-9
                 assert abs(got - literal) > 0.05
 
@@ -247,24 +290,9 @@ class TestLimitsAboveOne:
                         assert r60 <= r30 + 1e-9
                         assert r60 < 1e-6
 
-    def test_product_equals_recursion(self):
-        # running the one-step recursion must agree exactly with taking the
-        # product of ratio limits from scratch for each j
-        for q in [F(3, 2), F(2)]:
-            for alpha in [F(0), F(2, 5), F(1)]:
-                for k in range(2, 6):
-                    d = limit_coeffs_q_above_1(q, alpha, k).coeffs
-                    for j in range(1, k):
-                        product = F(1)
-                        for i in range(1, k - j + 1):
-                            product *= limit_ratio_q_above_1(q, alpha, k, i)
-                        assert d[j] == product
-                    assert d[k] == 1
-                    assert d[0] == 0
-
     def test_alpha_dependence_survives(self):
-        d0 = limit_coeffs_q_above_1(F(2), F(0), 3).coeffs
-        d1 = limit_coeffs_q_above_1(F(2), F(1), 3).coeffs
+        d0 = limit_coeffs(F(2), F(0), 3).coeffs
+        d1 = limit_coeffs(F(2), F(1), 3).coeffs
         assert d0 != d1
         assert d0[1] == F(10, 27)
 
@@ -272,7 +300,7 @@ class TestLimitsAboveOne:
         for q in [1.5, 2.0]:
             for alpha in [0.0, 0.5, 1.0]:
                 for k in range(2, 5):
-                    d = limit_coeffs_q_above_1(q, alpha, k).coeffs
+                    d = limit_coeffs(q, alpha, k).coeffs
                     errs = []
                     for n in [20, 40, 80]:
                         c = eigenvector(k, OperatorParams(n, q, alpha))
@@ -280,15 +308,29 @@ class TestLimitsAboveOne:
                     assert errs[2] <= errs[1] + 1e-9 and errs[1] <= errs[0] + 1e-9
                     assert errs[2] < 1e-4
 
-    def test_regime_guard(self):
-        with pytest.raises(RegimeError):
-            limit_coeffs_q_above_1(F(1, 2), F(0), 2)
-
 
 class TestDispatch:
     def test_routes_by_regime(self):
         assert limit_coeffs(F(1, 2), F(0), 2).regime == Q_BELOW_1
         assert limit_coeffs(F(2), F(0), 2).regime == Q_ABOVE_1
+
+    def test_equals_the_oracles(self):
+        # Fraction for Fraction: the b(j,k) recursion below 1, and above 1
+        # the product of the ratio formula taken from scratch for each j
+        for q in ORACLE_QS:
+            for alpha in ORACLE_ALPHAS:
+                for k in range(ORACLE_MAX_K + 1):
+                    lc = limit_coeffs(q, alpha, k)
+                    want = (recursion_oracle_q_below_1(q, k) if q < 1
+                            else product_oracle_q_above_1(q, alpha, k))
+                    assert lc.coeffs == want, (q, alpha, k)
+                    assert lc.limit_lambda == limit_eigenvalue(q, k)
+
+    def test_non_finite_q_rejected(self):
+        # an infinite q used to give (nan, nan, nan, nan) without error
+        for q in [math.inf, math.nan]:
+            with pytest.raises(ValueError, match="q must be finite"):
+                limit_coeffs(q, 0.4, 3)
 
     def test_q_one_rejected(self):
         with pytest.raises(RegimeError):
@@ -300,8 +342,6 @@ class TestDispatch:
         for q, alpha in [(F(1, 2), -3), (F(2), F(9, 5)), (2.0, float("nan"))]:
             with pytest.raises(ValueError, match=r"outside \[0,1\]"):
                 limit_coeffs(q, alpha, 3)
-        with pytest.raises(ValueError, match="outside"):
-            limit_ratio_q_above_1(F(2), F(9, 5), 3, 1)
         with pytest.raises(ValueError, match="outside"):
             convergence_table(F(1, 2), F(6, 5), 2, [10], mode="exact")
 

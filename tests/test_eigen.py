@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import random
 import sys
 from fractions import Fraction
@@ -22,9 +23,7 @@ from aqbernstein.eigen import (
     spectrum,
 )
 from aqbernstein.polynomials import Polynomial, poly_eval, poly_scale
-from aqbernstein.qcalc import q_integer
-from aqbernstein.scalars import Tolerance
-from aqbernstein.verify import closed_form_eigenvalue, q_factorial
+from aqbernstein.verify import closed_form_eigenvalue, q_factorial, q_integer
 
 F = Fraction
 Q_GRID = [F(1, 3), F(1, 2), F(1), F(3, 2), F(2)]
@@ -475,6 +474,22 @@ class TestEigenSystem:
         with pytest.raises(ValueError, match=message):
             eigensystem_from_dict(obj)
 
+    def test_float_json_roundtrip(self):
+        system = eigensystem(OperatorParams(6, 1.5, 0.4))
+        assert eigensystem_from_dict(json.loads(json.dumps(system.as_dict()))) == system
+
+    def test_from_dict_refuses_swapped_vectors(self):
+        obj = eigensystem(OperatorParams(3, F(1, 2), F(2, 5))).as_dict()
+        obj["vectors"][2], obj["vectors"][3] = obj["vectors"][3], obj["vectors"][2]
+        with pytest.raises(ValueError, match=r"vectors\[2\] is not monic of degree 2"):
+            eigensystem_from_dict(obj)
+
+    def test_from_dict_refuses_non_monic_vector(self):
+        obj = eigensystem(OperatorParams(3, F(1, 2), F(2, 5))).as_dict()
+        obj["vectors"][3][3] = {"num": "2", "den": "1"}
+        with pytest.raises(ValueError, match=r"vectors\[3\] is not monic of degree 3"):
+            eigensystem_from_dict(obj)
+
     def test_from_dict_refuses_alpha_outside(self):
         obj = eigensystem(OperatorParams(2, F(1, 2), F(1))).as_dict()
         obj["alpha"] = {"num": "6", "den": "5"}
@@ -485,13 +500,13 @@ class TestEigenSystem:
         params = OperatorParams(5, 0.5, 0.25)
         system = eigensystem(params)
         nodes = sample_nodes(params)
-        tol = Tolerance(rel_tol=1e-9, abs_tol=1e-12)
         for k in range(6):
             p = system.vectors[k]
             image = apply_to_samples([poly_eval(p, t) for t in nodes], params)
             want = poly_scale(p, system.lambdas[k])
             for j in range(6):
-                assert tol.close(image.coeff(j), want.coeff(j)), (k, j)
+                assert math.isclose(image.coeff(j), want.coeff(j),
+                                    rel_tol=1e-9, abs_tol=1e-12), (k, j)
 
 
 RECURSION_FLOOR = pytest.mark.xfail(

@@ -1,5 +1,6 @@
 import functools
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -19,9 +20,9 @@ from aqbernstein.bernstein import (
 from aqbernstein.cli import main
 from aqbernstein.eigen import eigenvalue, spectrum
 from aqbernstein.polynomials import Polynomial, poly_eval
-from aqbernstein.qcalc import q_difference_table, q_integer
-from aqbernstein.scalars import MixedModeError, Tolerance, format_scalar
-from aqbernstein.verify import q_binomial, q_factorial, q_stirling2, run_verify
+from aqbernstein.qcalc import q_difference_table
+from aqbernstein.scalars import MixedModeError, format_scalar
+from aqbernstein.verify import q_binomial, q_factorial, q_integer, q_stirling2, run_verify
 
 F = Fraction
 Q_GRID = [F(1, 2), F(1), F(3, 2), F(2)]
@@ -30,6 +31,8 @@ XS = [F(0), F(1, 4), F(1, 2), F(3, 4), F(1)]
 # float parameters; F(v) of each is its exact value, the exact-mode reference
 FLOAT_Q_GRID = [0.5, 1.0, 1.5]
 FLOAT_A_GRID = [0.0, 0.4, 1.0]
+# the float-against-exact comparison of these tests
+close = functools.partial(math.isclose, rel_tol=1e-10, abs_tol=1e-12)
 
 
 def basis_sum(samples, row):
@@ -122,14 +125,13 @@ class TestNodes:
 
     def test_float_matches_exact(self):
         # the float nodes come from the q-integer recurrence
-        tol = Tolerance()
         for n in range(1, 13):
             for q in FLOAT_Q_GRID:
                 for alpha in FLOAT_A_GRID:
                     got = sample_nodes(OperatorParams(n, q, alpha))
                     want = sample_nodes(OperatorParams(n, F(q), F(alpha)))
                     assert got[0] == 0 and got[-1] == 1, (n, q)
-                    assert all(tol.close(u, float(v)) for u, v in zip(got, want)), \
+                    assert all(close(u, float(v)) for u, v in zip(got, want)), \
                         (n, q, alpha)
 
 
@@ -175,7 +177,6 @@ class TestBasis:
     def test_float_matches_exact(self):
         # the float rows come from running products and the q-integer
         # recurrence; exact mode on the same inputs is the reference
-        tol = Tolerance()
         for n in range(1, 13):
             for q in FLOAT_Q_GRID:
                 for alpha in FLOAT_A_GRID:
@@ -184,7 +185,7 @@ class TestBasis:
                     for x in XS:
                         got = basis_values(floats, float(x))
                         want = basis_values(exact, x)
-                        assert all(tol.close(u, float(v)) for u, v in zip(got, want)), \
+                        assert all(close(u, float(v)) for u, v in zip(got, want)), \
                             (n, q, alpha, x)
 
     def test_nonsingular_at_removable_point(self):
@@ -279,7 +280,6 @@ class TestApply:
 
     def test_float_matches_exact(self):
         rng = random.Random(6)
-        tol = Tolerance()
         for n in range(1, 13):
             for q in FLOAT_Q_GRID:
                 for alpha in FLOAT_A_GRID:
@@ -289,7 +289,7 @@ class TestApply:
                         [F(v) for v in f], OperatorParams(n, F(q), F(alpha))
                     )
                     for j in range(n + 1):
-                        assert tol.close(got.coeff(j), float(want.coeff(j))), \
+                        assert close(got.coeff(j), float(want.coeff(j))), \
                             (n, q, alpha, j)
 
     def test_representation_equivalence(self):

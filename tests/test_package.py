@@ -9,7 +9,7 @@ import aqbernstein.bernstein
 
 PUBLIC = """
 ConvergenceRow DegenerateEigenvalueError EigenSystem LimitCoeffs MixedModeError
-OperatorParams Polynomial RegimeError Scalar Tolerance apply_to_samples
+OperatorParams Polynomial RegimeError Scalar apply_to_samples
 basis_values convergence_table eigensystem eigensystem_from_dict
 eigenvalue eigenvector format_scalar limit_coeffs limit_eigenvalue monomial_image
 parse_scalar poly_eval run_verify sample_nodes scalar_from_json scalar_to_json
@@ -70,16 +70,15 @@ def test_no_uncalled_definitions():
 
 def test_kernels_read_the_operator_table():
     # bernstein and eigen take their q-integers and q-binomials from
-    # OperatorParams.table, not from the closed forms in qcalc; no production
-    # kernel reads the explicit q-Stirling sum or its q-factorials and
-    # q-binomials, which only verify defines, as the oracle
+    # OperatorParams.table, and asymptotics its q-integers from the same
+    # recurrence; no production kernel reads the closed-form q-integer, the
+    # explicit q-Stirling sum or its q-factorials and q-binomials, which
+    # only verify defines, as the oracles
     src = pathlib.Path(aqbernstein.__file__).parent
     trees = {path.name: ast.parse(path.read_text()) for path in src.glob("*.py")}
-    oracles = {"q_stirling2", "q_binomial", "q_factorial"}
-    for module, banned in [("bernstein.py", oracles | {"q_integer"}),
-                           ("eigen.py", oracles | {"q_integer"}),
-                           ("asymptotics.py", oracles)]:
-        assert not set(_references(trees[module])) & banned, module
+    oracles = {"q_integer", "q_stirling2", "q_binomial", "q_factorial"}
+    for module in ["bernstein.py", "eigen.py", "asymptotics.py"]:
+        assert not set(_references(trees[module])) & oracles, module
     for module, tree in trees.items():
         defined = {name for node in tree.body for name in _bound_names(node)}
         assert defined & oracles == (oracles if module == "verify.py" else set()), module

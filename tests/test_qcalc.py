@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aqbernstein.qcalc import q_difference_table, q_integer, q_stirling2_rows
-from aqbernstein.verify import q_binomial, q_factorial, q_stirling2
+from aqbernstein.qcalc import q_difference_table, q_stirling2_rows
+from aqbernstein.verify import q_binomial, q_factorial, q_integer, q_stirling2
 from test_operator import q_pochhammer
 
 F = Fraction

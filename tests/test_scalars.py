@@ -9,7 +9,6 @@ import pytest
 
 from aqbernstein.scalars import (
     MixedModeError,
-    Tolerance,
     coerce,
     common_mode,
     format_scalar,
@@ -89,10 +88,10 @@ class TestModes:
 
 class TestComparison:
     def test_float_uses_tolerance(self):
-        assert Tolerance().close(1.0, 1.0 + 1e-12)
-        assert not Tolerance().close(1.0, 1.0 + 1e-8)
-        loose = Tolerance(rel_tol=1e-6, abs_tol=1e-6)
-        assert loose.close(1.0, 1.0 + 1e-7)
+        # the comparison the README documents for float results
+        assert math.isclose(1.0, 1.0 + 1e-12, rel_tol=1e-10, abs_tol=1e-12)
+        assert not math.isclose(1.0, 1.0 + 1e-8, rel_tol=1e-10, abs_tol=1e-12)
+        assert math.isclose(1.0, 1.0 + 1e-7, rel_tol=1e-6, abs_tol=1e-6)
 
 
 class TestSerialization:
