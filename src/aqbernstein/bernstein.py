@@ -15,10 +15,11 @@ operator. The module provides the basis values p_{n,q,i}^{(alpha)}(x)
 
 (``apply_to_samples``), which the verify suite checks against the basis sum
 above, and the closed-form coefficients of the monomial images T(t^k) from
-which the eigenstructure is built. One ``monomial_images`` call builds a
-set T(t^1)..T(t^top) from one triangle of the one production recurrence,
-:func:`~aqbernstein.qcalc.q_stirling2_rows`, built to row top + 1; the
-explicit sum is an oracle in :mod:`aqbernstein.verify`.
+which the eigenstructure is built. One kernel, ``image_rows``, builds the
+image matrix of T(t^1)..T(t^top), integers in exact mode and
+[n]_q-normalized floats in float mode, from one triangle of the one
+production recurrence, :func:`~aqbernstein.qcalc.q_stirling2_rows`, built
+to row top + 1; the explicit sum is an oracle in :mod:`aqbernstein.verify`.
 
 The kernels here and in :mod:`aqbernstein.eigen` read their q-sequences
 from one :class:`QTable` per operator, ``OperatorParams.table``. In float
@@ -32,6 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
 from typing import Sequence
@@ -226,57 +228,80 @@ def falling_products(params: OperatorParams, m: int) -> tuple[Scalar, ...]:
     return tuple(out)
 
 
-def monomial_images(params: OperatorParams, top: int) -> dict[int, MonomialImage]:
-    """The monomial images T(t^k) for k = 1..top, keyed by k; 0 <= top <= n.
+def image_rows(params: OperatorParams, top: int) -> tuple[list[tuple[int, list]], list[Scalar]]:
+    """The image matrix a(r, m), the x^r coefficient of T(t^m), m = 1..top
+    (0 <= top <= n): rows (d_r, R_r), r < top, with a(r, m) = R_r[m] / d_r
+    for r < m <= top (None for m <= r), and the diagonal a(m, m) = lambda_m,
+    m = 0..top. Row 0 is zero: the operator interpolates at x = 0. For
+    r >= 1, a(r, m) is the paper's
 
-    The coefficient of x^r in T(t^k; x) is
+        q^(r(r-1)/2) [n-2]_q! / ([n]_q^m [n-r]_q!)
+          * { (1-alpha) [n-r]_q ([n+r-1]_q S_q(m+1,r+1) - [r+1]_q [n-1]_q S_q(m,r+1))
+              + alpha [n]_q [n-1]_q S_q(m,r) }
 
-        q^(r(r-1)/2) * ([n-2]_q! / ([n]_q^k [n-r]_q!))
-          * { (1-alpha) [n-r]_q ([n+r-1]_q S_q(k+1,r+1)
-                                 - [r+1]_q [n-1]_q S_q(k,r+1))
-              + alpha [n]_q [n-1]_q S_q(k,r) }
-
-    evaluated as G_r ([n]_q/[n-1]_q) / [n]_q^(k-r) times the braces over
-    [n]_q^2, with G_r from :func:`falling_products`: the same value, since
-    1 - [t]_q/[n]_q = q^t [n-t]_q/[n]_q, without the raw q-factorials.
-    Every image reads one table G_0..G_top and one triangle of q-Stirling
-    rows 0..top+1 (:func:`~aqbernstein.qcalc.q_stirling2_rows`), sized by
-    top, not by n. In float mode an overflow of [n]_q^(k-r) raises
-    FloatingPointError naming (n, q, alpha, k).
-    """
+    with every denominator cleared. For q = a/b, alpha = c/d in lowest terms
+    write [j]_q = N_j / b^(j-1) (N_j the numerator of the table's [j]_q) and
+    S_q(m, j) = U(m, j) / b^(n(m-j)), U from Carlitz's recurrence
+    (:func:`~aqbernstein.qcalc.q_stirling2_rows`) on b^n [j]_q, to row
+    top + 1. Then a(r, m) = X(r, m) / D with D = d N_{n-1} (b N_n)^top and
+    X = F_r b^r (b N_n)^(top-m) (t1 U(m+1,r+1) - t2 U(m,r+1) + t3 U(m,r)),
+    F_r = a^(r(r-1)/2) N_{n-1}..N_{n-r+1}, t1 = (d-c) N_{n-r} N_{n+r-1},
+    t2 = (d-c) N_{n-r} b^n N_{r+1} N_{n-1} and t3 = c N_n N_{n-1}, all
+    integers. Row r is reduced by one gcd, so d_r is the lcm of its reduced
+    denominators; the diagonal comes from the same numerators. Float mode
+    runs the same loop with (a, b, c, d) = (q, 1, alpha, 1) and
+    N_j = [j]_q / [n]_q, so U(m, j) = S_q(m, j) / [n]_q^(m-j), no power of
+    [n]_q is formed, d_r = 1 and each entry is divided by D; a non-finite
+    N_j raises FloatingPointError first."""
     n, q, alpha, table = params.n, params.q, params.alpha, params.table
     if not 0 <= top <= n:
         raise ValueError(f"need 0 <= k <= n, got k={top}, n={n}")
-    if n == 1:
-        return {k: MonomialImage(k, (table.zero, table.one)) for k in range(1, top + 1)}
-
-    qint, dn = table.integers, table.integers[n]
-    ratio_n1 = qint[n - 1] / dn
-    lead = dn / qint[n - 1]
-    falling = falling_products(params, top)
-    stirling = q_stirling2_rows(top + 1, qint[: top + 2])
-    images = {}
-    for k in range(1, top + 1):
-        try:
-            coeffs = []
-            for r in range(k + 1):
-                braces = (1 - alpha) * (qint[n - r] / dn) * (
-                    (qint[n + r - 1] / dn) * stirling[k + 1][r + 1]
-                    - qint[r + 1] * ratio_n1 * stirling[k][r + 1]
-                ) + alpha * ratio_n1 * stirling[k][r]
-                coeffs.append(falling[r] * lead / dn ** (k - r) * braces)
-        except OverflowError as exc:
-            raise FloatingPointError(
-                f"float OverflowError in monomial_image: {exc} "
-                f"(n={n}, q={q}, alpha={alpha}, k={k})"
-            ) from exc
-        coeffs = require_finite(tuple(coeffs), "monomial_image", params, k)
-        images[k] = MonomialImage(k, coeffs)
-    return images
+    # T fixes 1 and t, and every image vanishes at x = 0
+    rows = [(1, [None] + [0] * top)][:top]
+    diagonal = [table.one] * min(top + 1, 2)
+    if top < 2:
+        return rows, diagonal
+    exact = params.mode == "exact"
+    if exact:
+        a, b, c, d = q.numerator, q.denominator, alpha.numerator, alpha.denominator
+        N = [t.numerator for t in table.integers[: n + top]]
+    else:
+        a, b, c, d = q, 1, alpha, 1
+        N = require_finite([t / table.integers[n] for t in table.integers[: n + top]],
+                           "image_rows", params)
+    # cols[j][m] = U(m, j), from b^n [j]_q = b^(n+1-j) N_j
+    cols = list(zip(*q_stirling2_rows(
+        top + 1, [x * b ** (n + 1 - j) for j, x in enumerate(N[: top + 2])])))
+    mpow = list(accumulate(range(top), lambda p, _: p * b * N[n], initial=1))
+    den = d * N[n - 1] * mpow[top]
+    falling = 1  # a^(r(r-1)/2) N_{n-1}..N_{n-r+1}
+    for r in range(1, top + 1):
+        scale, u = falling * b**r, (d - c) * N[n - r]
+        t1 = scale * u * N[n + r - 1]
+        t2 = scale * u * b**n * N[r + 1] * N[n - 1]
+        t3 = scale * c * N[n] * N[n - 1]
+        xs = require_finite([  # X(r, m), m = r..top
+            p * (t1 * s1 - t2 * s2 + t3 * s3) for p, s1, s2, s3 in zip(
+                mpow[top - r::-1], cols[r + 1][r + 1:], cols[r + 1][r:], cols[r][r:])
+        ], "image_rows", params)
+        if r >= 2:
+            diagonal.append(table.one * xs[0] / den)
+        if r < top:
+            if exact:
+                g = math.gcd(den, *xs[1:])
+                rows.append((den // g, [None] * (r + 1) + [x // g for x in xs[1:]]))
+            else:
+                rows.append((1, [None] * (r + 1) + [x / den for x in xs[1:]]))
+        falling *= a**r * N[n - r]
+    return rows, diagonal
 
 
 def monomial_image(k: int, params: OperatorParams) -> MonomialImage:
-    """T(t^k) for 1 <= k <= n, read from :func:`monomial_images`."""
+    """T(t^k) for 1 <= k <= n, the last column of ``image_rows(params, k)``:
+    a(r, k) is Fraction(R_r[k], d_r) in exact mode and R_r[k] in float mode."""
     if not 1 <= k <= params.n:
         raise ValueError(f"monomial image needs 1 <= k <= n, got k={k}, n={params.n}")
-    return monomial_images(params, k)[k]
+    rows, diagonal = image_rows(params, k)
+    exact = params.mode == "exact"
+    column = (Fraction(row[k], d) if exact else row[k] for d, row in rows[1:])
+    return MonomialImage(k, (params.table.zero, *column, diagonal[k]))

@@ -15,17 +15,17 @@ which serves only as the oracle (``verify.closed_form_eigenvalue``).
 
 The monic eigenvector of degree k is built top-down: its coefficient of
 x^(k-j) is a linear combination of already-known higher coefficients
-weighted by coefficients of the images T(t^m), m <= k, of one
-``monomial_images`` call (one q-Stirling triangle, to row k + 1), divided
-by lambda_k - lambda_{k-j}. In exact mode the recursion runs on integers,
-in the spirit of Bareiss's fraction-free elimination (Math. Comp. 22,
-1968): each row of image coefficients is put over one denominator once per
-call, p_k is carried as integer numerators over one common denominator,
-and each coefficient is one integer dot product reduced once into its
-Fraction, so the values are those of the reduced scalar recursion. Float
-mode runs the same loop with every denominator 1, which is the plain float
-arithmetic. The q-sequences come from ``OperatorParams.table``, as for the
-images; in float mode a nan or an infinity raises FloatingPointError.
+weighted by coefficients of the images T(t^m), m <= k, divided by
+lambda_k - lambda_{k-j}. In exact mode the recursion runs on integers, in
+the spirit of Bareiss's fraction-free elimination (Math. Comp. 22, 1968):
+it reads the image matrix's rows, integers over one denominator each, from
+:func:`aqbernstein.bernstein.image_rows`, carries p_k as integer numerators
+over one common denominator, and reduces each coefficient's integer dot
+product once into its Fraction, so the values are those of the reduced
+scalar recursion. Float mode runs the same loop with every denominator 1,
+which is the plain float arithmetic. The q-sequences come from
+``OperatorParams.table``; in float mode a nan or an infinity raises
+FloatingPointError.
 
 :func:`spectrum` builds the eigenvalues together with their gaps
 
@@ -50,7 +50,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bernstein import MonomialImage, OperatorParams, falling_products, monomial_images
+from .bernstein import OperatorParams, falling_products, image_rows
 from .polynomials import Polynomial
 from .scalars import Scalar, require_finite, scalar_from_json, scalar_to_json
 
@@ -99,34 +99,15 @@ def eigenvalue(k: int, params: OperatorParams) -> Scalar:
     return spectrum(params, k)[0][k]
 
 
-def _image_rows(images: dict[int, MonomialImage], mode: str) -> list[tuple[int, list]]:
-    """The rows r < top of the image matrix a(r, m), the x^r coefficient of
-    T(t^m), each over one denominator, for the images m = 1..top.
-
-    Entry r is (d_r, R_r) with a(r, m) = R_r[m] / d_r for r < m <= top
-    (R_r[m] is None for m <= r). In exact mode d_r is the lcm of the row's
-    denominators and R_r holds integers; in float mode d_r = 1 and R_r
-    holds the image coefficients themselves.
-    """
-    rows = []
-    for r in range(len(images)):
-        row = [image.coeffs[r] for m, image in images.items() if m > r]
-        d = 1
-        if mode == "exact":
-            d = math.lcm(*(a.denominator for a in row))
-            row = [a.numerator * (d // a.denominator) for a in row]
-        rows.append((d, [None] * (r + 1) + row))
-    return rows
-
-
 def _eigenvector_coeffs(
     k: int,
     params: OperatorParams,
     rows: list[tuple[int, list]],
     gaps: tuple[Scalar, ...],
 ) -> tuple[Scalar, ...]:
-    """Coefficients c_0..c_k of p_k, from the :func:`_image_rows` of any
-    top >= k and the gaps lambda_{i+1} - lambda_i for i < k.
+    """Coefficients c_0..c_k of p_k, from the rows of
+    :func:`~aqbernstein.bernstein.image_rows` for any top >= k and the gaps
+    lambda_{i+1} - lambda_i for i < k.
 
     c_r = sum_{m=r+1..k} c_m a(r, m) / (lambda_k - lambda_r), for r = k-1
     down to 0. The known c_m are carried as integer numerators v[m] over one
@@ -179,7 +160,7 @@ def _eigenvector_coeffs(
 
 def eigenvector(k: int, params: OperatorParams) -> Polynomial:
     """The monic degree-k eigenvector polynomial p_k (p_0 = 1, p_1 = x)."""
-    rows = _image_rows(monomial_images(params, k), params.mode)
+    rows = image_rows(params, k)[0]
     return Polynomial(_eigenvector_coeffs(k, params, rows, spectrum(params, k)[1]))
 
 
@@ -229,17 +210,11 @@ def eigensystem_from_dict(obj: dict) -> EigenSystem:
     return EigenSystem(params, lambdas, vectors)
 
 
-def eigensystem_from_images(
-    params: OperatorParams, images: dict[int, MonomialImage]
-) -> EigenSystem:
-    """The eigensystem assembled from ``monomial_images(params, params.n)``.
-
-    One :func:`spectrum` call gives every eigenvalue and the gaps that
-    every eigenvector recursion sums, and one :func:`_image_rows` call the
-    rows over one denominator that every recursion reads.
-    """
+def eigensystem_from_rows(params: OperatorParams, rows: list[tuple[int, list]]) -> EigenSystem:
+    """The eigensystem from the rows of ``image_rows(params, params.n)``, which
+    every eigenvector recursion reads, and one :func:`spectrum` call, which
+    gives every eigenvalue and the gaps that every recursion sums."""
     lambdas, gaps = spectrum(params, params.n)
-    rows = _image_rows(images, params.mode)
     vectors = tuple(
         Polynomial(_eigenvector_coeffs(k, params, rows, gaps))
         for k in range(params.n + 1)
@@ -248,5 +223,5 @@ def eigensystem_from_images(
 
 
 def eigensystem(params: OperatorParams) -> EigenSystem:
-    """All eigenvalues and monic eigenvectors for k = 0..n, from one image set."""
-    return eigensystem_from_images(params, monomial_images(params, params.n))
+    """All eigenvalues and monic eigenvectors for k = 0..n, from one image matrix."""
+    return eigensystem_from_rows(params, image_rows(params, params.n)[0])

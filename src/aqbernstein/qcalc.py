@@ -11,7 +11,7 @@ production kernel. The q-integers come from ``q_integers``, the recurrence
 [m+1]_q = 1 + q [m]_q that the operator's q-table and the limit
 coefficients both run. The q-Stirling numbers come from
 ``q_stirling2_rows``, Carlitz's recurrence run from row 0, which the
-monomial images and the q < 1 limit coefficients both read. The closed
+image kernel and the q < 1 limit coefficients both read. The closed
 form (q^n - 1)/(q - 1) and the explicit alternating q-Stirling sum (with
 the q-factorials and q-binomials it needs) are the oracles, and live in
 :mod:`aqbernstein.verify`.
@@ -42,10 +42,11 @@ def q_stirling2_rows(k: int, qints: Sequence[Scalar]) -> list[list[Scalar]]:
 
     Row 0 is S_q(0, r) = [r = 0]; each next row comes by Carlitz's
     recurrence S_q(m+1, r) = S_q(m, r-1) + [r]_q S_q(m, r), with entry 0
-    equal to [0]_q = 0. One addition and one product per entry and no
-    division: exact over the rationals, and in floats a sum of positive
-    terms, where the explicit sum cancels.
-    """
+    equal to [0]_q = 0. One addition and one product per entry, no
+    division, and in floats a sum of positive terms, where the explicit sum
+    cancels. Run on c [r]_q, the rows are c^(m-r) S_q(m, r): integers for
+    q = a/b and c = b^n, and S_q(m, r) / [n]_q^(m-r) for c = 1/[n]_q, the
+    two forms the image kernel reads."""
     zero = qints[0]
     row = [zero + 1] + [zero] * (len(qints) - 1)
     rows = [row]

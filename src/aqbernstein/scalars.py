@@ -88,7 +88,7 @@ def common_mode(*values: Scalar | int) -> str | None:
     return mode
 
 
-def require_finite(values: tuple, where: str, params, k: int | None = None) -> tuple:
+def require_finite(values: list | tuple, where: str, params, k: int | None = None) -> list | tuple:
     """``values``, computed by ``where`` for the operator ``params``; in
     float mode a nan or an infinity among them raises FloatingPointError
     naming ``where`` and (n, q, alpha[, k])."""

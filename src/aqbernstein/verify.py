@@ -17,15 +17,16 @@ closed-form eigenvalue are built from. Production computes the q-integers
 one way only, by :func:`aqbernstein.qcalc.q_integers`, and the q-Stirling
 numbers one way only, by :func:`aqbernstein.qcalc.q_stirling2_rows`.
 
-Each grid operator's monomial images T(t^m), m = 1..n, are built once, by
-one :func:`~aqbernstein.bernstein.monomial_images` call on one q-Stirling
-triangle built to row n + 1: the eigensystem is assembled from them, and
-the leading-coefficient check reads a(k,k) from the same images. That
-eigensystem is shared by every check that reads eigenvalues or
-eigenvectors (eigen relation, leading coefficient, distinctness, the
-low-degree eigenvectors and degree reduction). The production q-Stirling
-rows are built once per q, from the production q-integers, and compared
-entry by entry with the explicit sum, and the representation check
+Each grid operator's image matrix, the coefficients of T(t^m) for
+m = 1..n, is built once, by one :func:`~aqbernstein.bernstein.image_rows`
+call on one q-Stirling triangle built to row n + 1: the eigensystem is
+assembled from its rows, and the leading-coefficient check reads a(k,k)
+from its diagonal. That eigensystem is shared by every check that reads
+eigenvalues or eigenvectors (eigen relation, leading coefficient,
+distinctness, the low-degree eigenvectors and degree reduction). The
+production q-Stirling rows are built once per q, plain and in the integer
+form the image kernel reads, and compared entry by entry with the explicit
+sum, and the representation check
 evaluates each basis row once for all its sample vectors. Every check
 reads the same grid objects, so each operator's q-table
 (``OperatorParams.table``) and its q-binomial rows are built once.
@@ -43,14 +44,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .bernstein import (
-    MonomialImage,
     OperatorParams,
     apply_to_samples,
     basis_values,
-    monomial_images,
+    image_rows,
     sample_nodes,
 )
-from .eigen import EigenSystem, eigensystem_from_images
+from .eigen import EigenSystem, eigensystem_from_rows
 from .polynomials import Polynomial, poly_eval, poly_scale
 from .qcalc import q_integers, q_stirling2_rows
 from .scalars import Scalar, format_scalar
@@ -176,21 +176,22 @@ def q_stirling2(k: int, r: int, q: Scalar) -> Scalar:
 
 def check_stirling_cross() -> CheckResult:
     """The explicit sum equals the production recurrence's rows, entry by
-    entry, for 0 <= k, r <= STIRLING_MAX_KR; one set of rows per q."""
-    cases = 0
+    entry, for 0 <= k, r <= K = STIRLING_MAX_KR, and b^(K(k-r)) times it
+    equals the integer rows of the image kernel's form: the recurrence run
+    on b^K [r]_q = b^(K+1-r) N_r, N_r the numerator of [r]_q for q = a/b.
+    One set of each per q."""
+    cases, K = 0, STIRLING_MAX_KR
     for q in Q_GRID:
-        rows = q_stirling2_rows(STIRLING_MAX_KR, q_integers(q, STIRLING_MAX_KR))
-        for k, row in enumerate(rows):
-            for r, b in enumerate(row):
+        qints, b = q_integers(q, K), q.denominator
+        rows = q_stirling2_rows(K, qints)
+        scaled = q_stirling2_rows(K, [t.numerator * b**(K + 1 - r) for r, t in enumerate(qints)])
+        for k, (row, scaled_row) in enumerate(zip(rows, scaled)):
+            for r, (x, h) in enumerate(zip(row, scaled_row)):
                 cases += 1
                 a = q_stirling2(k, r, q)
-                if a != b:
-                    return CheckResult(
-                        "stirling_cross_check",
-                        False,
-                        cases,
-                        _ce(q=q, k=k, r=r, explicit=a, recurrence=b),
-                    )
+                if a != x or h != a * Fraction(b) ** (K * (k - r)):
+                    return CheckResult("stirling_cross_check", False, cases, _ce(
+                        q=q, k=k, r=r, explicit=a, recurrence=x, scaled=h))
     return CheckResult("stirling_cross_check", True, cases, None)
 
 
@@ -278,17 +279,18 @@ def closed_form_eigenvalue(k: int, params: OperatorParams) -> Fraction:
 
 
 def check_leading_coefficient(
-    systems: list[EigenSystem], images: list[dict[int, MonomialImage]]
+    systems: list[EigenSystem], diagonals: list[list[Scalar]]
 ) -> CheckResult:
     """lambda_k (product form) equals a(k,k) of T(t^k) and the closed form;
-    ``images[i]`` holds the monomial images of ``systems[i]``'s operator."""
+    ``diagonals[i]`` holds a(m,m), m = 0..n, from the image matrix of
+    ``systems[i]``'s operator."""
     cases = 0
-    for system, system_images in zip(systems, images):
+    for system, diagonal in zip(systems, diagonals):
         params = system.params
         for k in range(1, params.n + 1):
             cases += 1
             lam = system.lambdas[k]
-            a_kk = system_images[k].coeffs[k]
+            a_kk = diagonal[k]
             closed = closed_form_eigenvalue(k, params) if k >= 2 else lam
             if a_kk != lam or closed != lam:
                 return CheckResult(
@@ -413,24 +415,21 @@ def check_operator_axioms(systems: list[EigenSystem]) -> CheckResult:
 def run_verify(max_n: int = 6) -> VerifyReport:
     """Run every check; the report carries one result per check.
 
-    The monomial images of each grid operator are built by one
-    ``monomial_images`` call; its eigensystem is assembled from them, and
-    both are shared by the checks that read them. Every check takes the
+    The image matrix of each grid operator is built by one ``image_rows``
+    call; its eigensystem is assembled from the rows, and both are shared
+    by the checks that read them. Every check takes the
     grid's own objects, so each operator's q-table is built once.
     """
     if max_n < 1:
         raise ValueError(f"max_n must be >= 1, got {max_n}")
     grid = list(_grid(max_n))
-    images = [monomial_images(params, params.n) for params in grid]
-    systems = [
-        eigensystem_from_images(params, system_images)
-        for params, system_images in zip(grid, images)
-    ]
+    matrices = [image_rows(params, params.n) for params in grid]
+    systems = [eigensystem_from_rows(params, rows) for params, (rows, _) in zip(grid, matrices)]
     checks = (
         check_stirling_cross(),
         check_representation_equivalence(grid),
         check_eigen_relation(systems),
-        check_leading_coefficient(systems, images),
+        check_leading_coefficient(systems, [diagonal for _, diagonal in matrices]),
         check_distinctness(systems),
         check_example_fixed_points(systems),
         check_operator_axioms(systems),

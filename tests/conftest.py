@@ -1,4 +1,3 @@
-import dataclasses
 import os
 import sys
 from fractions import Fraction
@@ -34,22 +33,24 @@ def pytest_terminal_summary(terminalreporter):
 
 
 def _flip_image_coefficient(monkeypatch, offset):
-    """Make eigen and verify (which build the monomial images for eigensystem
-    and the verify grid) use a monomial_images that flips the sign of the
-    x^(k-offset) coefficient of T(t^k), k >= 2; returns the corrupted
+    """Make eigen and verify (which read the image matrix for eigensystem,
+    eigenvector and the verify grid) use an image_rows that flips the sign
+    of the x^(k-offset) coefficient of T(t^k), k >= 2: an entry of row k-1
+    for offset 1, the diagonal for offset 0; returns the corrupted
     function."""
-    clean = aqbernstein.bernstein.monomial_images
+    clean = aqbernstein.bernstein.image_rows
 
     def corrupted(params, top):
-        images = clean(params, top)
+        rows, diagonal = clean(params, top)
         for k in range(2, top + 1):
-            coeffs = list(images[k].coeffs)
-            coeffs[k - offset] = -coeffs[k - offset]
-            images[k] = dataclasses.replace(images[k], coeffs=tuple(coeffs))
-        return images
+            if offset == 0:
+                diagonal[k] = -diagonal[k]
+            else:
+                rows[k - offset][1][k] = -rows[k - offset][1][k]
+        return rows, diagonal
 
-    monkeypatch.setattr(aqbernstein.eigen, "monomial_images", corrupted)
-    monkeypatch.setattr(aqbernstein.verify, "monomial_images", corrupted)
+    monkeypatch.setattr(aqbernstein.eigen, "image_rows", corrupted)
+    monkeypatch.setattr(aqbernstein.verify, "image_rows", corrupted)
     return corrupted
 
 

@@ -228,7 +228,7 @@ def test_criterion_11_verify_cli(corrupt_kernel, tmp_path):
         report = json.loads(proc.stdout)
         assert report["passed"] is True and report["max_n"] == 6
 
-        # corrupt_kernel has replaced monomial_image in this process only
+        # corrupt_kernel has replaced image_rows in this process only
         out = tmp_path / "report.json"
         assert main(["verify", "--max-n", "2", "--out", str(out)]) == 1
         report = json.loads(out.read_text())

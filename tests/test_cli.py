@@ -90,11 +90,11 @@ class TestEig:
             _json_text({"lambda": float("nan")})
 
     def test_float_range_failure_exit_1(self):
-        # an overflow named by the image kernel, and an eigenvalue difference
-        # below the float range, named by the eigenvector recursion
+        # an infinite [n]_q named by the image kernel, and an eigenvalue
+        # difference below the float range, named by the eigenvector recursion
         for n, q, error, ending in [
-            ("41", "1.5", "FloatingPointError: float OverflowError in monomial_image: ",
-             " (n=41, q=1.5, alpha=0.4, k=41)\n"),
+            ("1024", "2", "FloatingPointError: non-finite float in image_rows: nan",
+             " (n=1024, q=2.0, alpha=0.4)\n"),
             ("50", "0.5", "DegenerateEigenvalueError: lambda_47 - lambda_46 underflowed ",
              " (n=50, q=0.5, alpha=0.4)\n"),
         ]:
@@ -416,7 +416,7 @@ GOLDEN = [
      'k,lambda,c0,c1,c2\n0,1,1,0,0\n1,1,0,1,0\n2,2/15,0,-1,1\n'),
     ("eig --n 2 --q 1.5 --alpha 0.4 --mode float",
      '{"n": 2, "q": 1.5, "alpha": 0.4, "lambdas": [1.0, 1.0, 0.24], '
-     '"vectors": [[1.0], [0.0, 1.0], [-0.0, -1.0, 1.0]]}'),
+     '"vectors": [[1.0], [0.0, 1.0], [-0.0, -0.9999999999999999, 1.0]]}'),
     ("apply --n 2 --q 1/2 --alpha 2/5 --k 2",
      '{"n": 2, "q": {"num": "1", "den": "2"}, "alpha": {"num": "2", "den": '
      '"5"}, "image": [{"num": "0", "den": "1"}, {"num": "13", "den": '

@@ -1,4 +1,4 @@
-import dataclasses
+import hashlib
 import json
 import math
 import random
@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from aqbernstein import bernstein, eigen
+from aqbernstein import bernstein, eigen, verify
 from aqbernstein.bernstein import (
     OperatorParams,
     apply_to_samples,
@@ -282,7 +282,7 @@ class TestIntegerRecursion:
     @staticmethod
     def assert_matches_oracle(params, form):
         got = eigensystem(params).vectors
-        images = bernstein.monomial_images(params, params.n)
+        images = {m: bernstein.monomial_image(m, params) for m in range(1, params.n + 1)}
         gaps = spectrum(params, params.n)[1]
         for k in range(params.n + 1):
             want = recursion_oracle(k, params, images, gaps)
@@ -313,6 +313,29 @@ class TestIntegerRecursion:
                     for k in range(n + 1):
                         got = eigenvector(k, params).coeffs
                         assert repr(got) == repr(vectors[k].coeffs), (params, k)
+
+
+# SHA-256 over repr of every exact eigensystem, eigenvector(k) and
+# monomial_image(k) of the cases below, pinned while the images were still
+# built one Fraction operation at a time; a change that only makes exact
+# mode faster must leave every exact result, type and reduced form included,
+# as it was
+EXACT_DIGEST = "c1ea18aac1bf7bc47f9da720f4b88ff4b85cd59f8a789aba83868ed269ab78a3"
+
+
+def test_exact_output_digest():
+    cases = [(n, q, alpha) for n in range(1, 13) for q in verify.Q_GRID
+             for alpha in (F(0), F(2, 5), F(1))]
+    cases += [(24, q, alpha) for q in (F(1, 2), F(3, 2)) for alpha in (F(0), F(2, 5), F(1))]
+    digest = hashlib.sha256()
+    for n, q, alpha in cases:
+        params = OperatorParams(n, q, alpha)
+        digest.update(repr(eigensystem(params)).encode())
+        for k in range(n + 1):
+            digest.update(repr(eigenvector(k, params)).encode())
+        for k in range(1, n + 1):
+            digest.update(repr(bernstein.monomial_image(k, params)).encode())
+    assert digest.hexdigest() == EXACT_DIGEST
 
 
 class TestEigenSystem:
@@ -357,10 +380,11 @@ class TestEigenSystem:
             assert system.vectors == tuple(eigenvector(k, params) for k in range(13))
 
     def test_one_triangle_per_image_set(self, monkeypatch):
-        # the images of one call read one q-Stirling triangle, built to row
-        # top + 1, and one falling table G_0..G_top, sized by the highest
-        # image and not by n: a triangle grown to row n + 1 for a small k at
-        # a large n made the convergence tables several times slower
+        # the image matrix of one call reads one q-Stirling triangle, built
+        # to row top + 1 and sized by the highest image, not by n: a triangle
+        # grown to row n + 1 for a small k at a large n made the convergence
+        # tables several times slower. T(t^1) = t needs none; the falling
+        # products are the kernel's own running product
         built = []
         clean_rows, clean_falling = bernstein.q_stirling2_rows, bernstein.falling_products
 
@@ -377,13 +401,13 @@ class TestEigenSystem:
         for params in [OperatorParams(12, F(3, 2), F(2, 5)), OperatorParams(12, 1.5, 0.4)]:
             built.clear()
             eigensystem(params)
-            assert built == [("falling", 12), ("rows", 13, 14)]
+            assert built == [("rows", 13, 14)]
         for params in [OperatorParams(12, 0.5, 0.4), OperatorParams(200, F(3, 2), F(2, 5))]:
             for k in (1, 3, 12):
                 for build in (eigenvector, bernstein.monomial_image):
                     built.clear()
                     build(k, params)
-                    assert built == [("falling", k), ("rows", k + 1, k + 2)], (params, k)
+                    assert built == [("rows", k + 1, k + 2)][: k - 1], (params, k)
 
     def test_one_table_per_system(self, monkeypatch):
         # the spectrum, the monomial images and every recursion read the
@@ -409,16 +433,14 @@ class TestEigenSystem:
     def test_recursion_refuses_non_finite(self, monkeypatch):
         # an image coefficient past float range overflows p_3's x^2
         # coefficient; the recursion refuses it instead of returning inf
-        clean = bernstein.monomial_images
+        clean = bernstein.image_rows
 
         def huge(params, top):
-            images = clean(params, top)
-            coeffs = list(images[3].coeffs)
-            coeffs[2] = 1e308
-            images[3] = dataclasses.replace(images[3], coeffs=tuple(coeffs))
-            return images
+            rows, diagonal = clean(params, top)
+            rows[2][1][3] = 1e308  # a(2, 3), the x^2 coefficient of T(t^3)
+            return rows, diagonal
 
-        monkeypatch.setattr(eigen, "monomial_images", huge)
+        monkeypatch.setattr(eigen, "image_rows", huge)
         with pytest.raises(FloatingPointError,
                            match=r"non-finite float in eigenvector: (-?inf|nan) "
                                  r"\(n=4, q=0.5, alpha=0.5, k=3\)"):
@@ -512,7 +534,7 @@ class TestEigenSystem:
 RECURSION_FLOOR = pytest.mark.xfail(
     strict=True,
     reason="the float eigenvector recursion loses digits at q = 1, n = 20 "
-    "even from accurate images and gaps: coefficients err by 3.7e-11",
+    "even from accurate images and gaps: coefficients err by 5.1e-12",
 )
 
 
@@ -527,6 +549,7 @@ class TestFloatAgreesWithExact:
         (F(2), 10),
         (F(2), 20),
         (F(1, 2), 10),
+        (F(3, 2), 41),  # past n = 40, where [n]_q^k leaves float range
     ])
     def test_eigensystem(self, q, n):
         alpha = F(2, 5)
@@ -553,6 +576,13 @@ class TestFloatAgreesWithExact:
             want = float(exact.coeff(j))
             assert abs(approx.coeff(j) - want) <= 1e-11 * abs(want), j
         assert approx.coeff(0) == exact.coeff(0) == 0
+
+    def test_finite_far_past_the_power_range(self):
+        # the images form no [n]_q^(k-r), which leaves float range from
+        # n = 41 at q = 3/2 ([n]_q^n is about 10^7000 at n = 200)
+        system = eigensystem(OperatorParams(200, 1.5, 0.4))
+        assert all(map(math.isfinite, system.lambdas))
+        assert all(math.isfinite(c) for p in system.vectors for c in p.coeffs)
 
 
 class TestExpansion:

@@ -13,8 +13,8 @@ from aqbernstein.bernstein import (
     apply_to_samples,
     basis_values,
     falling_products,
+    image_rows,
     monomial_image,
-    monomial_images,
     sample_nodes,
 )
 from aqbernstein.cli import main
@@ -406,20 +406,24 @@ class TestMonomialImage:
         grid += [(20, q, F(2, 5)) for q in (F(1, 2), F(1), F(3, 2))]
         for n, q, alpha in grid:
             exact = OperatorParams(n, q, alpha)
-            exact_images = monomial_images(exact, n)
-            float_images = monomial_images(OperatorParams(n, float(q), float(alpha)), n)
+            approx = OperatorParams(n, float(q), float(alpha))
             for k in range(1, n + 1):
                 want = per_coefficient_image(k, exact, stirling)
-                assert exact_images[k].coeffs == want, (n, q, alpha, k)
-                got = float_images[k].coeffs
+                assert monomial_image(k, exact).coeffs == want, (n, q, alpha, k)
+                got = monomial_image(k, approx).coeffs
                 for r, (g, w) in enumerate(zip(got, want)):
                     assert abs(g - float(w)) <= 1e-12 * abs(float(w)), (n, q, alpha, k, r)
 
-    def test_float_failure_names_the_image(self):
-        # an overflow of [n]_q^(k-r) names the kernel and (n, q, alpha, k)
-        with pytest.raises(FloatingPointError, match=r"^float OverflowError in "
-                           r"monomial_image: .* \(n=41, q=1.5, alpha=0.4, k=41\)$"):
-            monomial_image(41, OperatorParams(41, 1.5, 0.4))
+    def test_float_failure_names_the_image(self, monkeypatch):
+        # [1024]_2 is infinite in floats: the kernel names itself and
+        # (n, q, alpha) before it builds the q-Stirling triangle
+        def no_triangle(k, qints):
+            raise AssertionError("triangle built")
+
+        monkeypatch.setattr(bernstein, "q_stirling2_rows", no_triangle)
+        with pytest.raises(FloatingPointError, match=r"^non-finite float in image_rows: "
+                           r"nan \(n=1024, q=2.0, alpha=0.4\)$"):
+            monomial_image(1024, OperatorParams(1024, 2.0, 0.4))
 
     def test_float_images_near_the_float_range_edge(self):
         # the largest images at n = 40, q = 3/2, where a sum of degree k + 1
@@ -439,12 +443,44 @@ class TestMonomialImage:
             monomial_image(4, params)
 
 
+def lcm_rows(images, top):
+    """The rows r < top of the image matrix a(r, m), m = 1..top, each over
+    the lcm of its reduced denominators, from exact ``images[m]`` =
+    (a(0, m), .., a(m, m)): the row form the eigenvector recursion reads."""
+    rows = []
+    for r in range(top):
+        row = [images[m][r] for m in range(r + 1, top + 1)]
+        d = math.lcm(*(a.denominator for a in row))
+        rows.append((d, [None] * (r + 1) + [a.numerator * (d // a.denominator) for a in row]))
+    return rows
+
+
+class TestImageRows:
+    def test_equal_lcm_rows_of_per_coefficient_images(self):
+        # the integer kernel against Fraction images one coefficient at a
+        # time, put over one denominator per row by the lcm: the same
+        # integers, also for top < n, where the rows are over N_n^top
+        stirling = functools.cache(q_stirling2)
+        cases = [(n, q, alpha, n) for n in range(1, 13)
+                 for q in verify.Q_GRID for alpha in verify.ALPHA_GRID]
+        cases += [(n, q, F(2, 5), top) for n in (50, 200)
+                  for q in (F(1, 2), F(3, 2)) for top in (1, 6, 12)]
+        for n, q, alpha, top in cases:
+            params = OperatorParams(n, q, alpha)
+            images = {m: per_coefficient_image(m, params, stirling) for m in range(1, top + 1)}
+            rows, diagonal = image_rows(params, top)
+            assert rows == lcm_rows(images, top), (n, q, alpha, top)
+            entries = [x for r, (d, row) in enumerate(rows) for x in (d, *row[r + 1:])]
+            assert all(type(x) is int for x in entries)
+            assert diagonal == [1] + [images[m][m] for m in range(1, top + 1)]
+
+
 @pytest.fixture(scope="class")
 def verify_calls():
     """run_verify(3) with the per-operator and per-q builders counted."""
     calls = {"systems": [], "images": 0, "tables": [], "qtables": []}
-    build_system = verify.eigensystem_from_images
-    build_images = verify.monomial_images
+    build_system = verify.eigensystem_from_rows
+    build_images = verify.image_rows
     build_rows = verify.q_stirling2_rows
     build_qtable = bernstein.QTable
 
@@ -452,21 +488,22 @@ def verify_calls():
         calls["qtables"].append(build_qtable(*args))
         return calls["qtables"][-1]
 
-    def system(params, images):
+    def system(params, rows):
         calls["systems"].append(params)
-        return build_system(params, images)
+        return build_system(params, rows)
 
     def images(params, top):
         calls["images"] += 1
         return build_images(params, top)
 
     def rows(k, qints):
-        calls["tables"].append(qints[2] - 1)  # [2]_q = 1 + q
+        # [2]_q / [1]_q = 1 + q, also for the multiples b^K [r]_q
+        calls["tables"].append(F(qints[2], qints[1]) - 1)
         return build_rows(k, qints)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(verify, "eigensystem_from_images", system)
-        mp.setattr(verify, "monomial_images", images)
+        mp.setattr(verify, "eigensystem_from_rows", system)
+        mp.setattr(verify, "image_rows", images)
         mp.setattr(verify, "q_stirling2_rows", rows)
         mp.setattr(bernstein, "QTable", qtable)
         report = run_verify(max_n=3)
@@ -480,12 +517,13 @@ class TestVerify:
         assert len(systems) == 75 and len(set(systems)) == 75
 
     def test_one_set_of_images_per_grid_operator(self, verify_calls):
-        # T(t^m), m = 1..n, by one monomial_images call per operator:
-        # 25 (q, alpha) pairs for each of n = 1, 2, 3
+        # T(t^m), m = 1..n, by one image_rows call per operator: 25
+        # (q, alpha) pairs for each of n = 1, 2, 3
         assert verify_calls["images"] == 75
 
     def test_one_stirling_table_per_q(self, verify_calls):
-        assert verify_calls["tables"] == list(verify.Q_GRID)
+        # the plain rows and the image kernel's integer rows, once per q
+        assert verify_calls["tables"] == [q for q in verify.Q_GRID for _ in range(2)]
 
     def test_one_q_table_per_grid_operator(self, verify_calls):
         # every check reads the grid's own objects: 75 tables, and one set
@@ -557,10 +595,9 @@ class TestFloatRefusal:
             spectrum(OperatorParams(n, q, alpha), n)
 
     def test_monomial_image(self):
-        # the images of one call are built from k = 1 up, and T(t^1) already
-        # reads the nan [1800]_1.5 / [1800]_1.5
-        with pytest.raises(FloatingPointError, match=r"^non-finite float in monomial_image: "
-                                                     r"nan \(n=1800, q=1.5, alpha=0.4, k=1\)$"):
+        # the image kernel reads [j]_q/[n]_q, and [1800]_1.5 / [1800]_1.5 is nan
+        with pytest.raises(FloatingPointError, match=r"^non-finite float in image_rows: "
+                                                     r"nan \(n=1800, q=1.5, alpha=0.4\)$"):
             monomial_image(3, OperatorParams(1800, 1.5, 0.4))
 
     def test_unit_eigenvalues_need_no_table_entry(self):
@@ -572,7 +609,7 @@ class TestFaultHook:
     def test_fault_changes_coefficients(self, corrupt_kernel):
         # the corrupted kernel reaches the eigen recursion and verify reports it
         params = OperatorParams(4, F(1, 2), F(1, 2))
-        assert eigen.monomial_images(params, 3) != monomial_images(params, 3)
+        assert eigen.image_rows(params, 3) != image_rows(params, 3)
         report = run_verify(max_n=2)
         assert not report.passed
         failed = [c for c in report.checks if not c.passed]

@@ -162,9 +162,21 @@ class TestQStirling:
                 for r, value in enumerate(row):
                     assert q_stirling2(k, r, q) == value, (k, r, q)
 
+    def test_scaled_sequence_scales_the_rows(self):
+        # run on c [r]_q the recurrence gives c^(m-r) S_q(m, r); the image
+        # kernel takes c = b^n for q = a/b, which makes every entry an integer
+        n = 12
+        for q in Q_GRID:
+            b = q.denominator
+            rows = q_stirling2_rows(n + 1, [int(q_integer(r, q) * b**n) for r in range(n + 2)])
+            for m, row in enumerate(rows):
+                for r, value in enumerate(row):
+                    assert type(value) is int
+                    assert value == q_stirling2(m, r, q) * F(b) ** (n * (m - r)), (q, m, r)
+
     def test_rows_are_leading_blocks_of_one_triangle(self):
         # k + 1 rows of the width of qints from S_q(0, r) = [r = 0]; fewer
-        # rows or a narrower qints (as monomial_images passes [0]_q..[top+1]_q)
+        # rows or a narrower qints (as image_rows passes entries 0..top+1)
         # give the leading block of the larger triangle
         for q in Q_GRID:
             rows = stirling_rows(12, q, width=14)
