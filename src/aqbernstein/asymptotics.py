@@ -40,6 +40,7 @@ ratios move away from the simplified variants with either correction dropped.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Sequence
@@ -47,7 +48,7 @@ from typing import Sequence
 from .bernstein import OperatorParams, checked_q_alpha
 from .eigen import eigenvector
 from .qcalc import q_integers, q_stirling2_rows
-from .scalars import Scalar
+from .scalars import EXACT, FLOAT, Scalar, coerce, common_mode
 
 Q_BELOW_1 = "q_below_1"
 Q_ABOVE_1 = "q_above_1"
@@ -58,6 +59,8 @@ class RegimeError(ValueError):
 
 
 def regime_of(q: Scalar) -> str:
+    if isinstance(q, float) and not math.isfinite(q):
+        raise ValueError(f"q must be finite, got {q}")
     if not q > 0:
         raise RegimeError(f"q must be positive, got {q}")
     if q == 1:
@@ -84,9 +87,11 @@ class LimitCoeffs:
 
 
 def limit_eigenvalue(q: Scalar, k: int) -> Scalar:
-    """lim_n lambda_k: q^(k(k-1)/2) below 1, identically 1 above 1."""
+    """lim_n lambda_k in q's mode (an int q is exact): q^(k(k-1)/2) below
+    1, identically 1 above 1."""
     if k < 0:
         raise ValueError(f"need k >= 0, got {k}")
+    q = coerce(q, common_mode(q) or EXACT)
     if regime_of(q) == Q_BELOW_1:
         return q ** (k * (k - 1) // 2)
     return q * 0 + 1
@@ -160,13 +165,16 @@ def convergence_table(
     For each n in ``n_list`` (each must be >= max(k, 1)) and each power
     j = 0..k, reports c_n(j,k), the regime limit, and the absolute error.
     ``mode="float"`` (the default for large-n studies) converts q and alpha
-    to floats first; pass ``mode="exact"`` to keep rationals throughout.
+    to floats first; pass ``mode="exact"`` to keep rationals throughout (an
+    int q or alpha becomes a Fraction, a float raises MixedModeError).
     On a doubling n-schedule the errors are non-increasing up to float
     rounding noise.
     """
-    if mode == "float":
+    if mode == FLOAT:
         q, alpha = float(q), float(alpha)
-    elif mode != "exact":
+    elif mode == EXACT:
+        q, alpha = coerce(q, EXACT), coerce(alpha, EXACT)
+    else:
         raise ValueError(f"unknown mode {mode!r}")
     limits = limit_coeffs(q, alpha, k)
     q, alpha = limits.q, limits.alpha

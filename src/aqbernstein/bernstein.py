@@ -131,13 +131,13 @@ def _check_samples(samples: Sequence[Scalar], params: OperatorParams) -> tuple[S
         raise MixedModeError(
             f"samples are {mode}-mode but operator parameters are {params.mode}"
         )
-    return tuple(coerce(v, params.mode) for v in samples)
+    return tuple([coerce(v, params.mode) for v in samples])
 
 
 def sample_nodes(params: OperatorParams) -> tuple[Scalar, ...]:
     """The nodes [i]_q / [n]_q for i = 0..n; starts at 0, ends at 1."""
     qints = params.table.integers[: params.n + 1]
-    return require_finite(tuple(t / qints[-1] for t in qints), "sample_nodes", params)
+    return require_finite(tuple([t / qints[-1] for t in qints]), "sample_nodes", params)
 
 
 def basis_values(params: OperatorParams, x: Scalar) -> tuple[Scalar, ...]:
@@ -185,7 +185,7 @@ def _g_samples(samples: tuple[Scalar, ...], params: OperatorParams) -> tuple[Sca
     with weights w_i = q^(n-i-1) [i]_q / [n-1]_q."""
     n, qpow, qint = params.n, params.table.powers, params.table.integers
     weights = (qpow[n - i - 1] * qint[i] / qint[n - 1] for i in range(n))
-    return tuple((1 - w) * f0 + w * f1 for w, f0, f1 in zip(weights, samples, samples[1:]))
+    return tuple([(1 - w) * f0 + w * f1 for w, f0, f1 in zip(weights, samples, samples[1:])])
 
 
 def apply_to_samples(samples: Sequence[Scalar], params: OperatorParams) -> Polynomial:

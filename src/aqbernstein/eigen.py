@@ -194,11 +194,11 @@ def eigensystem_from_dict(obj: dict) -> EigenSystem:
     q = scalar_from_json(obj["q"])
     alpha = scalar_from_json(obj["alpha"])
     params = OperatorParams(obj["n"], q, alpha)
-    lambdas = tuple(scalar_from_json(v) for v in obj["lambdas"])
-    vectors = tuple(
-        Polynomial(tuple(scalar_from_json(c) for c in coeffs))
+    lambdas = tuple([scalar_from_json(v) for v in obj["lambdas"]])
+    vectors = tuple([
+        Polynomial(tuple([scalar_from_json(c) for c in coeffs]))
         for coeffs in obj["vectors"]
-    )
+    ])
     if len(lambdas) != params.n + 1 or len(vectors) != params.n + 1:
         raise ValueError(
             f"n={params.n} needs {params.n + 1} lambdas and vectors, "
@@ -215,10 +215,10 @@ def eigensystem_from_rows(params: OperatorParams, rows: list[tuple[int, list]]) 
     every eigenvector recursion reads, and one :func:`spectrum` call, which
     gives every eigenvalue and the gaps that every recursion sums."""
     lambdas, gaps = spectrum(params, params.n)
-    vectors = tuple(
+    vectors = tuple([
         Polynomial(_eigenvector_coeffs(k, params, rows, gaps))
         for k in range(params.n + 1)
-    )
+    ])
     return EigenSystem(params, lambdas, vectors)
 
 

@@ -64,4 +64,4 @@ def poly_scale(p: Polynomial, s: Scalar) -> Polynomial:
     mode = common_mode(s, *p.coeffs)
     if mode is not None:
         s = coerce(s, mode)
-    return Polynomial(tuple(s * c for c in p.coeffs))
+    return Polynomial(tuple([s * c for c in p.coeffs]))

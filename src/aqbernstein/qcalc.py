@@ -68,5 +68,5 @@ def q_difference_table(samples: Sequence[Scalar], q: Scalar) -> tuple[tuple[Scal
     for r in range(1, len(samples)):
         prev = rows[-1]
         w = q ** (r - 1)
-        rows.append(tuple(prev[i + 1] - w * prev[i] for i in range(len(prev) - 1)))
+        rows.append(tuple([prev[i + 1] - w * prev[i] for i in range(len(prev) - 1)]))
     return tuple(rows)

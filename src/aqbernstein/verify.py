@@ -31,10 +31,11 @@ evaluates each basis row once for all its sample vectors. Every check
 reads the same grid objects, so each operator's q-table
 (``OperatorParams.table``) and its q-binomial rows are built once.
 
-Every check reports its case count and, on failure, the first
-counterexample in serialized form. The suite is deterministic: the random
-sample vectors used by the representation-equivalence check come from a
-fixed seed.
+Each check yields its cases in a fixed order: None for a case that holds,
+its counterexample in serialized form for one that does not. The report
+counts a check's cases through the first failure, which ends the check;
+:func:`_check` does that counting for every check. The suite is
+deterministic: the random sample vectors come from fixed seeds.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import wraps
 
 from .bernstein import (
     OperatorParams,
@@ -103,11 +105,33 @@ def _ce(**fields) -> dict:
             out[key] = [format_scalar(c) for c in value.coeffs]
         elif isinstance(value, (list, tuple)):
             out[key] = [format_scalar(v) for v in value]
-        elif isinstance(value, int):
+        elif isinstance(value, (int, str)):
             out[key] = value
         else:
             out[key] = format_scalar(value)
     return out
+
+
+def _check(name: str):
+    """Make a generator of cases into the check ``name``: each case is None
+    when it holds and its counterexample when it does not, and the check
+    returns the CheckResult that counts the cases through the first
+    counterexample, which ends the check. A call runs the whole check, so
+    timing the call times the check."""
+
+    def decorate(cases):
+        @wraps(cases)
+        def check(*args) -> CheckResult:
+            count, counterexample = 0, None
+            for counterexample in cases(*args):
+                count += 1
+                if counterexample is not None:
+                    break
+            return CheckResult(name, counterexample is None, count, counterexample)
+
+        return check
+
+    return decorate
 
 
 def _grid(max_n: int):
@@ -174,25 +198,23 @@ def q_stirling2(k: int, r: int, q: Scalar) -> Scalar:
     return total / (q_factorial(r, q) * q ** (r * (r - 1) // 2))
 
 
-def check_stirling_cross() -> CheckResult:
+@_check("stirling_cross_check")
+def check_stirling_cross():
     """The explicit sum equals the production recurrence's rows, entry by
     entry, for 0 <= k, r <= K = STIRLING_MAX_KR, and b^(K(k-r)) times it
     equals the integer rows of the image kernel's form: the recurrence run
     on b^K [r]_q = b^(K+1-r) N_r, N_r the numerator of [r]_q for q = a/b.
     One set of each per q."""
-    cases, K = 0, STIRLING_MAX_KR
+    K = STIRLING_MAX_KR
     for q in Q_GRID:
         qints, b = q_integers(q, K), q.denominator
         rows = q_stirling2_rows(K, qints)
         scaled = q_stirling2_rows(K, [t.numerator * b**(K + 1 - r) for r, t in enumerate(qints)])
         for k, (row, scaled_row) in enumerate(zip(rows, scaled)):
             for r, (x, h) in enumerate(zip(row, scaled_row)):
-                cases += 1
                 a = q_stirling2(k, r, q)
-                if a != x or h != a * Fraction(b) ** (K * (k - r)):
-                    return CheckResult("stirling_cross_check", False, cases, _ce(
-                        q=q, k=k, r=r, explicit=a, recurrence=x, scaled=h))
-    return CheckResult("stirling_cross_check", True, cases, None)
+                yield _ce(q=q, k=k, r=r, explicit=a, recurrence=x, scaled=h) if (
+                    a != x or h != a * Fraction(b) ** (K * (k - r))) else None
 
 
 def _basis_sum(samples: list[Scalar], row: tuple[Scalar, ...]) -> Scalar:
@@ -200,11 +222,12 @@ def _basis_sum(samples: list[Scalar], row: tuple[Scalar, ...]) -> Scalar:
     return sum(fi * b for fi, b in zip(samples, row))
 
 
-def check_representation_equivalence(grid: list[OperatorParams]) -> CheckResult:
+@_check("representation_equivalence")
+def check_representation_equivalence(grid: list[OperatorParams]):
     """The difference form and the basis sum agree at n + 2 points; both are
-    polynomials of degree <= n, so they are then the same polynomial."""
+    polynomials of degree <= n, so they are then the same polynomial. One
+    case per sample vector."""
     rng = random.Random(SEED)
-    cases = 0
     for params in grid:
         xs = [Fraction(t, 2 * params.n + 1) for t in range(params.n + 2)]
         rows = [basis_values(params, x) for x in xs]
@@ -213,54 +236,28 @@ def check_representation_equivalence(grid: list[OperatorParams]) -> CheckResult:
                 Fraction(rng.randint(-9, 9), rng.randint(1, 9))
                 for _ in range(params.n + 1)
             ]
-            cases += 1
             direct = apply_to_samples(f, params)
             for x, row in zip(xs, rows):
                 via_difference = poly_eval(direct, x)
                 via_basis = _basis_sum(f, row)
                 if via_difference != via_basis:
-                    return CheckResult(
-                        "representation_equivalence",
-                        False,
-                        cases,
-                        _ce(
-                            n=params.n,
-                            q=params.q,
-                            alpha=params.alpha,
-                            samples=f,
-                            x=x,
-                            difference_form=via_difference,
-                            basis_form=via_basis,
-                        ),
-                    )
-    return CheckResult("representation_equivalence", True, cases, None)
+                    yield _ce(n=params.n, q=params.q, alpha=params.alpha, samples=f, x=x,
+                              difference_form=via_difference, basis_form=via_basis)
+                    break
+            else:
+                yield None
 
 
-def check_eigen_relation(systems: list[EigenSystem]) -> CheckResult:
-    cases = 0
+@_check("eigen_relation")
+def check_eigen_relation(systems: list[EigenSystem]):
     for system in systems:
         params = system.params
         nodes = sample_nodes(params)
         for k in range(params.n + 1):
-            cases += 1
-            p = system.vectors[k]
+            p, lam = system.vectors[k], system.lambdas[k]
             image = apply_to_samples([poly_eval(p, t) for t in nodes], params)
-            if image != poly_scale(p, system.lambdas[k]):
-                return CheckResult(
-                    "eigen_relation",
-                    False,
-                    cases,
-                    _ce(
-                        n=params.n,
-                        q=params.q,
-                        alpha=params.alpha,
-                        k=k,
-                        eigenvector=p,
-                        image=image,
-                        eigenvalue=system.lambdas[k],
-                    ),
-                )
-    return CheckResult("eigen_relation", True, cases, None)
+            yield _ce(n=params.n, q=params.q, alpha=params.alpha, k=k, eigenvector=p,
+                      image=image, eigenvalue=lam) if image != poly_scale(p, lam) else None
 
 
 def closed_form_eigenvalue(k: int, params: OperatorParams) -> Fraction:
@@ -278,69 +275,42 @@ def closed_form_eigenvalue(k: int, params: OperatorParams) -> Fraction:
     )
 
 
-def check_leading_coefficient(
-    systems: list[EigenSystem], diagonals: list[list[Scalar]]
-) -> CheckResult:
+@_check("leading_coefficient")
+def check_leading_coefficient(systems: list[EigenSystem], diagonals: list[list[Scalar]]):
     """lambda_k (product form) equals a(k,k) of T(t^k) and the closed form;
     ``diagonals[i]`` holds a(m,m), m = 0..n, from the image matrix of
     ``systems[i]``'s operator."""
-    cases = 0
     for system, diagonal in zip(systems, diagonals):
         params = system.params
         for k in range(1, params.n + 1):
-            cases += 1
             lam = system.lambdas[k]
             a_kk = diagonal[k]
             closed = closed_form_eigenvalue(k, params) if k >= 2 else lam
-            if a_kk != lam or closed != lam:
-                return CheckResult(
-                    "leading_coefficient",
-                    False,
-                    cases,
-                    _ce(n=params.n, q=params.q, alpha=params.alpha, k=k,
-                        leading=a_kk, closed_form=closed, eigenvalue=lam),
-                )
-    return CheckResult("leading_coefficient", True, cases, None)
+            yield _ce(n=params.n, q=params.q, alpha=params.alpha, k=k, leading=a_kk,
+                      closed_form=closed, eigenvalue=lam) if a_kk != lam or closed != lam else None
 
 
-def check_distinctness(systems: list[EigenSystem]) -> CheckResult:
-    cases = 0
+@_check("distinctness")
+def check_distinctness(systems: list[EigenSystem]):
     for system in systems:
         params, lams = system.params, system.lambdas
         for k in range(2, params.n + 1):
-            cases += 1
-            if not lams[k] < lams[k - 1] or lams[k] < 0:
-                return CheckResult(
-                    "distinctness",
-                    False,
-                    cases,
-                    _ce(n=params.n, q=params.q, alpha=params.alpha, k=k,
-                        lambdas=lams),
-                )
-    return CheckResult("distinctness", True, cases, None)
+            yield _ce(n=params.n, q=params.q, alpha=params.alpha, k=k, lambdas=lams) if (
+                not lams[k] < lams[k - 1] or lams[k] < 0) else None
 
 
-def check_example_fixed_points(systems: list[EigenSystem]) -> CheckResult:
+@_check("example_fixed_points")
+def check_example_fixed_points(systems: list[EigenSystem]):
     """Degree 2 is t^2 - t for every n >= 2; degree 3 at n = 3 has the
     closed form below."""
-    cases = 0
     for system in systems:
         params = system.params
-        if params.n < 2:
-            continue
-        cases += 1
-        if system.vectors[2] != Polynomial((0, -1, 1)):
-            return CheckResult(
-                "example_fixed_points",
-                False,
-                cases,
-                _ce(n=params.n, q=params.q, alpha=params.alpha,
-                    degree2=system.vectors[2]),
-            )
+        if params.n >= 2:
+            yield _ce(n=params.n, q=params.q, alpha=params.alpha, degree2=system.vectors[2]) if (
+                system.vectors[2] != Polynomial((0, -1, 1))) else None
     for system in systems:
         if system.params.n != 3:
             continue
-        cases += 1
         q, alpha = system.params.q, system.params.alpha
         den = (1 - alpha) * q**4 + q**3 + 2 * q**2 + (1 + alpha) * q + 1
         a2 = -((1 - alpha) * q**4 + (2 - alpha) * q**3 + 3 * q**2
@@ -348,68 +318,38 @@ def check_example_fixed_points(systems: list[EigenSystem]) -> CheckResult:
         a1 = ((1 - alpha) * q**3 + q**2 + alpha * q + 1) / den
         expected = Polynomial((Fraction(0), a1, a2, Fraction(1)))
         got = system.vectors[3]
-        if got != expected:
-            return CheckResult(
-                "example_fixed_points",
-                False,
-                cases,
-                _ce(q=q, alpha=alpha, degree3=got, expected=expected),
-            )
-    return CheckResult("example_fixed_points", True, cases, None)
+        yield _ce(q=q, alpha=alpha, degree3=got, expected=expected) if got != expected else None
 
 
-def check_operator_axioms(systems: list[EigenSystem]) -> CheckResult:
+@_check("operator_axioms")
+def check_operator_axioms(systems: list[EigenSystem]):
     rng = random.Random(SEED + 1)
-    cases = 0
     xs = [Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1)]
     for system in systems:
         params = system.params
+        at = {"n": params.n, "q": params.q, "alpha": params.alpha}
         nodes = sample_nodes(params)
-        # partition of unity
         for x in xs:
-            cases += 1
             total = sum(basis_values(params, x))
-            if total != 1:
-                return CheckResult(
-                    "operator_axioms", False, cases,
-                    _ce(axiom="partition_of_unity", n=params.n, q=params.q,
-                        alpha=params.alpha, x=x, total=total),
-                )
+            yield _ce(axiom="partition_of_unity", **at, x=x, total=total) if total != 1 else None
         # endpoint interpolation on a random sample vector
         f = [Fraction(rng.randint(-9, 9), rng.randint(1, 9))
              for _ in range(params.n + 1)]
-        cases += 1
-        if (_basis_sum(f, basis_values(params, Fraction(0))) != f[0]
-                or _basis_sum(f, basis_values(params, Fraction(1))) != f[-1]):
-            return CheckResult(
-                "operator_axioms", False, cases,
-                _ce(axiom="endpoint_interpolation", n=params.n, q=params.q,
-                    alpha=params.alpha, samples=f),
-            )
+        yield _ce(axiom="endpoint_interpolation", **at, samples=f) if (
+            _basis_sum(f, basis_values(params, Fraction(0))) != f[0]
+            or _basis_sum(f, basis_values(params, Fraction(1))) != f[-1]) else None
         # invariance of a t + b
         a_, b_ = Fraction(rng.randint(-5, 5), rng.randint(1, 5)), Fraction(
             rng.randint(-5, 5), rng.randint(1, 5))
-        cases += 1
         image = apply_to_samples([a_ * t + b_ for t in nodes], params)
-        if image != Polynomial((b_, a_)):
-            return CheckResult(
-                "operator_axioms", False, cases,
-                _ce(axiom="linear_invariance", n=params.n, q=params.q,
-                    alpha=params.alpha, a=a_, b=b_, image=image),
-            )
+        yield _ce(axiom="linear_invariance", **at, a=a_, b=b_, image=image) if (
+            image != Polynomial((b_, a_))) else None
         # degree reduction on monomials
         for k in range(1, params.n + 1):
-            cases += 1
             image = apply_to_samples([t**k for t in nodes], params)
             lam = system.lambdas[k]
             bad = image.degree > k or (lam != 0 and image.degree != k)
-            if bad:
-                return CheckResult(
-                    "operator_axioms", False, cases,
-                    _ce(axiom="degree_reduction", n=params.n, q=params.q,
-                        alpha=params.alpha, k=k, image=image),
-                )
-    return CheckResult("operator_axioms", True, cases, None)
+            yield _ce(axiom="degree_reduction", **at, k=k, image=image) if bad else None
 
 
 def run_verify(max_n: int = 6) -> VerifyReport:

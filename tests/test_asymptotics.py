@@ -15,6 +15,7 @@ from aqbernstein.asymptotics import (
 )
 from aqbernstein.bernstein import OperatorParams, monomial_image
 from aqbernstein.eigen import eigenvector, spectrum
+from aqbernstein.scalars import MixedModeError
 from aqbernstein.verify import q_integer, q_stirling2
 
 F = Fraction
@@ -141,9 +142,28 @@ class TestLimitEigenvalue:
         for k in range(6):
             assert limit_eigenvalue(F(2), k) == 1
 
+    def test_value_in_the_mode_of_q(self):
+        # an int q is exact; float q stays float, in both regimes
+        for q, k in [(2, 3), (F(2), 0), (F(1, 2), 3)]:
+            assert type(limit_eigenvalue(q, k)) is F
+        assert limit_eigenvalue(2, 3) == F(1)
+        assert limit_eigenvalue(0.5, 3) == 0.125 and limit_eigenvalue(2.0, 3) == 1.0
+        assert type(limit_eigenvalue(2.0, 3)) is float
+
+    def test_non_finite_q_rejected(self):
+        # the rule limit_coeffs applies: a non-finite q is refused, not run
+        for q in [math.inf, -math.inf, math.nan]:
+            with pytest.raises(ValueError, match="q must be finite"):
+                limit_eigenvalue(q, 3)
+            with pytest.raises(ValueError, match="q must be finite"):
+                limit_coeffs(q, 0.5, 3)
+
     def test_q_one_rejected(self):
         with pytest.raises(RegimeError):
             limit_eigenvalue(F(1), 2)
+        for q in [0, F(-1, 2), -2.0]:
+            with pytest.raises(RegimeError, match="positive"):
+                limit_eigenvalue(q, 2)
 
     def test_finite_values_approach_float(self):
         for q, want in [(0.5, lambda k: 0.5 ** (k * (k - 1) // 2)),
@@ -375,6 +395,15 @@ class TestConvergenceTable:
         rows = convergence_table(F(1, 2), F(1, 2), 2, [5, 10], mode="exact")
         assert all(isinstance(r.finite, F) for r in rows)
         assert all(r.abs_error == 0 for r in rows)
+
+    def test_exact_mode_never_runs_in_float(self):
+        # a float q or alpha is refused, not run in float; ints become exact
+        for q, alpha in [(0.5, F(1, 2)), (F(1, 2), 0.5), (2.0, 0)]:
+            with pytest.raises(MixedModeError):
+                convergence_table(q, alpha, 2, [5], mode="exact")
+        rows = convergence_table(2, 0, 3, [5, 10], mode="exact")
+        assert rows == convergence_table(F(2), F(0), 3, [5, 10], mode="exact")
+        assert all(type(v) is F for r in rows for v in (r.finite, r.limit, r.abs_error))
 
     def test_small_n_rejected(self):
         with pytest.raises(ValueError):

@@ -614,6 +614,9 @@ class TestFaultHook:
         assert not report.passed
         failed = [c for c in report.checks if not c.passed]
         assert failed[0].name == "eigen_relation" and failed[0].counterexample
+        # a failed check counts its cases through the first counterexample
+        cases = {c.name: c.cases for c in failed}
+        assert cases == {"eigen_relation": 53, "example_fixed_points": 1}
 
     def test_wrong_diagonal_caught_by_leading_check(self, corrupt_diagonal):
         # a(k,k) feeds no eigenvector, so only the leading check sees it
@@ -622,6 +625,7 @@ class TestFaultHook:
         failed = [c for c in report.checks if not c.passed]
         assert [c.name for c in failed] == ["leading_coefficient"]
         assert failed[0].counterexample["k"] == 2
+        assert failed[0].cases == 29
 
     def test_wrong_stirling_rows_caught(self, monkeypatch):
         # Carlitz's step with [r-1]_q in place of [r]_q, in the one production
@@ -647,6 +651,16 @@ class TestFaultHook:
         assert failed["eigen_relation"].counterexample
         assert main(["verify", "--max-n", "3"]) == 1
         assert not json.loads(capsys.readouterr().out)["passed"]
+
+    def test_failed_axiom_is_reported(self, corrupt_basis):
+        # p_0(0) off by one breaks the partition of unity at the first x; the
+        # axiom's name goes into the counterexample as it is
+        corrupt_basis(lambda n: 0)
+        failed = {c.name: c for c in run_verify(max_n=1).checks if not c.passed}
+        axioms = failed["operator_axioms"]
+        assert axioms.cases == 1
+        assert axioms.counterexample == {"axiom": "partition_of_unity", "n": 1, "q": "1/3",
+                                         "alpha": "0", "x": "0", "total": "2"}
 
     @pytest.mark.parametrize("t", [lambda n: n + 1, lambda n: 1],
                              ids=["surplus_point", "interior_point"])
