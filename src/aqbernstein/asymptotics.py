@@ -9,9 +9,11 @@ Two regimes exist, split by q (there is no limit regime at q = 1):
 * q > 1: every lambda_k tends to 1, and c_n(j,k) tends to d(j,k), a running
   product of one-step ratio limits that genuinely depend on alpha.
 
-:func:`limit_coeffs` is the one kernel for both regimes. It checks q and
-alpha once, by the rules of :class:`~aqbernstein.bernstein.OperatorParams`,
-builds [0]_q .. [k]_q once by the recurrence the operator's q-table runs,
+:func:`limit_coeffs` is the one kernel for both regimes. It finds q's
+regime first, so a q <= 0 raises RegimeError as in :func:`limit_eigenvalue`,
+then checks q and alpha once, by the rules of
+:class:`~aqbernstein.bernstein.OperatorParams`, builds [0]_q .. [k]_q once
+by the recurrence the operator's q-table runs,
 :func:`~aqbernstein.qcalc.q_integers`, and runs the recursion of the regime
 on that sequence: below 1 on the q-Stirling rows that
 :func:`~aqbernstein.qcalc.q_stirling2_rows` builds from it, above 1 on
@@ -99,7 +101,7 @@ def limit_eigenvalue(q: Scalar, k: int) -> Scalar:
 
 def limit_coeffs(q: Scalar, alpha: Scalar, k: int) -> LimitCoeffs:
     """The limit coefficients of degree k in the regime of q: b(j,k) for
-    0 < q < 1, d(j,k) for q > 1 (RegimeError at q = 1).
+    0 < q < 1, d(j,k) for q > 1 (RegimeError at q = 1 and for q <= 0).
 
     In both regimes coeffs[k] = 1 and, for k >= 1, coeffs[0] = 0. For
     j = k-1 .. 1, below 1
@@ -112,8 +114,8 @@ def limit_coeffs(q: Scalar, alpha: Scalar, k: int) -> LimitCoeffs:
     (see the module docstring), whose step to j = 0 would carry the factor
     S_q(1,0) + (1-alpha) q^(-k) (q-1) [0]_q [1]_q = 0.
     """
+    regime = regime_of(coerce(q, common_mode(q) or EXACT))
     q, alpha = checked_q_alpha(q, alpha)
-    regime = regime_of(q)
     if k < 0:
         raise ValueError(f"need k >= 0, got {k}")
     qint = q_integers(q, k)

@@ -25,6 +25,16 @@ The kernels here and in :mod:`aqbernstein.eigen` read their q-sequences
 from one :class:`QTable` per operator, ``OperatorParams.table``. In float
 mode they raise FloatingPointError rather than return a nan or an infinity.
 
+The basis values and the difference form work in the same homogeneous
+coordinates as ``image_rows``. For q = a/b and alpha = c/d in lowest
+terms (and x = X/Y, or samples over their lcm L), exact mode forms only
+integer numerators over one tracked denominator, a product of powers of
+b, d, Y (or L) and a q-integer numerator, and makes each output scalar a
+reduced Fraction once, at the end. Float mode runs the same loops with
+(a, b, c, d) = (q, 1, alpha, 1) and unit denominators. The difference form
+runs the one difference loop, :func:`~aqbernstein.qcalc.q_difference_table`,
+on (a, b).
+
 Basis evaluation uses a factored form in which the removable division by
 (1 - q^(n-i-1) x) has been cancelled, so no evaluation point is singular.
 """
@@ -140,6 +150,18 @@ def sample_nodes(params: OperatorParams) -> tuple[Scalar, ...]:
     return require_finite(tuple([t / qints[-1] for t in qints]), "sample_nodes", params)
 
 
+def _integer_form(params: OperatorParams, *rows: tuple[Scalar, ...]):
+    """(a, b, c, d) for q = a/b and alpha = c/d in lowest terms, and the
+    q-binomial ``rows`` as the numerators P(m, i) of qbinom(m, i) =
+    P(m, i) / b^(i(m-i)), in exact mode; (q, 1, alpha, 1) and the rows as
+    they are in float mode."""
+    q, alpha = params.q, params.alpha
+    if params.mode == "exact":
+        return (q.numerator, q.denominator, alpha.numerator, alpha.denominator,
+                *[[t.numerator for t in row] for row in rows])
+    return (q, 1, alpha, 1, *rows)
+
+
 def basis_values(params: OperatorParams, x: Scalar) -> tuple[Scalar, ...]:
     """All n+1 basis values p_{n,q,i}^{(alpha)}(x), i = 0..n.
 
@@ -152,62 +174,107 @@ def basis_values(params: OperatorParams, x: Scalar) -> tuple[Scalar, ...]:
 
     The q-power on the middle term must be n-i for the family to sum to 1
     (partition of unity) and to agree with the forward-difference form of
-    the operator; both are enforced by tests. The q-powers and binomial
-    rows come from the table; the powers of x and the q-shifted-product
-    prefixes are running products shared across i.
+    the operator; both are enforced by tests.
+
+    The three terms are formed over one denominator. For q = a/b,
+    alpha = c/d and x = X/Y in lowest terms write qbinom(m, i) =
+    P(m, i) / b^(i(m-i)) (P the numerator of the table's q-binomial) and
+    (x;q)_m = Q_m / (Y^m b^(m(m-1)/2)) with Q_m = prod_{j<m} (Y b^j - X a^j).
+    With m = n-i the value at i is then V_i / (d Y^n b^(m(n+i-1)/2)),
+
+        V_i = c P(n, i) X^i Q_m
+            + (d-c) P(n-2, i) X^i Q_(m-1) Y b^(n+i-1)
+            + (d-c) P(n-2, i-2) a^m X^(i-1) Q_m Y b^m,
+
+    an integer, made a reduced Fraction once. The powers and the prefix
+    products Q_m are running products shared across i. Float mode runs the
+    same loop with (a, b, c, d) = (q, 1, alpha, 1) and X, Y = x, 1, so every
+    denominator is 1.
     """
-    n, alpha, table = params.n, params.alpha, params.table
+    n = params.n
     mode = common_mode(params.q, x)
     if mode is not None and mode != params.mode:
         raise MixedModeError(f"x is {mode}-mode but operator parameters are {params.mode}")
     x = coerce(x, params.mode)
     if n == 1:
         return require_finite((1 - x, x), "basis_values", params)
-    one, qpow = table.one, table.powers
-    xpow = list(accumulate(range(n), lambda p, _: p * x, initial=one))
-    poch = list(accumulate(qpow[:n], lambda p, qm: p * (1 - x * qm), initial=one))
-    row_n, row_n2 = table.binomials[n], table.binomials[n - 2]
-    values = []
+    binomials = params.table.binomials
+    a, b, c, d, row_n, row_n2 = _integer_form(params, binomials[n], binomials[n - 2])
+    exact = params.mode == "exact"
+    X, Y = (x.numerator, x.denominator) if exact else (x, 1)
+    apow = list(accumulate(range(n), lambda p, _: p * a, initial=1))
+    bpow = list(accumulate(range(2 * n - 2), lambda p, _: p * b, initial=1))
+    xpow = list(accumulate(range(n), lambda p, _: p * X, initial=1))
+    poch = list(accumulate(range(n), lambda p, j: p * (Y * bpow[j] - X * apow[j]), initial=1))
+    yn, values = Y**n, []
     for i in range(n + 1):
-        total = alpha * row_n[i] * xpow[i] * poch[n - i]
+        m = n - i
+        total = c * row_n[i] * xpow[i] * poch[m]
         if i <= n - 2:
-            total = total + (1 - alpha) * row_n2[i] * xpow[i] * poch[n - i - 1]
+            total = total + (d - c) * row_n2[i] * xpow[i] * poch[m - 1] * Y * bpow[n + i - 1]
         if i >= 2:
-            total = total + (
-                (1 - alpha) * row_n2[i - 2] * qpow[n - i] * xpow[i - 1] * poch[n - i]
-            )
-        values.append(total)
+            total = total + (d - c) * row_n2[i - 2] * apow[m] * xpow[i - 1] * poch[m] * Y * bpow[m]
+        den = d * yn * b ** (m * (n + i - 1) // 2)
+        values.append(Fraction(total, den) if exact else total / den)
     return require_finite(tuple(values), "basis_values", params)
-
-
-def _g_samples(samples: tuple[Scalar, ...], params: OperatorParams) -> tuple[Scalar, ...]:
-    """The blended sequence g_i, i = 0..n-1 (a q-weighted mix of f_i, f_{i+1})
-    with weights w_i = q^(n-i-1) [i]_q / [n-1]_q."""
-    n, qpow, qint = params.n, params.table.powers, params.table.integers
-    weights = (qpow[n - i - 1] * qint[i] / qint[n - 1] for i in range(n))
-    return tuple([(1 - w) * f0 + w * f1 for w, f0, f1 in zip(weights, samples, samples[1:])])
 
 
 def apply_to_samples(samples: Sequence[Scalar], params: OperatorParams) -> Polynomial:
     """T_{n,q,alpha}(f; .) as a polynomial, via the forward-difference form.
 
-    n = 1 is linear interpolation f_0 (1-x) + f_1 x; for n >= 2 the
-    coefficient of x^r combines Delta_q^r g_0 and Delta_q^r f_0 (the g term
-    is absent at r = n, where its q-binomial weight vanishes).
+    n = 1 is linear interpolation f_0 (1-x) + f_1 x. For n >= 2 the
+    coefficient of x^r is
+
+        alpha qbinom(n, r) Delta_q^r f_0 + (1-alpha) qbinom(n-1, r) Delta_q^r g_0
+
+    (the g term is absent at r = n, where its q-binomial weight vanishes),
+    where g_i = (1 - w_i) f_i + w_i f_{i+1}, i = 0..n-1, blends neighbouring
+    samples with w_i = q^(n-i-1) [i]_q / [n-1]_q.
+
+    Both difference tables are integers over one denominator. For q = a/b,
+    alpha = c/d in lowest terms, put the samples over their lcm L,
+    f_i = F_i / L, and write [j]_q = N_j / b^(j-1) (N_j the numerator of the
+    table's [j]_q). The b-powers of w_i cancel: w_i = A_i / N_{n-1} with
+    A_i = a^(n-i-1) N_i, so G_i = L N_{n-1} g_i
+    = (N_{n-1} - A_i) F_i + A_i F_{i+1} is an integer. The one difference
+    loop, :func:`~aqbernstein.qcalc.q_difference_table` run on (a, b), gives
+    E_r = L b^(r(r-1)/2) Delta_q^r f_0 and likewise for G. With
+    qbinom(m, r) = P(m, r) / b^(r(m-r)) the coefficient of x^r is
+
+        (c P(n, r) N_{n-1} E_r(F) + (d-c) P(n-1, r) b^r E_r(G))
+          / (d L N_{n-1} b^(r(r-1)/2 + r(n-r))),
+
+    made a reduced Fraction once. Float mode runs the same loop with
+    (a, b, c, d) = (q, 1, alpha, 1), L = 1 and N_j = [j]_q / [n-1]_q, so
+    every denominator is 1 and G is the blend g itself; the common scale of
+    the N_j cancels from every coefficient, and this one keeps G in float
+    range for q > 1.
     """
     f = _check_samples(samples, params)
-    n, q, alpha = params.n, params.q, params.alpha
+    n, table = params.n, params.table
     if n == 1:
         return Polynomial(require_finite((f[0], f[1] - f[0]), "apply_to_samples", params))
-    ftable = q_difference_table(f, q)
-    gtable = q_difference_table(_g_samples(f, params), q)
-    row_n, row_n1 = params.table.binomials[n], params.table.binomials[n - 1]
+    a, b, c, d, row_n, row_n1 = _integer_form(
+        params, table.binomials[n], table.binomials[n - 1])
+    exact = params.mode == "exact"
+    if exact:
+        L = math.lcm(*[v.denominator for v in f])
+        F = [v.numerator * (L // v.denominator) for v in f]
+        N = [t.numerator for t in table.integers[:n]]
+    else:
+        L, F = 1, f
+        N = [t / table.integers[n - 1] for t in table.integers[:n]]
+    apow = list(accumulate(range(n - 1), lambda p, _: p * a, initial=1))
+    A = [apow[n - i - 1] * N[i] for i in range(n)]
+    G = [(N[n - 1] - w) * f0 + w * f1 for w, f0, f1 in zip(A, F, F[1:])]
+    ftable, gtable = q_difference_table(F, a, b), q_difference_table(G, a, b)
     coeffs = []
     for r in range(n + 1):
-        c = alpha * row_n[r] * ftable[r][0]
+        total = c * row_n[r] * N[n - 1] * ftable[r][0]
         if r <= n - 1:
-            c = c + (1 - alpha) * row_n1[r] * gtable[r][0]
-        coeffs.append(c)
+            total = total + (d - c) * row_n1[r] * b**r * gtable[r][0]
+        den = d * L * N[n - 1] * b ** (r * (r - 1) // 2 + r * (n - r))
+        coeffs.append(Fraction(total, den) if exact else total / den)
     return Polynomial(require_finite(tuple(coeffs), "apply_to_samples", params))
 
 

@@ -25,11 +25,6 @@ from typing import Sequence
 from .scalars import Scalar
 
 
-def _require_positive_q(q: Scalar) -> None:
-    if not q > 0:
-        raise ValueError(f"q must be positive, got {q}")
-
-
 def q_integers(q: Scalar, top: int) -> tuple[Scalar, ...]:
     """[0]_q .. [top]_q, each from the one before by [m+1]_q = 1 + q [m]_q
     (in float mode, infinite past float range)."""
@@ -56,17 +51,24 @@ def q_stirling2_rows(k: int, qints: Sequence[Scalar]) -> list[list[Scalar]]:
     return rows
 
 
-def q_difference_table(samples: Sequence[Scalar], q: Scalar) -> tuple[tuple[Scalar, ...], ...]:
+def q_difference_table(samples: Sequence[Scalar], q: Scalar,
+                       den: Scalar = 1) -> tuple[tuple[Scalar, ...], ...]:
     """All iterated forward q-differences of a sample sequence.
 
     Row r holds Delta_q^r applied at each admissible start index:
     ``table[r][i]`` is Delta_q^r f_i, built from
     Delta_q^r f_i = Delta_q^(r-1) f_{i+1} - q^(r-1) Delta_q^(r-1) f_i.
+    Given q's numerator and denominator as ``q`` and ``den``, the same loop
+    runs the recurrence scaled by den^(r(r-1)/2),
+    E_{r,i} = den^(r-1) E_{r-1,i+1} - q^(r-1) E_{r-1,i}, so that
+    ``table[r][i]`` is den^(r(r-1)/2) Delta_{q/den}^r f_i: integers for
+    integer samples.
     """
-    _require_positive_q(q)
+    if not (q > 0 and den > 0):
+        raise ValueError(f"q must be positive, got {q}" + (f"/{den}" if den != 1 else ""))
     rows = [tuple(samples)]
     for r in range(1, len(samples)):
         prev = rows[-1]
-        w = q ** (r - 1)
-        rows.append(tuple([prev[i + 1] - w * prev[i] for i in range(len(prev) - 1)]))
+        u, w = den ** (r - 1), q ** (r - 1)
+        rows.append(tuple([u * prev[i + 1] - w * prev[i] for i in range(len(prev) - 1)]))
     return tuple(rows)

@@ -26,7 +26,8 @@ eigenvalues or eigenvectors (eigen relation, leading coefficient,
 distinctness, the low-degree eigenvectors and degree reduction). The
 production q-Stirling rows are built once per q, plain and in the integer
 form the image kernel reads, and compared entry by entry with the explicit
-sum, and the representation check
+sum, which reads one closed-form table of q-integers, q-factorials,
+q-binomials and q-powers per q; the representation check
 evaluates each basis row once for all its sample vectors. Every check
 reads the same grid objects, so each operator's q-table
 (``OperatorParams.table``) and its q-binomial rows are built once.
@@ -44,6 +45,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import wraps
+from itertools import accumulate
+from operator import mul
 
 from .bernstein import (
     OperatorParams,
@@ -174,16 +177,32 @@ def q_binomial(n: int, k: int, q: Scalar) -> Scalar:
     return out
 
 
-def q_stirling2(k: int, r: int, q: Scalar) -> Scalar:
+def _sum_tables(q: Scalar, rows: range | list[int]) -> tuple[list, list, dict, list]:
+    """What the explicit q-Stirling sum reads for the r in ``rows``: [j]_q
+    by the closed form and [j]_q!, j <= max(rows), the q-binomial row
+    qbinom(r, .) of each r, and q^(j(j-1)/2)."""
+    top = max(rows)
+    qints = [q_integer(j, q) for j in range(top + 1)]
+    facts = list(accumulate(qints[1:], mul, initial=q * 0 + 1))
+    binomials = {r: [q_binomial(r, i, q) for i in range(r + 1)] for r in rows}
+    return qints, facts, binomials, [q ** (j * (j - 1) // 2) for j in range(top + 1)]
+
+
+def q_stirling2(k: int, r: int, q: Scalar, tables: tuple[list, list, dict, list] | None = None
+                ) -> Scalar:
     """q-Stirling number of the second kind S_q(k, r), by its explicit sum.
 
     S_q(k, r) = (1 / ([r]_q! q^(r(r-1)/2)))
                 * sum_{i=0}^{r} (-1)^i q^(i(i-1)/2) qbinom(r, i) [r-i]_q^k.
 
     Boundary values are pinned before the sum is consulted: S_q(0,0) = 1,
-    S_q(k,0) = 0 for k > 0, and S_q(k,r) = 0 for k < r. The oracle for the
-    production recurrence :func:`aqbernstein.qcalc.q_stirling2_rows`; its
-    alternating terms cancel in floats, so it is meant for exact mode.
+    S_q(k,0) = 0 for k > 0, and S_q(k,r) = 0 for k < r. The sum reads the
+    closed-form q-integers, q-factorials, q-binomials and q-powers of
+    ``tables`` (from :func:`_sum_tables`, with r among its rows), built here
+    when not given; a caller that sums many (k, r) builds them once. The
+    oracle for the production recurrence
+    :func:`aqbernstein.qcalc.q_stirling2_rows`; its alternating terms cancel
+    in floats, so it is meant for exact mode.
     """
     if k < 0 or r < 0:
         raise ValueError(f"q-Stirling number needs k, r >= 0, got ({k}, {r})")
@@ -191,11 +210,12 @@ def q_stirling2(k: int, r: int, q: Scalar) -> Scalar:
         return q * 0 + 1 if k == 0 else q * 0
     if k < r:
         return q * 0
+    qints, facts, binomials, tri = tables or _sum_tables(q, [r])
     total = q * 0
-    for i in range(r + 1):
-        term = q ** (i * (i - 1) // 2) * q_binomial(r, i, q) * q_integer(r - i, q) ** k
+    for i, binomial in enumerate(binomials[r]):
+        term = tri[i] * binomial * qints[r - i] ** k
         total = total - term if i % 2 else total + term
-    return total / (q_factorial(r, q) * q ** (r * (r - 1) // 2))
+    return total / (facts[r] * tri[r])
 
 
 @_check("stirling_cross_check")
@@ -204,15 +224,17 @@ def check_stirling_cross():
     entry, for 0 <= k, r <= K = STIRLING_MAX_KR, and b^(K(k-r)) times it
     equals the integer rows of the image kernel's form: the recurrence run
     on b^K [r]_q = b^(K+1-r) N_r, N_r the numerator of [r]_q for q = a/b.
-    One set of each per q."""
+    One set of each per q, and one set of the closed forms the explicit
+    sum reads (:func:`_sum_tables`) per q."""
     K = STIRLING_MAX_KR
     for q in Q_GRID:
         qints, b = q_integers(q, K), q.denominator
         rows = q_stirling2_rows(K, qints)
         scaled = q_stirling2_rows(K, [t.numerator * b**(K + 1 - r) for r, t in enumerate(qints)])
+        tables = _sum_tables(q, range(K + 1))
         for k, (row, scaled_row) in enumerate(zip(rows, scaled)):
             for r, (x, h) in enumerate(zip(row, scaled_row)):
-                a = q_stirling2(k, r, q)
+                a = q_stirling2(k, r, q, tables)
                 yield _ce(q=q, k=k, r=r, explicit=a, recurrence=x, scaled=h) if (
                     a != x or h != a * Fraction(b) ** (K * (k - r))) else None
 

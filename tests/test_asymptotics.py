@@ -178,6 +178,21 @@ class TestLimitEigenvalue:
                 assert errs[-1] < 1e-8
 
 
+NONPOSITIVE_Q_ENTRIES = {
+    "limit_eigenvalue": lambda q: limit_eigenvalue(q, 2),
+    "limit_coeffs": lambda q: limit_coeffs(q, F(1, 2), 2),
+    "convergence_table": lambda q: convergence_table(q, F(1, 2), 2, [5]),
+}
+
+
+@pytest.mark.parametrize("q", [0, F(-1, 2), -2.0], ids=["0", "-1/2", "-2.0"])
+@pytest.mark.parametrize("entry", NONPOSITIVE_Q_ENTRIES)
+def test_nonpositive_q_is_a_regime_error(entry, q):
+    # one bad q, one exception type, whichever limit entry point sees it
+    with pytest.raises(RegimeError, match="q must be positive"):
+        NONPOSITIVE_Q_ENTRIES[entry](q)
+
+
 class TestLimitMonomialCoeff:
     def test_diagonal(self):
         for k in range(6):

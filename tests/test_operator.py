@@ -3,13 +3,13 @@ import json
 import math
 import random
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 
 from aqbernstein import bernstein, eigen, verify
 from aqbernstein.bernstein import (
     OperatorParams,
-    _g_samples,
     apply_to_samples,
     basis_values,
     falling_products,
@@ -87,6 +87,63 @@ def basis_eval(params, i, x):
             * x ** (i - 1) * q_pochhammer(x, q, n - i)
         )
     return total
+
+
+def reference_basis_values(params, x):
+    """The basis row p_0(x)..p_n(x) in the scalar arithmetic of the mode,
+    one Fraction (or float) operation at a time: the three-term form of
+    ``basis_values`` over the table's q-powers and q-binomial rows, with
+    running products for x^i and (x;q)_m. The oracle for the integer form
+    of the production kernel."""
+    n, alpha, table = params.n, params.alpha, params.table
+    x = x + table.zero
+    if n == 1:
+        return (1 - x, x)
+    one, qpow = table.one, table.powers
+    xpow = list(accumulate(range(n), lambda p, _: p * x, initial=one))
+    poch = list(accumulate(qpow[:n], lambda p, qm: p * (1 - x * qm), initial=one))
+    row_n, row_n2 = table.binomials[n], table.binomials[n - 2]
+    values = []
+    for i in range(n + 1):
+        total = alpha * row_n[i] * xpow[i] * poch[n - i]
+        if i <= n - 2:
+            total = total + (1 - alpha) * row_n2[i] * xpow[i] * poch[n - i - 1]
+        if i >= 2:
+            total = total + (
+                (1 - alpha) * row_n2[i - 2] * qpow[n - i] * xpow[i - 1] * poch[n - i]
+            )
+        values.append(total)
+    return tuple(values)
+
+
+def reference_g_samples(samples, params):
+    """The blended sequence g_i = (1 - w_i) f_i + w_i f_{i+1}, i = 0..n-1,
+    with w_i = q^(n-i-1) [i]_q / [n-1]_q, in the scalar arithmetic of the
+    mode."""
+    n, qpow, qint = params.n, params.table.powers, params.table.integers
+    weights = [qpow[n - i - 1] * qint[i] / qint[n - 1] for i in range(n)]
+    return tuple([(1 - w) * f0 + w * f1 for w, f0, f1 in zip(weights, samples, samples[1:])])
+
+
+def reference_apply_to_samples(samples, params):
+    """The coefficients of T(f; .) by the forward-difference form, in the
+    scalar arithmetic of the mode: q-difference tables of f and of g over
+    the scalar q, weighted by the table's q-binomial rows. The oracle for
+    the integer form of the production kernel."""
+    n, q, alpha, table = params.n, params.q, params.alpha, params.table
+    f = tuple([v + table.zero for v in samples])
+    if n == 1:
+        return Polynomial((f[0], f[1] - f[0])).coeffs
+    ftable = q_difference_table(f, q)
+    gtable = q_difference_table(reference_g_samples(f, params), q)
+    row_n, row_n1 = table.binomials[n], table.binomials[n - 1]
+    coeffs = []
+    for r in range(n + 1):
+        c = alpha * row_n[r] * ftable[r][0]
+        if r <= n - 1:
+            c = c + (1 - alpha) * row_n1[r] * gtable[r][0]
+        coeffs.append(c)
+    return Polynomial(tuple(coeffs)).coeffs
 
 
 class TestParams:
@@ -212,13 +269,14 @@ class TestGDifference:
             assert 0 <= w <= 1
 
     def test_iterated_differences_of_g(self):
-        # differencing the library's g sequence reproduces the closed form
+        # differencing the reference oracle's g sequence reproduces the
+        # closed form
         rng = random.Random(3)
         for n in range(2, 9):
             for q in [F(1, 2), F(1), F(2)]:
                 params = OperatorParams(n, q, F(1, 4))
                 f = rational_samples(rng, n + 1)
-                g = _g_samples(tuple(f), params)
+                g = reference_g_samples(tuple(f), params)
                 assert g == tuple(g_difference(f, i, 0, params) for i in range(n))
                 table = q_difference_table(g, q)
                 for r in range(n):
@@ -304,6 +362,59 @@ class TestApply:
                     image = apply_to_samples(f, params)
                     for x, row in zip(xs, rows):
                         assert poly_eval(image, x) == basis_sum(f, row)
+
+
+class TestIntegerKernels:
+    """The integer forms of ``apply_to_samples`` and ``basis_values`` give
+    the same reduced Fractions as the Fraction-by-Fraction references, and
+    in float mode stay within rounding of them."""
+
+    SAMPLES = [
+        lambda rng, n: rational_samples(rng, n + 1),
+        lambda rng, n: [rng.randint(-9, 9) for _ in range(n + 1)],  # ints
+        lambda rng, n: [F(rng.randint(-9, 9), d) for d in (2, 3, 5, 7, 11, 13, 4, 9, 25)[: n + 1]],
+    ]
+    XS = [F(0), F(1), F(1, 3), F(-1, 2), F(7, 5)]
+
+    def test_apply_equals_reference(self):
+        rng = random.Random(8)
+        for n in range(1, 9):
+            for q in verify.Q_GRID:
+                for alpha in verify.ALPHA_GRID:
+                    params = OperatorParams(n, q, alpha)
+                    for draw in self.SAMPLES:
+                        f = draw(rng, n)
+                        got = apply_to_samples(f, params).coeffs
+                        assert got == reference_apply_to_samples(f, params), (n, q, alpha, f)
+                        assert all(type(c) is F for c in got)
+
+    def test_basis_equals_reference(self):
+        for n in range(1, 9):
+            for q in verify.Q_GRID:
+                for alpha in verify.ALPHA_GRID:
+                    params = OperatorParams(n, q, alpha)
+                    for x in [*self.XS, 0, 1]:
+                        got = basis_values(params, x)
+                        assert got == reference_basis_values(params, x), (n, q, alpha, x)
+                        assert all(type(v) is F for v in got)
+
+    def test_float_equals_reference(self):
+        # the same loop with unit denominators: within rounding of the
+        # float references (the basis row is the same arithmetic)
+        rng = random.Random(9)
+        for n in [1, 2, 3, 8, 20, 40]:
+            for q in [0.5, 1.0, 1.5, 2.0]:
+                for alpha in FLOAT_A_GRID:
+                    params = OperatorParams(n, q, alpha)
+                    f = [rng.randint(-64, 64) / 8 for _ in range(n + 1)]
+                    got = apply_to_samples(f, params).coeffs
+                    want = reference_apply_to_samples(f, params)
+                    scale = max(map(abs, want))
+                    assert len(got) == len(want)
+                    assert all(abs(g - w) <= 1e-13 * scale for g, w in zip(got, want)), \
+                        (n, q, alpha)
+                    for x in [0.0, 1.0, 0.25, -0.5, 1.4]:
+                        assert basis_values(params, x) == reference_basis_values(params, x)
 
 
 def per_coefficient_image(k, params, stirling):

@@ -231,6 +231,19 @@ class TestForwardDifference:
                     for s in range(r + 1)
                 )
 
+    def test_scaled_by_the_denominator(self):
+        # on q's numerator and denominator the loop gives the integers
+        # b^(r(r-1)/2) Delta_q^r f_i
+        f = [3, -1, 4, 1, -5, 9, 2]
+        for q in Q_GRID:
+            a, b = q.numerator, q.denominator
+            plain, scaled = q_difference_table(f, q), q_difference_table(f, a, b)
+            for r, (row, srow) in enumerate(zip(plain, scaled)):
+                assert all(type(e) is int for e in srow)
+                assert [F(e, b ** (r * (r - 1) // 2)) for e in srow] == list(row), (q, r)
+        with pytest.raises(ValueError, match="positive"):
+            q_difference_table(f, 1, 0)
+
     def test_classical_differences(self):
         f = [F(0), F(1), F(8), F(27)]
         table = q_difference_table(f, F(1))
