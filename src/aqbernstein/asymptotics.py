@@ -101,7 +101,8 @@ def limit_eigenvalue(q: Scalar, k: int) -> Scalar:
 
 def limit_coeffs(q: Scalar, alpha: Scalar, k: int) -> LimitCoeffs:
     """The limit coefficients of degree k in the regime of q: b(j,k) for
-    0 < q < 1, d(j,k) for q > 1 (RegimeError at q = 1 and for q <= 0).
+    0 < q < 1, d(j,k) for q > 1 (RegimeError at q = 1 and for q <= 0; in
+    floats, FloatingPointError naming (q, alpha, k) for a nan, inf or overflow).
 
     In both regimes coeffs[k] = 1 and, for k >= 1, coeffs[0] = 0. For
     j = k-1 .. 1, below 1
@@ -120,6 +121,7 @@ def limit_coeffs(q: Scalar, alpha: Scalar, k: int) -> LimitCoeffs:
         raise ValueError(f"need k >= 0, got {k}")
     qint = q_integers(q, k)
     coeffs = [q * 0] * k + [q * 0 + 1]
+    at = f"(q={q}, alpha={alpha}, k={k})"
     if regime == Q_BELOW_1:
         stirling = q_stirling2_rows(k, qint)
         for j in range(k - 1, 0, -1):
@@ -134,12 +136,18 @@ def limit_coeffs(q: Scalar, alpha: Scalar, k: int) -> LimitCoeffs:
             tail = tail + qint[j]
             # the second term of den keeps its closed form: in floats it is
             # closer than (q-1) [k-j]_q [k+j-1]_q, and its power q^(2k-2)
-            # at j = k-1 raises OverflowError before any [m]_q here is inf
+            # at j = k-1 overflows before any [m]_q here is inf
             num = heads[j] + (1 - alpha) * (q - 1) * q ** -j * qint[j] * qint[j + 1]
-            den = tail + (1 - alpha) * q ** (1 - k) * (q ** (k - j) - 1) * (
-                q ** (k + j - 1) - 1
-            ) / (q - 1)
+            try:
+                den = tail + (1 - alpha) * q ** (1 - k) * (q ** (k - j) - 1) * (
+                    q ** (k + j - 1) - 1
+                ) / (q - 1)
+            except OverflowError as exc:
+                raise FloatingPointError(f"float overflow in limit_coeffs {at}") from exc
             coeffs[j] = coeffs[j + 1] * (-num / den)
+    if isinstance(q, float) and not all(map(math.isfinite, coeffs)):
+        bad = next(c for c in coeffs if not math.isfinite(c))
+        raise FloatingPointError(f"non-finite float in limit_coeffs: {bad} {at}")
     return LimitCoeffs(regime, q, alpha, k, tuple(coeffs), limit_eigenvalue(q, k))
 
 

@@ -32,10 +32,12 @@ evaluates each basis row once for all its sample vectors. Every check
 reads the same grid objects, so each operator's q-table
 (``OperatorParams.table``) and its q-binomial rows are built once.
 
-Each check yields its cases in a fixed order: None for a case that holds,
-its counterexample in serialized form for one that does not. The report
-counts a check's cases through the first failure, which ends the check;
-:func:`_check` does that counting for every check. The suite is
+Each check takes its inputs (a q grid, operators or their eigensystems), so
+it serves both :func:`run_verify` and the acceptance tests, which pass
+grids of their own. It yields its cases in a fixed order: None for a case
+that holds, its counterexample in serialized form for one that does not.
+The report counts a check's cases through the first failure, which ends
+the check; :func:`_check` does that counting for every check. The suite is
 deterministic: the random sample vectors come from fixed seeds.
 """
 
@@ -219,15 +221,15 @@ def q_stirling2(k: int, r: int, q: Scalar, tables: tuple[list, list, dict, list]
 
 
 @_check("stirling_cross_check")
-def check_stirling_cross():
+def check_stirling_cross(q_grid: tuple[Fraction, ...]):
     """The explicit sum equals the production recurrence's rows, entry by
     entry, for 0 <= k, r <= K = STIRLING_MAX_KR, and b^(K(k-r)) times it
     equals the integer rows of the image kernel's form: the recurrence run
     on b^K [r]_q = b^(K+1-r) N_r, N_r the numerator of [r]_q for q = a/b.
-    One set of each per q, and one set of the closed forms the explicit
-    sum reads (:func:`_sum_tables`) per q."""
+    One set of each per q of ``q_grid``, and one set of the closed forms
+    the explicit sum reads (:func:`_sum_tables`) per q."""
     K = STIRLING_MAX_KR
-    for q in Q_GRID:
+    for q in q_grid:
         qints, b = q_integers(q, K), q.denominator
         rows = q_stirling2_rows(K, qints)
         scaled = q_stirling2_rows(K, [t.numerator * b**(K + 1 - r) for r, t in enumerate(qints)])
@@ -239,7 +241,7 @@ def check_stirling_cross():
                     a != x or h != a * Fraction(b) ** (K * (k - r))) else None
 
 
-def _basis_sum(samples: list[Scalar], row: tuple[Scalar, ...]) -> Scalar:
+def basis_sum(samples: list[Scalar], row: tuple[Scalar, ...]) -> Scalar:
     """T(f; x) as sum_i f_i p_i(x), from the basis row p_0(x)..p_n(x)."""
     return sum(fi * b for fi, b in zip(samples, row))
 
@@ -261,7 +263,7 @@ def check_representation_equivalence(grid: list[OperatorParams]):
             direct = apply_to_samples(f, params)
             for x, row in zip(xs, rows):
                 via_difference = poly_eval(direct, x)
-                via_basis = _basis_sum(f, row)
+                via_basis = basis_sum(f, row)
                 if via_difference != via_basis:
                     yield _ce(n=params.n, q=params.q, alpha=params.alpha, samples=f, x=x,
                               difference_form=via_difference, basis_form=via_basis)
@@ -358,8 +360,8 @@ def check_operator_axioms(systems: list[EigenSystem]):
         f = [Fraction(rng.randint(-9, 9), rng.randint(1, 9))
              for _ in range(params.n + 1)]
         yield _ce(axiom="endpoint_interpolation", **at, samples=f) if (
-            _basis_sum(f, basis_values(params, Fraction(0))) != f[0]
-            or _basis_sum(f, basis_values(params, Fraction(1))) != f[-1]) else None
+            basis_sum(f, basis_values(params, Fraction(0))) != f[0]
+            or basis_sum(f, basis_values(params, Fraction(1))) != f[-1]) else None
         # invariance of a t + b
         a_, b_ = Fraction(rng.randint(-5, 5), rng.randint(1, 5)), Fraction(
             rng.randint(-5, 5), rng.randint(1, 5))
@@ -388,7 +390,7 @@ def run_verify(max_n: int = 6) -> VerifyReport:
     matrices = [image_rows(params, params.n) for params in grid]
     systems = [eigensystem_from_rows(params, rows) for params, (rows, _) in zip(grid, matrices)]
     checks = (
-        check_stirling_cross(),
+        check_stirling_cross(Q_GRID),
         check_representation_equivalence(grid),
         check_eigen_relation(systems),
         check_leading_coefficient(systems, [diagonal for _, diagonal in matrices]),

@@ -100,3 +100,18 @@ def corrupt_gap(monkeypatch):
         return lambdas, gaps
 
     monkeypatch.setattr(aqbernstein.eigen, "spectrum", corrupted)
+
+
+@pytest.fixture
+def corrupt_order(monkeypatch):
+    """Make eigen.spectrum return lambda_3 = lambda_2 (for n >= 3), so the
+    eigenvalues no longer strictly decrease; the gaps stay right."""
+    clean = aqbernstein.eigen.spectrum
+
+    def corrupted(params, top):
+        lambdas, gaps = clean(params, top)
+        if top >= 3:
+            lambdas = (*lambdas[:3], lambdas[2], *lambdas[4:])
+        return lambdas, gaps
+
+    monkeypatch.setattr(aqbernstein.eigen, "spectrum", corrupted)

@@ -9,27 +9,23 @@ import random
 import subprocess
 import sys
 import time
+import functools
 from contextlib import contextmanager
 from fractions import Fraction
+from itertools import chain
 
+from aqbernstein import verify
 from aqbernstein.asymptotics import limit_coeffs
-from aqbernstein.bernstein import (
-    OperatorParams,
-    apply_to_samples,
-    basis_values,
-    monomial_image,
-    sample_nodes,
-)
+from aqbernstein.bernstein import OperatorParams, apply_to_samples, basis_values, image_rows
 from aqbernstein.cli import main
 from aqbernstein.eigen import eigensystem, eigenvalue, eigenvector
-from aqbernstein.polynomials import Polynomial, poly_eval, poly_scale
-from aqbernstein.qcalc import q_stirling2_rows
-from aqbernstein.verify import closed_form_eigenvalue, q_integer, q_stirling2
-from test_operator import basis_sum
+from aqbernstein.polynomials import Polynomial, poly_eval
 
 F = Fraction
-Q_GRID = [F(1, 3), F(1, 2), F(1), F(3, 2), F(2)]
-A_GRID = [F(0), F(1, 4), F(1, 2), F(3, 4), F(1)]
+Q_GRID = (F(1, 3), F(1, 2), F(1), F(3, 2), F(2))
+A_GRID = (F(0), F(1, 4), F(1, 2), F(3, 4), F(1))
+# alpha = 2/5 joins criteria 3, 5 and 10 at these q
+Q_GRID_2_5 = (F(1, 2), F(1), F(3, 2), F(2))
 SLACK = 1e-9  # float comparison slack for error-monotonicity checks
 
 CRITERION_LINES = []  # replayed in the terminal summary by conftest.py
@@ -53,69 +49,64 @@ def criterion(num, label):
     )
 
 
+def grid(ns, qs=Q_GRID, alphas=A_GRID):
+    return [OperatorParams(n, q, alpha) for n in ns for q in qs for alpha in alphas]
+
+
 def full_grid(max_n):
-    for n in range(1, max_n + 1):
-        for q in Q_GRID:
-            for alpha in A_GRID:
-                yield OperatorParams(n, q, alpha)
+    return grid(range(1, max_n + 1))
+
+
+def union(*grids):
+    """The operators of ``grids`` in order, each once."""
+    return list(dict.fromkeys(chain(*grids)))
+
+
+_eigensystem = functools.cache(eigensystem)  # one build per operator for all criteria
+
+
+def systems(operators):
+    return list(map(_eigensystem, operators))
+
+
+def assert_check(result, cases):
+    """A check from verify passed over all of its ``cases``."""
+    assert result.passed and result.cases == cases, result
 
 
 def test_criterion_01_exact_eigen_relation():
     with criterion(1, "exact eigen relation, n <= 8"):
-        for params in full_grid(8):
-            system = eigensystem(params)
-            nodes = sample_nodes(params)
-            for k in range(params.n + 1):
-                p = system.vectors[k]
-                image = apply_to_samples([poly_eval(p, t) for t in nodes], params)
-                assert image == poly_scale(p, system.lambdas[k]), (params, k)
+        assert_check(verify.check_eigen_relation(systems(full_grid(8))), 1100)
 
 
 def test_criterion_02_closed_form_eigenvectors():
     with criterion(2, "closed-form low-degree eigenvectors"):
-        x2_minus_x = Polynomial((0, -1, 1))
-        for n in range(2, 11):
-            for q in Q_GRID:
-                for alpha in A_GRID:
-                    assert eigenvector(2, OperatorParams(n, q, alpha)) == x2_minus_x
-        for q in [F(1, 2), F(2, 3), F(1), F(3, 2)]:
-            for alpha in [F(0), F(2, 5), F(1)]:
-                den = (1 - alpha) * q**4 + q**3 + 2 * q**2 + (1 + alpha) * q + 1
-                a2 = -((1 - alpha) * q**4 + (2 - alpha) * q**3 + 3 * q**2
-                       + (2 * alpha + 1) * q + 2) / den
-                a1 = ((1 - alpha) * q**3 + q**2 + alpha * q + 1) / den
-                got = eigenvector(3, OperatorParams(3, q, alpha))
-                assert got.coeffs == (F(0), a1, a2, F(1)), (q, alpha)
-        assert eigenvector(3, OperatorParams(3, F(1), F(1))) == \
-            Polynomial((0, F(1, 2), F(-3, 2), 1))
+        # degree 2 for n <= 10; degree 3 at n = 3, also at q = 2/3, alpha = 2/5
+        degree3 = grid([3], (F(1, 2), F(2, 3), F(1), F(3, 2)), (F(0), F(2, 5), F(1)))
+        found = systems(union(full_grid(10), degree3))
+        assert_check(verify.check_example_fixed_points(found), 231 + 31)
+        classical = next(s for s in found if s.params == OperatorParams(3, F(1), F(1)))
+        assert classical.vectors[3] == Polynomial((0, F(1, 2), F(-3, 2), 1))
 
 
 def test_criterion_03_leading_coefficient_and_dual_forms():
     with criterion(3, "leading coefficient and dual eigenvalue forms"):
-        for params in full_grid(8):
-            for k in range(2, params.n + 1):
-                lam = eigenvalue(k, params)
-                assert monomial_image(k, params).coeffs[k] == lam, (params, k)
-                assert closed_form_eigenvalue(k, params) == lam, (params, k)
+        operators = union(full_grid(8), grid(range(2, 9), Q_GRID_2_5, [F(2, 5)]))
+        diagonals = [image_rows(params, params.n)[1] for params in operators]
+        assert_check(verify.check_leading_coefficient(systems(operators), diagonals), 900 + 140)
 
 
 def test_criterion_04_distinctness_monotonicity():
     with criterion(4, "eigenvalue distinctness and monotonicity, n <= 10"):
-        for n in range(2, 11):
-            for q in Q_GRID:
-                for alpha in A_GRID:
-                    params = OperatorParams(n, q, alpha)
-                    lams = [eigenvalue(k, params) for k in range(n + 1)]
-                    assert lams[0] == 1 and lams[1] == 1
-                    for k in range(2, n + 1):
-                        assert lams[k] < lams[k - 1], (n, q, alpha, k)
-                    assert lams[n] >= 0
+        found = systems(full_grid(10))
+        assert all(s.lambdas[:2] == (1, 1) for s in found)
+        assert_check(verify.check_distinctness(found), 1125)
 
 
 def test_criterion_05_representation_equivalence():
     with criterion(5, "basis sum equals difference form, 30 vectors each"):
         rng = random.Random(20260810)
-        for params in full_grid(8):
+        for params in union(full_grid(8), grid(range(1, 8), Q_GRID_2_5, [F(2, 5)])):
             n = params.n
             xs = [F(t, 2 * n + 1) for t in range(n + 2)]
             rows = [basis_values(params, x) for x in xs]
@@ -124,16 +115,12 @@ def test_criterion_05_representation_equivalence():
                 direct = apply_to_samples(f, params)
                 # both forms have degree <= n: n + 2 equal values make them equal
                 for x, row in zip(xs, rows):
-                    assert poly_eval(direct, x) == basis_sum(f, row), (params, x)
+                    assert poly_eval(direct, x) == verify.basis_sum(f, row), (params, x)
 
 
 def test_criterion_06_stirling_cross_check():
     with criterion(6, "q-Stirling explicit sum vs recurrence, k,r <= 12"):
-        for q in Q_GRID:
-            rows = q_stirling2_rows(12, [q_integer(m, q) for m in range(13)])
-            for k, row in enumerate(rows):
-                for r, value in enumerate(row):
-                    assert q_stirling2(k, r, q) == value, (q, k, r)
+        assert_check(verify.check_stirling_cross((*Q_GRID, F(2, 3))), 6 * 13 * 13)
 
 
 def test_criterion_07_limit_convergence_q_below_1():
@@ -197,25 +184,11 @@ def test_criterion_09_limit_eigenvalues():
 
 def test_criterion_10_operator_axioms():
     with criterion(10, "operator axioms, exact over the full grid"):
-        rng = random.Random(20260811)
-        xs = [F(0), F(1, 4), F(1, 2), F(3, 4), F(1)]
-        for params in full_grid(8):
-            n = params.n
-            nodes = sample_nodes(params)
-            for x in xs:
-                assert sum(basis_values(params, x)) == 1, (params, x)
-            f = [F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n + 1)]
-            assert basis_sum(f, basis_values(params, F(0))) == f[0]
-            assert basis_sum(f, basis_values(params, F(1))) == f[-1]
-            a = F(rng.randint(-5, 5), rng.randint(1, 5))
-            b = F(rng.randint(-5, 5), rng.randint(1, 5))
-            assert apply_to_samples([a * t + b for t in nodes], params) == \
-                Polynomial((b, a))
-            for k in range(1, n + 1):
-                image = apply_to_samples([t**k for t in nodes], params)
-                assert image.degree <= k
-                if eigenvalue(k, params) != 0:
-                    assert image.degree == k
+        # with alpha = 2/5, and endpoint interpolation's n = 9, 10 operators
+        endpoints = [OperatorParams(n, q, alpha) for n in (9, 10)
+                     for q, alpha in [(F(3, 2), F(1, 2)), (F(1, 2), F(0)), (F(1), F(1))]]
+        operators = union(full_grid(8), grid(range(1, 9), Q_GRID_2_5, [F(2, 5)]), endpoints)
+        assert_check(verify.check_operator_axioms(systems(operators)), 2300 + 368 + 99)
 
 
 def test_criterion_11_verify_cli(corrupt_kernel, tmp_path):

@@ -17,17 +17,13 @@ from aqbernstein.bernstein import OperatorParams, monomial_image
 from aqbernstein.eigen import eigenvector, spectrum
 from aqbernstein.scalars import MixedModeError
 from aqbernstein.verify import q_integer, q_stirling2
+from test_operator import stirling_oracle
 
 F = Fraction
 # the exact grid on which limit_coeffs must equal the oracles below
 ORACLE_QS = [F(1, 3), F(1, 2), F(2, 3), F(3, 2), F(2), F(3), F(7, 3)]
 ORACLE_ALPHAS = [F(0), F(1, 4), F(2, 5), F(1, 2), F(1)]
 ORACLE_MAX_K = 15
-
-
-@lru_cache(maxsize=None)
-def stirling_oracle(k, r, q):
-    return q_stirling2(k, r, q)
 
 
 def recursion_oracle_q_below_1(q, k):
@@ -370,6 +366,14 @@ class TestDispatch:
     def test_q_one_rejected(self):
         with pytest.raises(RegimeError):
             limit_coeffs(F(1), F(0), 2)
+
+    @pytest.mark.parametrize("q, k, what", [
+        (0.5, 400, "non-finite float in limit_coeffs: nan"),  # 138 of 401 were nan
+        (1.5, 2000, "float overflow in limit_coeffs"),  # was a bare OverflowError
+    ])
+    def test_float_failure_names_the_kernel(self, q, k, what):
+        with pytest.raises(FloatingPointError, match=rf"^{what} \(q={q}, alpha=0.4, k={k}\)$"):
+            limit_coeffs(q, 0.4, k)
 
     def test_alpha_outside_unit_interval_rejected(self):
         # the OperatorParams rule; at q = 2, alpha = 9/5 zeroes a ratio's

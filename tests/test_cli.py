@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import subprocess
@@ -337,6 +338,10 @@ class TestPlotData:
         assert run_cli(*args).stdout == run_cli(*args).stdout
 
 
+# SHA-256 of the stdout of ``verify --max-n 4``
+VERIFY_4_SHA256 = "8119482adba00a8301775f828d8c4ea5f71c7b1a5b9aa07e567270df7fd4766f"
+
+
 class TestVerify:
     def test_passes(self):
         obj = json.loads(run_cli("verify", "--max-n", "3").stdout)
@@ -346,6 +351,15 @@ class TestVerify:
                 "eigen_relation", "leading_coefficient", "distinctness",
                 "example_fixed_points", "operator_axioms"} <= names
         assert all(c["passed"] for c in obj["checks"])
+
+    def test_report_of_the_benchmark_is_pinned(self, capsys):
+        # the report that the benchmark's command-line session writes, byte
+        # for byte
+        assert main(["verify", "--max-n", "4"]) == 0
+        out = capsys.readouterr().out
+        assert [c["cases"] for c in json.loads(out)["checks"]] == [
+            845, 300, 350, 250, 150, 100, 950]
+        assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_4_SHA256
 
     def test_fault_injection_caught(self, corrupt_kernel, capsys):
         assert main(["verify", "--max-n", "2"]) == 1
@@ -381,25 +395,31 @@ def test_alpha_outside_unit_interval_message(command, typed, capsys):
 
 
 NON_FINITE = [
-    "basis --n 1800 --q 1.5 --alpha 0.4 --x 0.5 --mode float --format csv",
-    "basis --n 1800 --q 1.5 --alpha 0.4 --x 0.5 --mode float",
-    "apply --n 1000 --q 2 --alpha 0.4 --k 2 --mode float",
-    "apply --n 1000 --q 2 --alpha 0.4 --k 2 --mode float --format csv",
+    ("basis --n 1800 --q 1.5 --alpha 0.4 --x 0.5 --mode float --format csv",
+     "non-finite float in basis_values: nan (n=1800, q=1.5, alpha=0.4)"),
+    ("basis --n 1800 --q 1.5 --alpha 0.4 --x 0.5 --mode float",
+     "non-finite float in basis_values: nan (n=1800, q=1.5, alpha=0.4)"),
+    ("apply --n 1000 --q 2 --alpha 0.4 --k 2 --mode float",
+     "non-finite float in apply_to_samples: nan (n=1000, q=2.0, alpha=0.4)"),
+    ("apply --n 1000 --q 2 --alpha 0.4 --k 2 --mode float --format csv",
+     "non-finite float in apply_to_samples: nan (n=1000, q=2.0, alpha=0.4)"),
+    ("limits --q 0.5 --alpha 0.4 --k 400 --mode float",
+     "non-finite float in limit_coeffs: nan (q=0.5, alpha=0.4, k=400)"),
+    ("limits --q 1.5 --alpha 0.4 --k 2000 --mode float",
+     "float overflow in limit_coeffs (q=1.5, alpha=0.4, k=2000)"),
 ]
 
 
-@pytest.mark.parametrize("command", NON_FINITE, ids=NON_FINITE)
-def test_non_finite_result_exit_1(command, capsys):
-    # a nan or an infinity in the result is an arithmetic failure in either
-    # format, never printed as a cell and never a usage error; the library
-    # kernel that produced it refuses it and names itself and the operator
+@pytest.mark.parametrize("command, message", NON_FINITE, ids=[c for c, _ in NON_FINITE])
+def test_non_finite_result_exit_1(command, message, capsys):
+    # a nan, an infinity or a float overflow in the result is an arithmetic
+    # failure in either format, never printed as a cell and never a usage
+    # error; the library kernel that produced it refuses it and names itself
+    # and its parameters
     assert main(command.split()) == 1
     out, err = capsys.readouterr()
     assert out == ""
-    where, at = (("basis_values", "n=1800, q=1.5") if command.startswith("basis")
-                 else ("apply_to_samples", "n=1000, q=2.0"))
-    assert err == (f"arithmetic failure in '{command}': FloatingPointError: "
-                   f"non-finite float in {where}: nan ({at}, alpha=0.4)\n")
+    assert err == f"arithmetic failure in '{command}': FloatingPointError: {message}\n"
 
 
 # Full stdout of small commands, byte for byte. A JSON answer is written here
