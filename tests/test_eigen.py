@@ -23,7 +23,7 @@ from aqbernstein.eigen import (
     spectrum,
 )
 from aqbernstein.polynomials import Polynomial, poly_eval, poly_scale
-from aqbernstein.verify import q_factorial, q_integer
+from aqbernstein.verify import closed_form_eigenvalue, q_factorial, q_integer
 
 F = Fraction
 Q_GRID = [F(1, 3), F(1, 2), F(1), F(3, 2), F(2)]
@@ -72,6 +72,15 @@ class TestEigenvalue:
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             eigenvalue(3, OperatorParams(2, F(1, 2), F(1)))
+
+    def test_matches_factorial_formula(self):
+        # the product form equals the paper's closed form exactly
+        for n in range(2, 9):
+            for q in Q_GRID:
+                for alpha in A_GRID:
+                    params = OperatorParams(n, q, alpha)
+                    for k in range(2, n + 1):
+                        assert eigenvalue(k, params) == closed_form_eigenvalue(k, params)
 
 
 class TestProductForm:
@@ -210,6 +219,25 @@ class TestEigenvalueDifference:
 
 
 class TestEigenvector:
+    def test_degree_two_is_universal(self):
+        for n in range(2, 9):
+            for q in Q_GRID:
+                for alpha in A_GRID:
+                    vec = eigenvector(2, OperatorParams(n, q, alpha))
+                    assert vec == Polynomial((0, -1, 1))
+
+    def test_degree_three_closed_form(self):
+        # verify's closed form of the n = 3 degree-3 eigenvector, one case
+        # per pair for degree 2 and one for degree 3
+        systems = [eigensystem(OperatorParams(3, q, alpha))
+                   for q in [F(1, 2), F(2, 3), F(1), F(3, 2)] for alpha in [F(0), F(2, 5), F(1)]]
+        result = verify.check_example_fixed_points(systems)
+        assert result.passed and result.cases == 24, result
+
+    def test_classical_bernstein_degree_three(self):
+        vec = eigenvector(3, OperatorParams(3, F(1), F(1)))
+        assert vec == Polynomial((0, F(1, 2), F(-3, 2), 1))
+
     def test_low_degrees(self):
         params = OperatorParams(4, F(1, 2), F(1, 2))
         assert eigenvector(0, params) == Polynomial((1,))
@@ -314,6 +342,12 @@ class TestEigenSystem:
         assert system.lambdas == (1, 1, F(1, 3))
         assert system.vectors[2] == Polynomial((0, -1, 1))
 
+    def test_eigen_relation_exact(self):
+        systems = [eigensystem(OperatorParams(n, q, alpha)) for n in range(1, 7)
+                   for q in [F(1, 3), F(1), F(2)] for alpha in [F(0), F(1, 2), F(1)]]
+        result = verify.check_eigen_relation(systems)
+        assert result.passed and result.cases == 9 * sum(n + 1 for n in range(1, 7)), result
+
     def test_one_falling_table_per_system(self, monkeypatch):
         # G_0..G_n is built once and read by every lambda_k and difference;
         # per-call tables give bit-identical results in both modes
@@ -397,6 +431,17 @@ class TestEigenSystem:
                            match=r"non-finite float in eigenvector: (-?inf|nan) "
                                  r"\(n=4, q=0.5, alpha=0.5, k=3\)"):
             eigenvector(3, OperatorParams(4, 0.5, 0.5))
+
+    def test_strictly_decreasing_from_one(self):
+        for n in range(2, 11):
+            for q in Q_GRID:
+                for alpha in A_GRID:
+                    params = OperatorParams(n, q, alpha)
+                    lams = [eigenvalue(k, params) for k in range(n + 1)]
+                    assert lams[0] == lams[1] == 1
+                    for k in range(2, n + 1):
+                        assert lams[k] < lams[k - 1]
+                    assert lams[n] >= 0
 
     def test_monic_triangular_family(self):
         system = eigensystem(OperatorParams(6, F(2, 3), F(1, 4)))

@@ -18,7 +18,7 @@ from aqbernstein.bernstein import (
     sample_nodes,
 )
 from aqbernstein.cli import main
-from aqbernstein.eigen import spectrum
+from aqbernstein.eigen import eigenvalue, spectrum
 from aqbernstein.polynomials import Polynomial, poly_eval
 from aqbernstein.qcalc import q_difference_table
 from aqbernstein.scalars import MixedModeError, format_scalar
@@ -199,6 +199,14 @@ class TestBasis:
         for n in range(1, 7):
             assert len(basis_values(OperatorParams(n, F(1, 2), F(1)), F(1, 3))) == n + 1
 
+    def test_partition_of_unity(self):
+        for n in range(1, 9):
+            for q in Q_GRID:
+                for alpha in A_GRID:
+                    params = OperatorParams(n, q, alpha)
+                    for x in XS:
+                        assert sum(basis_values(params, x)) == 1
+
     def test_row_matches_single(self):
         for n in range(1, 7):
             for q in [F(2, 3), *Q_GRID]:
@@ -311,6 +319,20 @@ class TestApply:
         with pytest.raises(MixedModeError):
             apply_to_samples([0.5, 0.5], OperatorParams(1, F(1, 2), F(1)))
 
+    def test_pointwise_endpoints(self):
+        rng = random.Random(4)
+        for n in range(1, 11):
+            for q, alpha in [(F(3, 2), F(1, 2)), (F(1, 2), F(0)), (F(1), F(1))]:
+                params = OperatorParams(n, q, alpha)
+                f = rational_samples(rng, n + 1)
+                assert verify.basis_sum(f, basis_values(params, F(0))) == f[0]
+                assert verify.basis_sum(f, basis_values(params, F(1))) == f[-1]
+
+    def test_pointwise_ones(self):
+        params = OperatorParams(5, F(1, 2), F(3, 4))
+        for x in XS:
+            assert verify.basis_sum([F(1)] * 6, basis_values(params, x)) == 1
+
     def test_float_matches_exact(self):
         rng = random.Random(6)
         for n in range(1, 13):
@@ -324,6 +346,19 @@ class TestApply:
                     for j in range(n + 1):
                         assert close(got.coeff(j), float(want.coeff(j))), \
                             (n, q, alpha, j)
+
+    def test_representation_equivalence(self):
+        rng = random.Random(5)
+        for n in range(1, 8):
+            for q in Q_GRID:
+                for alpha in A_GRID:
+                    params = OperatorParams(n, q, alpha)
+                    xs = [F(0), F(1, 3), F(2, 5), F(1)]
+                    rows = [basis_values(params, x) for x in xs]
+                    f = rational_samples(rng, n + 1)
+                    image = apply_to_samples(f, params)
+                    for x, row in zip(xs, rows):
+                        assert poly_eval(image, x) == verify.basis_sum(f, row)
 
 
 class TestIntegerKernels:
@@ -406,6 +441,15 @@ class TestMonomialImage:
             img = monomial_image(1, OperatorParams(n, F(1, 2), F(2, 5)))
             assert img.coeffs == (0, 1)
 
+    def test_leading_is_eigenvalue(self):
+        for n in range(2, 9):
+            for q in Q_GRID:
+                for alpha in A_GRID:
+                    params = OperatorParams(n, q, alpha)
+                    for k in range(2, n + 1):
+                        assert monomial_image(k, params).coeffs[k] == \
+                            eigenvalue(k, params)
+
     def test_constant_coefficient_vanishes(self):
         for n in range(1, 7):
             params = OperatorParams(n, F(5, 4), F(1, 3))
@@ -445,6 +489,18 @@ class TestMonomialImage:
                             / (q_factorial(n - r, q) * q_integer(n, q) ** k)
                         )
                         assert img.coeffs[r] == expected, (n, q, k, r)
+
+    def test_degree_reduction(self):
+        for n in range(1, 8):
+            for q in Q_GRID:
+                for alpha in A_GRID:
+                    params = OperatorParams(n, q, alpha)
+                    nodes = sample_nodes(params)
+                    for k in range(1, n + 1):
+                        image = apply_to_samples([t**k for t in nodes], params)
+                        assert image.degree <= k
+                        if eigenvalue(k, params) != 0:
+                            assert image.degree == k
 
     def test_equals_per_coefficient_reference(self):
         # Carlitz's recurrence is an identity over the rationals, so exact

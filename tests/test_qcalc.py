@@ -156,6 +156,12 @@ class TestQStirling:
         assert rows[3][1] == 1
         assert rows[0][1] == 0
 
+    def test_two_paths_agree(self):
+        for q in Q_GRID:
+            for k, row in enumerate(stirling_rows(12, q)):
+                for r, value in enumerate(row):
+                    assert q_stirling2(k, r, q) == value, (k, r, q)
+
     def test_scaled_sequence_scales_the_rows(self):
         # run on c [r]_q the recurrence gives c^(m-r) S_q(m, r); the image
         # kernel takes c = b^n for q = a/b, which makes every entry an integer
