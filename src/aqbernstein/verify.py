@@ -17,6 +17,15 @@ closed-form eigenvalue are built from. Production computes the q-integers
 one way only, by :func:`aqbernstein.qcalc.q_integers`, and the q-Stirling
 numbers one way only, by :func:`aqbernstein.qcalc.q_stirling2_rows`.
 
+The oracle side runs on integers, as the kernels do: for q = a/b each
+closed form is an integer numerator over a power of b, read off one table
+per q, and exact values go over one denominator (:func:`over_lcm`), so a
+polynomial is evaluated by Horner's rule on homogeneous integers
+(:func:`horner`) and a basis sum is one integer dot product. Values are
+compared on cross-multiplied integers; the Fraction-valued oracles that
+the tests read (:func:`q_stirling2`, :func:`closed_form_eigenvalue`,
+:func:`basis_sum`) are called for a counterexample only.
+
 Each grid operator's image matrix, the coefficients of T(t^m) for
 m = 1..n, is built once, by one :func:`~aqbernstein.bernstein.image_rows`
 call on one q-Stirling triangle built to row n + 1: the eigensystem is
@@ -26,9 +35,11 @@ eigenvalues or eigenvectors (eigen relation, leading coefficient,
 distinctness, the low-degree eigenvectors and degree reduction). The
 production q-Stirling rows are built once per q, plain and in the integer
 form the image kernel reads, and compared entry by entry with the explicit
-sum, which reads one closed-form table of q-integers, q-factorials,
-q-binomials and q-powers per q; the representation check
-evaluates each basis row once for all its sample vectors. Every check
+sum, which reads one closed-form table of q-integers, q-factorials and
+q-binomials per q; the leading-coefficient check reads one such table per
+q for the closed-form eigenvalue. The representation check evaluates each
+basis row once for all its sample vectors, and the axiom check reuses its
+rows at x = 0 and x = 1 for endpoint interpolation. Every check
 reads the same grid objects, so each operator's q-table
 (``OperatorParams.table``) and its q-binomial rows are built once.
 
@@ -43,12 +54,13 @@ deterministic: the random sample vectors come from fixed seeds.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import wraps
-from itertools import accumulate
 from operator import mul
+from typing import Sequence
 
 from .bernstein import (
     OperatorParams,
@@ -160,64 +172,101 @@ def q_integer(n: int, q: Scalar) -> Scalar:
     return (q**n - 1) / (q - 1)
 
 
-def q_factorial(n: int, q: Scalar) -> Scalar:
-    """[n]_q! = [1]_q [2]_q ... [n]_q, with [0]_q! = 1."""
+def q_factorial(n: int, q: Scalar, qints: Sequence[Scalar] | None = None) -> Scalar:
+    """[n]_q! = [1]_q [2]_q ... [n]_q, with [0]_q! = 1; ``qints[m]`` is
+    [m]_q, m <= n, from a caller's table of closed-form q-integers (built
+    here by :func:`q_integer` when not given)."""
+    if qints is None:
+        qints = [q_integer(m, q) for m in range(n + 1)]
     out = q * 0 + 1
     for m in range(1, n + 1):
-        out = out * q_integer(m, q)
+        out = out * qints[m]
     return out
 
 
-def q_binomial(n: int, k: int, q: Scalar) -> Scalar:
-    """q-binomial coefficient, extended by 0 outside 0 <= k <= n."""
+def q_binomial(n: int, k: int, q: Scalar, qints: Sequence[Scalar] | None = None) -> Scalar:
+    """q-binomial coefficient, extended by 0 outside 0 <= k <= n; ``qints``
+    as for :func:`q_factorial`."""
     if k < 0 or k > n:
         return q * 0
+    if qints is None:
+        qints = [q_integer(m, q) for m in range(n + 1)]
     k = min(k, n - k)
     out = q * 0 + 1
     for i in range(1, k + 1):
-        out = out * q_integer(n - k + i, q) / q_integer(i, q)
+        out = out * qints[n - k + i] / qints[i]
     return out
 
 
-def _sum_tables(q: Scalar, rows: range | list[int]) -> tuple[list, list, dict, list]:
-    """What the explicit q-Stirling sum reads for the r in ``rows``: [j]_q
-    by the closed form and [j]_q!, j <= max(rows), the q-binomial row
-    qbinom(r, .) of each r, and q^(j(j-1)/2)."""
-    top = max(rows)
+def _closed_forms(q: Fraction, top: int) -> tuple[int, int, list[int], list[int], list]:
+    """The closed forms for q = a/b in lowest terms as integers, j <= top:
+    a, b, the numerators N_j = b^(j-1) [j]_q of the q-integers and
+    F_j = b^(j(j-1)/2) [j]_q! = N_1 ... N_j of the q-factorials, and the
+    table of closed-form q-integers (by :func:`q_integer`) they are read
+    from, built once. Each numerator is a^m mod b, so prime to b: it is
+    the reduced Fraction's own numerator."""
     qints = [q_integer(j, q) for j in range(top + 1)]
-    facts = list(accumulate(qints[1:], mul, initial=q * 0 + 1))
-    binomials = {r: [q_binomial(r, i, q) for i in range(r + 1)] for r in rows}
-    return qints, facts, binomials, [q ** (j * (j - 1) // 2) for j in range(top + 1)]
+    N = [t.numerator for t in qints]
+    F = [q_factorial(j, q, qints).numerator for j in range(top + 1)]
+    return q.numerator, q.denominator, N, F, qints
 
 
-def q_stirling2(k: int, r: int, q: Scalar, tables: tuple[list, list, dict, list] | None = None
-                ) -> Scalar:
+def _sum_tables(q: Fraction, top: int) -> tuple[int, int, list[int], list[int], list[list[int]]]:
+    """What the explicit q-Stirling sum reads for rows r <= top, as integers
+    for q = a/b: a, b, N_j and F_j of :func:`_closed_forms`, and the rows
+    P(r, i) = b^(i(r-i)) qbinom(r, i), i = 0..r, of q-binomial numerators
+    (by :func:`q_binomial`, prime to b like N_j), all from one table of
+    closed-form q-integers."""
+    a, b, N, F, qints = _closed_forms(q, top)
+    P = [[q_binomial(r, i, q, qints).numerator for i in range(r + 1)] for r in range(top + 1)]
+    return a, b, N, F, P
+
+
+def _stirling_sum(k: int, r: int, tables: tuple) -> tuple[int, int]:
+    """S_q(k, r) = num / den, den > 0, by the explicit sum on the integers of
+    ``tables`` (:func:`_sum_tables`, r at most its top). For 1 <= r <= k,
+    with [j]_q = N_j / b^(j-1), qbinom(r, i) = P(r, i) / b^(i(r-i)) and
+    [r]_q! = F_r / b^(r(r-1)/2), every power of b clears:
+
+        num = sum_{i<r} (-1)^i a^(i(i-1)/2) P(r, i) N_(r-i)^k b^(i(k-r) + i(i+1)/2),
+        den = F_r a^(r(r-1)/2) b^((r-1)(k-r));
+
+    the term i = r holds [0]_q^k = 0. The boundary values S_q(0, 0) = 1,
+    S_q(k, 0) = 0 for k > 0 and S_q(k, r) = 0 for k < r are pinned."""
+    if r == 0:
+        return int(k == 0), 1
+    if k < r:
+        return 0, 1
+    a, b, N, F, P = tables
+    num = 0
+    for i in range(r):
+        term = a ** (i * (i - 1) // 2) * P[r][i] * N[r - i] ** k
+        term *= b ** (i * (k - r) + i * (i + 1) // 2)
+        num = num - term if i % 2 else num + term
+    return num, F[r] * a ** (r * (r - 1) // 2) * b ** ((r - 1) * (k - r))
+
+
+def q_stirling2(k: int, r: int, q: Scalar, tables: tuple | None = None) -> Scalar:
     """q-Stirling number of the second kind S_q(k, r), by its explicit sum.
 
     S_q(k, r) = (1 / ([r]_q! q^(r(r-1)/2)))
                 * sum_{i=0}^{r} (-1)^i q^(i(i-1)/2) qbinom(r, i) [r-i]_q^k.
 
     Boundary values are pinned before the sum is consulted: S_q(0,0) = 1,
-    S_q(k,0) = 0 for k > 0, and S_q(k,r) = 0 for k < r. The sum reads the
-    closed-form q-integers, q-factorials, q-binomials and q-powers of
-    ``tables`` (from :func:`_sum_tables`, with r among its rows), built here
-    when not given; a caller that sums many (k, r) builds them once. The
-    oracle for the production recurrence
-    :func:`aqbernstein.qcalc.q_stirling2_rows`; its alternating terms cancel
-    in floats, so it is meant for exact mode.
+    S_q(k,0) = 0 for k > 0, and S_q(k,r) = 0 for k < r. The sum runs on
+    integers (:func:`_stirling_sum`), reading the closed-form q-integers,
+    q-factorials and q-binomials of ``tables`` (from :func:`_sum_tables`,
+    to row r or further), built here when not given; a caller that sums
+    many (k, r) builds them once. The oracle for the production recurrence
+    :func:`aqbernstein.qcalc.q_stirling2_rows`. Its alternating terms
+    cancel in floats, so a float q is summed as the exact rational it is
+    and the value rounded once.
     """
     if k < 0 or r < 0:
         raise ValueError(f"q-Stirling number needs k, r >= 0, got ({k}, {r})")
-    if r == 0:
-        return q * 0 + 1 if k == 0 else q * 0
-    if k < r:
-        return q * 0
-    qints, facts, binomials, tri = tables or _sum_tables(q, [r])
-    total = q * 0
-    for i, binomial in enumerate(binomials[r]):
-        term = tri[i] * binomial * qints[r - i] ** k
-        total = total - term if i % 2 else total + term
-    return total / (facts[r] * tri[r])
+    if isinstance(q, float):
+        return float(q_stirling2(k, r, Fraction(q)))
+    return Fraction(*_stirling_sum(k, r, tables or _sum_tables(Fraction(q), r)))
 
 
 @_check("stirling_cross_check")
@@ -227,46 +276,76 @@ def check_stirling_cross(q_grid: tuple[Fraction, ...]):
     equals the integer rows of the image kernel's form: the recurrence run
     on b^K [r]_q = b^(K+1-r) N_r, N_r the numerator of [r]_q for q = a/b.
     One set of each per q of ``q_grid``, and one set of the closed forms
-    the explicit sum reads (:func:`_sum_tables`) per q."""
+    the explicit sum reads (:func:`_sum_tables`) per q; the sum is compared
+    as the integers num / den of :func:`_stirling_sum`."""
     K = STIRLING_MAX_KR
     for q in q_grid:
         qints, b = q_integers(q, K), q.denominator
         rows = q_stirling2_rows(K, qints)
         scaled = q_stirling2_rows(K, [t.numerator * b**(K + 1 - r) for r, t in enumerate(qints)])
-        tables = _sum_tables(q, range(K + 1))
+        tables = _sum_tables(q, K)
         for k, (row, scaled_row) in enumerate(zip(rows, scaled)):
             for r, (x, h) in enumerate(zip(row, scaled_row)):
-                a = q_stirling2(k, r, q, tables)
-                yield _ce(q=q, k=k, r=r, explicit=a, recurrence=x, scaled=h) if (
-                    a != x or h != a * Fraction(b) ** (K * (k - r))) else None
+                num, den = _stirling_sum(k, r, tables)
+                # num = 0 for k < r, where any power of b serves
+                yield _ce(q=q, k=k, r=r, explicit=q_stirling2(k, r, q, tables), recurrence=x,
+                          scaled=h) if (num * x.denominator != x.numerator * den
+                                        or h * den != num * b ** (K * max(k - r, 0))) else None
 
 
-def basis_sum(samples: list[Scalar], row: tuple[Scalar, ...]) -> Scalar:
-    """T(f; x) as sum_i f_i p_i(x), from the basis row p_0(x)..p_n(x)."""
-    return sum(fi * b for fi, b in zip(samples, row))
+def over_lcm(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Exact ``values`` on the integers: their numerators over the lcm L of
+    their denominators, and L (1 for no values); values[i] = out[i] / L."""
+    L = math.lcm(*[v.denominator for v in values])
+    return [v.numerator * (L // v.denominator) for v in values], L
+
+
+def horner(coeffs: Sequence[int], X: int, Y: int) -> int:
+    """Y^d p(X/Y) for p(x) = sum_j coeffs[j] x^j, d = len(coeffs) - 1 (0 for
+    no coefficients), by Horner's rule on the integers: the step
+    acc X + c_j Y^(d-j) keeps each partial sum Y^(d-j) times Horner's own."""
+    acc, ypow = 0, 1
+    for c in reversed(coeffs):
+        acc = acc * X + c * ypow
+        ypow *= Y
+    return acc
+
+
+def basis_sum(samples: list[Fraction], row: tuple[Fraction, ...]) -> Fraction:
+    """T(f; x) as sum_i f_i p_i(x), from the basis row p_0(x)..p_n(x), summed
+    on the integers: sum_i F_i U_i / (L V) for f_i = F_i / L and
+    p_i(x) = U_i / V over their lcms (:func:`over_lcm`)."""
+    (F, L), (U, V) = over_lcm(samples), over_lcm(row)
+    return Fraction(sum(map(mul, F, U)), L * V)
 
 
 @_check("representation_equivalence")
 def check_representation_equivalence(grid: list[OperatorParams]):
     """The difference form and the basis sum agree at n + 2 points; both are
     polynomials of degree <= n, so they are then the same polynomial. One
-    case per sample vector."""
+    case per sample vector. At x = t/Y, Y = 2n + 1, the difference form p
+    (coefficients over their lcm M) is H / (M Y^d) with H = horner(t, Y),
+    and the basis sum (samples over their lcm L, the row over its V) is
+    S / (L V): they agree when H L V = S M Y^d."""
     rng = random.Random(SEED)
     for params in grid:
-        xs = [Fraction(t, 2 * params.n + 1) for t in range(params.n + 2)]
+        Y = 2 * params.n + 1
+        xs = [Fraction(t, Y) for t in range(params.n + 2)]
         rows = [basis_values(params, x) for x in xs]
+        over_rows = [over_lcm(row) for row in rows]
         for _ in range(VECTORS_PER_CASE):
             f = [
                 Fraction(rng.randint(-9, 9), rng.randint(1, 9))
                 for _ in range(params.n + 1)
             ]
             direct = apply_to_samples(f, params)
-            for x, row in zip(xs, rows):
-                via_difference = poly_eval(direct, x)
-                via_basis = basis_sum(f, row)
-                if via_difference != via_basis:
-                    yield _ce(n=params.n, q=params.q, alpha=params.alpha, samples=f, x=x,
-                              difference_form=via_difference, basis_form=via_basis)
+            (F, L), (C, M) = over_lcm(f), over_lcm(direct.coeffs)
+            scale = M * Y ** max(direct.degree, 0)
+            for t, (U, V) in enumerate(over_rows):
+                if horner(C, t, Y) * L * V != sum(map(mul, F, U)) * scale:
+                    yield _ce(n=params.n, q=params.q, alpha=params.alpha, samples=f, x=xs[t],
+                              difference_form=poly_eval(direct, xs[t]),
+                              basis_form=basis_sum(f, rows[t]))
                     break
             else:
                 yield None
@@ -274,44 +353,68 @@ def check_representation_equivalence(grid: list[OperatorParams]):
 
 @_check("eigen_relation")
 def check_eigen_relation(systems: list[EigenSystem]):
+    """T p_k = lambda_k p_k, from the samples of p_k at the nodes
+    [i]_q/[n]_q = X/Y, each p_k(X/Y) by :func:`horner` on the coefficients
+    over their lcm M and made one Fraction."""
     for system in systems:
         params = system.params
         nodes = sample_nodes(params)
         for k in range(params.n + 1):
             p, lam = system.vectors[k], system.lambdas[k]
-            image = apply_to_samples([poly_eval(p, t) for t in nodes], params)
+            C, M = over_lcm(p.coeffs)
+            d = max(p.degree, 0)
+            samples = [Fraction(horner(C, t.numerator, t.denominator), M * t.denominator**d)
+                       for t in nodes]
+            image = apply_to_samples(samples, params)
             yield _ce(n=params.n, q=params.q, alpha=params.alpha, k=k, eigenvector=p,
                       image=image, eigenvalue=lam) if image != poly_scale(p, lam) else None
+
+
+def _eigenvalue_ratio(k: int, params: OperatorParams, forms: tuple) -> tuple[int, int]:
+    """lambda_k = num / den by the closed form, 2 <= k <= n, on the integers
+    of ``forms`` (:func:`_closed_forms` of q, to 2n - 1 or further). With
+    alpha = c/d in lowest terms the powers of b cancel:
+
+        num = a^(k(k-1)/2) (F_(n-2) / F_(n-k))
+              * ((d-c) N_(n-k) N_(n+k-1) + c N_n N_(n-1)),
+        den = d N_n^k."""
+    n, alpha = params.n, params.alpha
+    a, _, N, F, _ = forms
+    c, d = alpha.numerator, alpha.denominator
+    return (a ** (k * (k - 1) // 2) * (F[n - 2] // F[n - k])
+            * ((d - c) * N[n - k] * N[n + k - 1] + c * N[n] * N[n - 1]), d * N[n] ** k)
 
 
 def closed_form_eigenvalue(k: int, params: OperatorParams) -> Fraction:
     """The paper's closed form of lambda_k, 2 <= k <= n, exact mode only:
     q^(k(k-1)/2) [n-2]_q! / ([n-k]_q! [n]_q^k)
-      * ((1-alpha) [n-k]_q [n+k-1]_q + alpha [n]_q [n-1]_q)."""
-    n, q, alpha = params.n, params.q, params.alpha
-    dn = q_integer(n, q)
-    return (
-        q ** (k * (k - 1) // 2)
-        * q_factorial(n - 2, q)
-        / (q_factorial(n - k, q) * dn**k)
-        * ((1 - alpha) * q_integer(n - k, q) * q_integer(n + k - 1, q)
-           + alpha * dn * q_integer(n - 1, q))
-    )
+      * ((1-alpha) [n-k]_q [n+k-1]_q + alpha [n]_q [n-1]_q),
+    made one Fraction from its integer form (:func:`_eigenvalue_ratio`)."""
+    return Fraction(*_eigenvalue_ratio(k, params, _closed_forms(params.q, 2 * params.n - 1)))
 
 
 @_check("leading_coefficient")
 def check_leading_coefficient(systems: list[EigenSystem], diagonals: list[list[Scalar]]):
     """lambda_k (product form) equals a(k,k) of T(t^k) and the closed form;
     ``diagonals[i]`` holds a(m,m), m = 0..n, from the image matrix of
-    ``systems[i]``'s operator."""
+    ``systems[i]``'s operator. The closed form reads one table of
+    closed-form integers per q (:func:`_closed_forms`) and is compared on
+    cross-multiplied integers."""
+    top = 2 * max((system.params.n for system in systems), default=1)
+    forms = {}
     for system, diagonal in zip(systems, diagonals):
         params = system.params
+        if params.q not in forms:
+            forms[params.q] = _closed_forms(params.q, top)
         for k in range(1, params.n + 1):
             lam = system.lambdas[k]
             a_kk = diagonal[k]
-            closed = closed_form_eigenvalue(k, params) if k >= 2 else lam
+            num, den = (_eigenvalue_ratio(k, params, forms[params.q]) if k >= 2
+                        else (lam.numerator, lam.denominator))
             yield _ce(n=params.n, q=params.q, alpha=params.alpha, k=k, leading=a_kk,
-                      closed_form=closed, eigenvalue=lam) if a_kk != lam or closed != lam else None
+                      closed_form=closed_form_eigenvalue(k, params) if k >= 2 else lam,
+                      eigenvalue=lam) if (
+                a_kk != lam or num * lam.denominator != lam.numerator * den) else None
 
 
 @_check("distinctness")
@@ -347,21 +450,27 @@ def check_example_fixed_points(systems: list[EigenSystem]):
 
 @_check("operator_axioms")
 def check_operator_axioms(systems: list[EigenSystem]):
+    """Partition of unity and endpoint interpolation on the basis rows at
+    five points, each row over its lcm (:func:`over_lcm`) so that both are
+    integer sums, the rows at x = 0 and x = 1 serving both; then invariance
+    of a t + b and degree reduction on monomials."""
     rng = random.Random(SEED + 1)
     xs = [Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1)]
     for system in systems:
         params = system.params
         at = {"n": params.n, "q": params.q, "alpha": params.alpha}
         nodes = sample_nodes(params)
-        for x in xs:
-            total = sum(basis_values(params, x))
-            yield _ce(axiom="partition_of_unity", **at, x=x, total=total) if total != 1 else None
+        rows = [over_lcm(basis_values(params, x)) for x in xs]
+        for x, (U, V) in zip(xs, rows):
+            yield _ce(axiom="partition_of_unity", **at, x=x, total=Fraction(sum(U), V)) if (
+                sum(U) != V) else None
         # endpoint interpolation on a random sample vector
         f = [Fraction(rng.randint(-9, 9), rng.randint(1, 9))
              for _ in range(params.n + 1)]
+        F, _ = over_lcm(f)
+        (U0, V0), (U1, V1) = rows[0], rows[-1]
         yield _ce(axiom="endpoint_interpolation", **at, samples=f) if (
-            basis_sum(f, basis_values(params, Fraction(0))) != f[0]
-            or basis_sum(f, basis_values(params, Fraction(1))) != f[-1]) else None
+            sum(map(mul, F, U0)) != F[0] * V0 or sum(map(mul, F, U1)) != F[-1] * V1) else None
         # invariance of a t + b
         a_, b_ = Fraction(rng.randint(-5, 5), rng.randint(1, 5)), Fraction(
             rng.randint(-5, 5), rng.randint(1, 5))

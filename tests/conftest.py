@@ -8,6 +8,7 @@ import pytest
 import aqbernstein.bernstein
 import aqbernstein.eigen
 import aqbernstein.verify
+from aqbernstein.polynomials import Polynomial
 
 
 @pytest.fixture(autouse=True, scope="session")
@@ -83,6 +84,31 @@ def corrupt_basis(monkeypatch):
             return row
 
         monkeypatch.setattr(aqbernstein.verify, "basis_values", corrupted)
+
+    return corrupt
+
+
+@pytest.fixture
+def corrupt_difference(monkeypatch):
+    """Returns ``corrupt(params)``; after a call, verify's apply_to_samples
+    adds 1 to the x^n coefficient of the first image it forms for the
+    operator ``params`` (from the first sample vector of the representation
+    check, which applies the operator before any other check does) and
+    forms every later image right."""
+
+    def corrupt(target):
+        clean = aqbernstein.verify.apply_to_samples
+        pending = [target]
+
+        def corrupted(samples, params):
+            image = clean(samples, params)
+            if params in pending:
+                pending.remove(params)
+                return Polynomial(tuple(image.coeff(j) + (j == params.n)
+                                        for j in range(params.n + 1)))
+            return image
+
+        monkeypatch.setattr(aqbernstein.verify, "apply_to_samples", corrupted)
 
     return corrupt
 

@@ -338,8 +338,9 @@ class TestPlotData:
         assert run_cli(*args).stdout == run_cli(*args).stdout
 
 
-# SHA-256 of the stdout of ``verify --max-n 4``
+# SHA-256 of the stdout of ``verify --max-n 4`` and of ``verify`` (--max-n 6)
 VERIFY_4_SHA256 = "8119482adba00a8301775f828d8c4ea5f71c7b1a5b9aa07e567270df7fd4766f"
+VERIFY_6_SHA256 = "8eb7e0f21b9c8c38a7b7944f407f8b06d821ffd42f937ee720f8fdd2bb3330c5"
 
 
 class TestVerify:
@@ -360,6 +361,15 @@ class TestVerify:
         assert [c["cases"] for c in json.loads(out)["checks"]] == [
             845, 300, 350, 250, 150, 100, 950]
         assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_4_SHA256
+
+    def test_default_report_is_pinned(self, capsys):
+        # the report at the default --max-n 6, which CI's console-script
+        # step writes, byte for byte
+        assert main(["verify"]) == 0
+        out = capsys.readouterr().out
+        assert [c["cases"] for c in json.loads(out)["checks"]] == [
+            845, 450, 675, 525, 375, 150, 1575]
+        assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_6_SHA256
 
     def test_fault_injection_caught(self, corrupt_kernel, capsys):
         assert main(["verify", "--max-n", "2"]) == 1

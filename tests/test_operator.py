@@ -21,7 +21,7 @@ from aqbernstein.cli import main
 from aqbernstein.eigen import eigenvalue, spectrum
 from aqbernstein.polynomials import Polynomial, poly_eval
 from aqbernstein.qcalc import q_difference_table
-from aqbernstein.scalars import MixedModeError, format_scalar
+from aqbernstein.scalars import MixedModeError, format_scalar, parse_scalar
 from aqbernstein.verify import q_binomial, q_factorial, q_integer, q_stirling2, run_verify
 
 F = Fraction
@@ -774,6 +774,24 @@ class TestFaultHook:
         assert axioms.cases == 1
         assert axioms.counterexample == {"axiom": "partition_of_unity", "n": 1, "q": "1/3",
                                          "alpha": "0", "x": "0", "total": "2"}
+
+    def test_wrong_difference_form_caught(self, corrupt_difference):
+        # the first image of (2, 1/2, 1/4) gains 1 x^2: the representation
+        # check alone sees it, at that operator's first vector (after 75
+        # cases at n = 1 and 18 at n = 2) and its first nonzero point; the
+        # counterexample carries the two values as Fractions
+        target = OperatorParams(2, F(1, 2), F(1, 4))
+        corrupt_difference(target)
+        failed = [c for c in run_verify(max_n=2).checks if not c.passed]
+        assert [c.name for c in failed] == ["representation_equivalence"]
+        assert failed[0].cases == 94
+        ce = failed[0].counterexample
+        f, x = [parse_scalar(v) for v in ce["samples"]], parse_scalar(ce["x"])
+        assert (ce["n"], ce["q"], ce["alpha"], ce["x"]) == (2, "1/2", "1/4", "1/5")
+        wrong = poly_eval(apply_to_samples(f, target), x) + x**2
+        assert ce["difference_form"] == format_scalar(wrong)
+        assert ce["basis_form"] == format_scalar(
+            sum(fi * p for fi, p in zip(f, basis_values(target, x))))
 
     @pytest.mark.parametrize("t", [lambda n: n + 1, lambda n: 1],
                              ids=["surplus_point", "interior_point"])
