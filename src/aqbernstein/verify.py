@@ -18,10 +18,12 @@ one way only, by :func:`aqbernstein.qcalc.q_integers`, and the q-Stirling
 numbers one way only, by :func:`aqbernstein.qcalc.q_stirling2_rows`.
 
 The oracle side runs on integers, as the kernels do: for q = a/b each
-closed form is an integer numerator over a power of b, read off one table
-per q, and exact values go over one denominator (:func:`over_lcm`), so a
-polynomial is evaluated by Horner's rule on homogeneous integers
-(:func:`horner`) and a basis sum is one integer dot product. Values are
+closed form is an integer numerator over a power of b, and the numerators
+of :func:`q_integer`, :func:`q_factorial` and :func:`q_binomial` are read
+into one table per q. Exact values go over one denominator
+(:func:`_over_lcm`), so a polynomial is evaluated by Horner's rule on
+homogeneous integers (:func:`_horner`) and a basis sum is one integer dot
+product (:func:`_basis_dot`). Values are
 compared on cross-multiplied integers; the Fraction-valued oracles that
 the tests read (:func:`q_stirling2`, :func:`closed_form_eigenvalue`,
 :func:`basis_sum`) are called for a counterexample only.
@@ -172,54 +174,47 @@ def q_integer(n: int, q: Scalar) -> Scalar:
     return (q**n - 1) / (q - 1)
 
 
-def q_factorial(n: int, q: Scalar, qints: Sequence[Scalar] | None = None) -> Scalar:
-    """[n]_q! = [1]_q [2]_q ... [n]_q, with [0]_q! = 1; ``qints[m]`` is
-    [m]_q, m <= n, from a caller's table of closed-form q-integers (built
-    here by :func:`q_integer` when not given)."""
-    if qints is None:
-        qints = [q_integer(m, q) for m in range(n + 1)]
+def q_factorial(n: int, q: Scalar) -> Scalar:
+    """[n]_q! = [1]_q [2]_q ... [n]_q, with [0]_q! = 1."""
     out = q * 0 + 1
     for m in range(1, n + 1):
-        out = out * qints[m]
+        out = out * q_integer(m, q)
     return out
 
 
-def q_binomial(n: int, k: int, q: Scalar, qints: Sequence[Scalar] | None = None) -> Scalar:
-    """q-binomial coefficient, extended by 0 outside 0 <= k <= n; ``qints``
-    as for :func:`q_factorial`."""
+def q_binomial(n: int, k: int, q: Scalar) -> Scalar:
+    """q-binomial coefficient, extended by 0 outside 0 <= k <= n."""
     if k < 0 or k > n:
         return q * 0
-    if qints is None:
-        qints = [q_integer(m, q) for m in range(n + 1)]
     k = min(k, n - k)
     out = q * 0 + 1
     for i in range(1, k + 1):
-        out = out * qints[n - k + i] / qints[i]
+        out = out * q_integer(n - k + i, q) / q_integer(i, q)
     return out
 
 
-def _closed_forms(q: Fraction, top: int) -> tuple[int, int, list[int], list[int], list]:
+def _closed_forms(q: Fraction, top: int) -> tuple[int, int, list[int], list[int]]:
     """The closed forms for q = a/b in lowest terms as integers, j <= top:
-    a, b, the numerators N_j = b^(j-1) [j]_q of the q-integers and
-    F_j = b^(j(j-1)/2) [j]_q! = N_1 ... N_j of the q-factorials, and the
-    table of closed-form q-integers (by :func:`q_integer`) they are read
-    from, built once. Each numerator is a^m mod b, so prime to b: it is
-    the reduced Fraction's own numerator."""
-    qints = [q_integer(j, q) for j in range(top + 1)]
-    N = [t.numerator for t in qints]
-    F = [q_factorial(j, q, qints).numerator for j in range(top + 1)]
-    return q.numerator, q.denominator, N, F, qints
+    a, b, and the numerators N_j = b^(j-1) [j]_q of :func:`q_integer` and
+    F_j = b^(j(j-1)/2) [j]_q! = N_1 ... N_j of :func:`q_factorial`. Each
+    numerator is a^m mod b, so prime to b: it is the reduced Fraction's own
+    numerator."""
+    N = [q_integer(j, q).numerator for j in range(top + 1)]
+    F = [q_factorial(j, q).numerator for j in range(top + 1)]
+    return q.numerator, q.denominator, N, F
 
 
 def _sum_tables(q: Fraction, top: int) -> tuple[int, int, list[int], list[int], list[list[int]]]:
     """What the explicit q-Stirling sum reads for rows r <= top, as integers
     for q = a/b: a, b, N_j and F_j of :func:`_closed_forms`, and the rows
-    P(r, i) = b^(i(r-i)) qbinom(r, i), i = 0..r, of q-binomial numerators
-    (by :func:`q_binomial`, prime to b like N_j), all from one table of
-    closed-form q-integers."""
-    a, b, N, F, qints = _closed_forms(q, top)
-    P = [[q_binomial(r, i, q, qints).numerator for i in range(r + 1)] for r in range(top + 1)]
-    return a, b, N, F, P
+    P(r, i) = b^(i(r-i)) qbinom(r, i), i = 0..r, of numerators of
+    :func:`q_binomial` (prime to b like N_j), each row read up to its middle
+    and mirrored, as qbinom(r, i) = qbinom(r, r - i)."""
+    P = []
+    for r in range(top + 1):
+        half = [q_binomial(r, i, q).numerator for i in range(r // 2 + 1)]
+        P.append(half + half[:(r + 1) // 2][::-1])
+    return (*_closed_forms(q, top), P)
 
 
 def _stirling_sum(k: int, r: int, tables: tuple) -> tuple[int, int]:
@@ -293,14 +288,14 @@ def check_stirling_cross(q_grid: tuple[Fraction, ...]):
                                         or h * den != num * b ** (K * max(k - r, 0))) else None
 
 
-def over_lcm(values: Sequence[Fraction]) -> tuple[list[int], int]:
+def _over_lcm(values: Sequence[Fraction]) -> tuple[list[int], int]:
     """Exact ``values`` on the integers: their numerators over the lcm L of
     their denominators, and L (1 for no values); values[i] = out[i] / L."""
     L = math.lcm(*[v.denominator for v in values])
     return [v.numerator * (L // v.denominator) for v in values], L
 
 
-def horner(coeffs: Sequence[int], X: int, Y: int) -> int:
+def _horner(coeffs: Sequence[int], X: int, Y: int) -> int:
     """Y^d p(X/Y) for p(x) = sum_j coeffs[j] x^j, d = len(coeffs) - 1 (0 for
     no coefficients), by Horner's rule on the integers: the step
     acc X + c_j Y^(d-j) keeps each partial sum Y^(d-j) times Horner's own."""
@@ -311,12 +306,18 @@ def horner(coeffs: Sequence[int], X: int, Y: int) -> int:
     return acc
 
 
+def _basis_dot(samples: tuple[list[int], int], row: tuple[list[int], int]) -> tuple[int, int]:
+    """sum_i f_i p_i(x) = S / D on the integers, from the samples f_i = F_i / L
+    and the basis row p_i(x) = U_i / V over their lcms (:func:`_over_lcm`):
+    S = sum_i F_i U_i and D = L V."""
+    (F, L), (U, V) = samples, row
+    return sum(map(mul, F, U)), L * V
+
+
 def basis_sum(samples: list[Fraction], row: tuple[Fraction, ...]) -> Fraction:
     """T(f; x) as sum_i f_i p_i(x), from the basis row p_0(x)..p_n(x), summed
-    on the integers: sum_i F_i U_i / (L V) for f_i = F_i / L and
-    p_i(x) = U_i / V over their lcms (:func:`over_lcm`)."""
-    (F, L), (U, V) = over_lcm(samples), over_lcm(row)
-    return Fraction(sum(map(mul, F, U)), L * V)
+    on the integers (:func:`_basis_dot`)."""
+    return Fraction(*_basis_dot(_over_lcm(samples), _over_lcm(row)))
 
 
 @_check("representation_equivalence")
@@ -324,25 +325,26 @@ def check_representation_equivalence(grid: list[OperatorParams]):
     """The difference form and the basis sum agree at n + 2 points; both are
     polynomials of degree <= n, so they are then the same polynomial. One
     case per sample vector. At x = t/Y, Y = 2n + 1, the difference form p
-    (coefficients over their lcm M) is H / (M Y^d) with H = horner(t, Y),
-    and the basis sum (samples over their lcm L, the row over its V) is
-    S / (L V): they agree when H L V = S M Y^d."""
+    (coefficients over their lcm M) is H / (M Y^d), H = Y^d p(t/Y) by
+    :func:`_horner`, and the basis sum is S / D by :func:`_basis_dot`: they
+    agree when H D = S M Y^d."""
     rng = random.Random(SEED)
     for params in grid:
         Y = 2 * params.n + 1
         xs = [Fraction(t, Y) for t in range(params.n + 2)]
         rows = [basis_values(params, x) for x in xs]
-        over_rows = [over_lcm(row) for row in rows]
+        over_rows = [_over_lcm(row) for row in rows]
         for _ in range(VECTORS_PER_CASE):
             f = [
                 Fraction(rng.randint(-9, 9), rng.randint(1, 9))
                 for _ in range(params.n + 1)
             ]
             direct = apply_to_samples(f, params)
-            (F, L), (C, M) = over_lcm(f), over_lcm(direct.coeffs)
+            samples, (C, M) = _over_lcm(f), _over_lcm(direct.coeffs)
             scale = M * Y ** max(direct.degree, 0)
-            for t, (U, V) in enumerate(over_rows):
-                if horner(C, t, Y) * L * V != sum(map(mul, F, U)) * scale:
+            for t, row in enumerate(over_rows):
+                S, D = _basis_dot(samples, row)
+                if _horner(C, t, Y) * D != S * scale:
                     yield _ce(n=params.n, q=params.q, alpha=params.alpha, samples=f, x=xs[t],
                               difference_form=poly_eval(direct, xs[t]),
                               basis_form=basis_sum(f, rows[t]))
@@ -354,16 +356,16 @@ def check_representation_equivalence(grid: list[OperatorParams]):
 @_check("eigen_relation")
 def check_eigen_relation(systems: list[EigenSystem]):
     """T p_k = lambda_k p_k, from the samples of p_k at the nodes
-    [i]_q/[n]_q = X/Y, each p_k(X/Y) by :func:`horner` on the coefficients
+    [i]_q/[n]_q = X/Y, each p_k(X/Y) by :func:`_horner` on the coefficients
     over their lcm M and made one Fraction."""
     for system in systems:
         params = system.params
         nodes = sample_nodes(params)
         for k in range(params.n + 1):
             p, lam = system.vectors[k], system.lambdas[k]
-            C, M = over_lcm(p.coeffs)
+            C, M = _over_lcm(p.coeffs)
             d = max(p.degree, 0)
-            samples = [Fraction(horner(C, t.numerator, t.denominator), M * t.denominator**d)
+            samples = [Fraction(_horner(C, t.numerator, t.denominator), M * t.denominator**d)
                        for t in nodes]
             image = apply_to_samples(samples, params)
             yield _ce(n=params.n, q=params.q, alpha=params.alpha, k=k, eigenvector=p,
@@ -379,7 +381,7 @@ def _eigenvalue_ratio(k: int, params: OperatorParams, forms: tuple) -> tuple[int
               * ((d-c) N_(n-k) N_(n+k-1) + c N_n N_(n-1)),
         den = d N_n^k."""
     n, alpha = params.n, params.alpha
-    a, _, N, F, _ = forms
+    a, _, N, F = forms
     c, d = alpha.numerator, alpha.denominator
     return (a ** (k * (k - 1) // 2) * (F[n - 2] // F[n - k])
             * ((d - c) * N[n - k] * N[n + k - 1] + c * N[n] * N[n - 1]), d * N[n] ** k)
@@ -451,26 +453,27 @@ def check_example_fixed_points(systems: list[EigenSystem]):
 @_check("operator_axioms")
 def check_operator_axioms(systems: list[EigenSystem]):
     """Partition of unity and endpoint interpolation on the basis rows at
-    five points, each row over its lcm (:func:`over_lcm`) so that both are
-    integer sums, the rows at x = 0 and x = 1 serving both; then invariance
-    of a t + b and degree reduction on monomials."""
+    five points, each row over its lcm (:func:`_over_lcm`) so that both are
+    integer sums (:func:`_basis_dot` for the endpoints), the rows at x = 0
+    and x = 1 serving both; then invariance of a t + b and degree reduction
+    on monomials."""
     rng = random.Random(SEED + 1)
     xs = [Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1)]
     for system in systems:
         params = system.params
         at = {"n": params.n, "q": params.q, "alpha": params.alpha}
         nodes = sample_nodes(params)
-        rows = [over_lcm(basis_values(params, x)) for x in xs]
+        rows = [_over_lcm(basis_values(params, x)) for x in xs]
         for x, (U, V) in zip(xs, rows):
             yield _ce(axiom="partition_of_unity", **at, x=x, total=Fraction(sum(U), V)) if (
                 sum(U) != V) else None
         # endpoint interpolation on a random sample vector
         f = [Fraction(rng.randint(-9, 9), rng.randint(1, 9))
              for _ in range(params.n + 1)]
-        F, _ = over_lcm(f)
-        (U0, V0), (U1, V1) = rows[0], rows[-1]
+        samples = F, L = _over_lcm(f)
+        (S0, D0), (S1, D1) = _basis_dot(samples, rows[0]), _basis_dot(samples, rows[-1])
         yield _ce(axiom="endpoint_interpolation", **at, samples=f) if (
-            sum(map(mul, F, U0)) != F[0] * V0 or sum(map(mul, F, U1)) != F[-1] * V1) else None
+            S0 * L != F[0] * D0 or S1 * L != F[-1] * D1) else None
         # invariance of a t + b
         a_, b_ = Fraction(rng.randint(-5, 5), rng.randint(1, 5)), Fraction(
             rng.randint(-5, 5), rng.randint(1, 5))

@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from aqbernstein.polynomials import Polynomial, poly_eval
-from aqbernstein.verify import basis_sum, horner, over_lcm
+from aqbernstein.verify import _horner, _over_lcm, basis_sum
 
 F = Fraction
 
@@ -27,7 +27,7 @@ points = st.one_of(
 
 @given(st.lists(rationals, max_size=10))
 def test_over_lcm(values):
-    nums, den = over_lcm(values)
+    nums, den = _over_lcm(values)
     assert all(type(v) is int for v in nums) and den >= 1
     assert [F(v, den) for v in nums] == values
     assert den == math.lcm(*[v.denominator for v in values])
@@ -36,8 +36,8 @@ def test_over_lcm(values):
 @given(polynomials, points)
 def test_horner_equals_poly_eval(p, point):
     X, Y = point
-    coeffs, den = over_lcm(p.coeffs)
-    value = horner(coeffs, X, Y)
+    coeffs, den = _over_lcm(p.coeffs)
+    value = _horner(coeffs, X, Y)
     assert type(value) is int
     assert F(value, den * Y ** max(p.degree, 0)) == poly_eval(p, F(X, Y))
 
