@@ -50,7 +50,7 @@ from typing import Sequence
 
 from .polynomials import Polynomial
 from .qcalc import q_difference_table, q_integers, q_stirling2_rows
-from .scalars import MixedModeError, Scalar, coerce, common_mode, require_finite
+from .scalars import Scalar, coerce, common_mode, require_finite
 
 
 class QTable:
@@ -136,11 +136,6 @@ def _check_samples(samples: Sequence[Scalar], params: OperatorParams) -> tuple[S
         raise ValueError(
             f"expected {params.n + 1} samples for n={params.n}, got {len(samples)}"
         )
-    mode = common_mode(params.q, *samples)
-    if mode is not None and mode != params.mode:
-        raise MixedModeError(
-            f"samples are {mode}-mode but operator parameters are {params.mode}"
-        )
     return tuple([coerce(v, params.mode) for v in samples])
 
 
@@ -192,9 +187,6 @@ def basis_values(params: OperatorParams, x: Scalar) -> tuple[Scalar, ...]:
     denominator is 1.
     """
     n = params.n
-    mode = common_mode(params.q, x)
-    if mode is not None and mode != params.mode:
-        raise MixedModeError(f"x is {mode}-mode but operator parameters are {params.mode}")
     x = coerce(x, params.mode)
     if n == 1:
         return require_finite((1 - x, x), "basis_values", params)
@@ -320,7 +312,7 @@ def image_rows(params: OperatorParams, top: int) -> tuple[list[tuple[int, list]]
     N_j = [j]_q / [n]_q, so U(m, j) = S_q(m, j) / [n]_q^(m-j), no power of
     [n]_q is formed, d_r = 1 and each entry is divided by D; a non-finite
     N_j raises FloatingPointError first."""
-    n, q, alpha, table = params.n, params.q, params.alpha, params.table
+    n, table = params.n, params.table
     if not 0 <= top <= n:
         raise ValueError(f"need 0 <= k <= n, got k={top}, n={n}")
     # T fixes 1 and t, and every image vanishes at x = 0
@@ -329,11 +321,10 @@ def image_rows(params: OperatorParams, top: int) -> tuple[list[tuple[int, list]]
     if top < 2:
         return rows, diagonal
     exact = params.mode == "exact"
+    a, b, c, d = _integer_form(params)
     if exact:
-        a, b, c, d = q.numerator, q.denominator, alpha.numerator, alpha.denominator
         N = [t.numerator for t in table.integers[: n + top]]
     else:
-        a, b, c, d = q, 1, alpha, 1
         N = require_finite([t / table.integers[n] for t in table.integers[: n + top]],
                            "image_rows", params)
     # cols[j][m] = U(m, j), from b^n [j]_q = b^(n+1-j) N_j

@@ -50,8 +50,9 @@ class Polynomial:
 
 
 def poly_eval(p: Polynomial, x: Scalar) -> Scalar:
-    """Evaluate by Horner's rule; exact when p and x are exact."""
-    mode = common_mode(x, *p.coeffs)
+    """Evaluate by Horner's rule; exact when p and x are exact. The leading
+    coefficient stands for all: construction put them in one mode."""
+    mode = common_mode(x, *p.coeffs[-1:])
     if not p.coeffs:
         return coerce(x, mode or "exact") * 0
     acc = p.coeffs[-1]
@@ -61,7 +62,7 @@ def poly_eval(p: Polynomial, x: Scalar) -> Scalar:
 
 
 def poly_scale(p: Polynomial, s: Scalar) -> Polynomial:
-    mode = common_mode(s, *p.coeffs)
+    mode = common_mode(s, *p.coeffs[-1:])
     if mode is not None:
         s = coerce(s, mode)
     return Polynomial(tuple([s * c for c in p.coeffs]))

@@ -12,9 +12,10 @@ production kernel. The q-integers come from ``q_integers``, the recurrence
 coefficients both run. The q-Stirling numbers come from
 ``q_stirling2_rows``, Carlitz's recurrence run from row 0, which the
 image kernel and the q < 1 limit coefficients both read. The closed
-form (q^n - 1)/(q - 1) and the explicit alternating q-Stirling sum (with
-the q-factorials and q-binomials it needs) are the oracles, and live in
-:mod:`aqbernstein.verify`.
+form (q^n - 1)/(q - 1) and the explicit alternating q-Stirling sum are
+the oracles, and live in :mod:`aqbernstein.verify`, which reads the
+q-factorials and q-binomials of the sum as integer numerators; the
+Fraction-valued q-factorial and q-binomial are test oracles only.
 """
 
 from __future__ import annotations

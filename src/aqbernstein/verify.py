@@ -11,16 +11,17 @@ operator axioms (endpoint interpolation, invariance of a t + b, degree
 reduction, partition of unity) hold.
 
 The oracles that exist only to be compared against live here: the closed
-form (q^n - 1)/(q - 1) of the q-integers, the explicit alternating sum for
-the q-Stirling numbers, and the q-factorials and q-binomials it and the
-closed-form eigenvalue are built from. Production computes the q-integers
-one way only, by :func:`aqbernstein.qcalc.q_integers`, and the q-Stirling
-numbers one way only, by :func:`aqbernstein.qcalc.q_stirling2_rows`.
+form (q^n - 1)/(q - 1) of the q-integers and the explicit alternating sum
+for the q-Stirling numbers. Production computes the q-integers one way
+only, by :func:`aqbernstein.qcalc.q_integers`, and the q-Stirling numbers
+one way only, by :func:`aqbernstein.qcalc.q_stirling2_rows`.
 
 The oracle side runs on integers, as the kernels do: for q = a/b each
-closed form is an integer numerator over a power of b, and the numerators
-of :func:`q_integer`, :func:`q_factorial` and :func:`q_binomial` are read
-into one table per q. Exact values go over one denominator
+closed form is an integer numerator over a power of b. One table per q
+(:func:`_closed_forms`) holds the numerators of :func:`q_integer`, their
+running products (the q-factorial numerators) and the q-binomial
+numerators as exact quotients of those; the explicit sum and the
+closed-form eigenvalue both read it. Exact values go over one denominator
 (:func:`_over_lcm`), so a polynomial is evaluated by Horner's rule on
 homogeneous integers (:func:`_horner`) and a basis sum is one integer dot
 product (:func:`_basis_dot`). Values are
@@ -37,13 +38,13 @@ eigenvalues or eigenvectors (eigen relation, leading coefficient,
 distinctness, the low-degree eigenvectors and degree reduction). The
 production q-Stirling rows are built once per q, plain and in the integer
 form the image kernel reads, and compared entry by entry with the explicit
-sum, which reads one closed-form table of q-integers, q-factorials and
-q-binomials per q; the leading-coefficient check reads one such table per
-q for the closed-form eigenvalue. The representation check evaluates each
-basis row once for all its sample vectors, and the axiom check reuses its
-rows at x = 0 and x = 1 for endpoint interpolation. Every check
-reads the same grid objects, so each operator's q-table
-(``OperatorParams.table``) and its q-binomial rows are built once.
+sum, which reads one closed-form table per q; the leading-coefficient
+check reads one such table per q for the closed-form eigenvalue. The
+representation check evaluates each basis row once for all its sample
+vectors, and the axiom check reuses its rows at x = 0 and x = 1 for
+endpoint interpolation. Every check reads the same grid objects, so each
+operator's q-table (``OperatorParams.table``) and its q-binomial rows are
+built once.
 
 Each check takes its inputs (a q grid, operators or their eigensystems), so
 it serves both :func:`run_verify` and the acceptance tests, which pass
@@ -61,6 +62,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import wraps
+from itertools import accumulate
 from operator import mul
 from typing import Sequence
 
@@ -174,52 +176,24 @@ def q_integer(n: int, q: Scalar) -> Scalar:
     return (q**n - 1) / (q - 1)
 
 
-def q_factorial(n: int, q: Scalar) -> Scalar:
-    """[n]_q! = [1]_q [2]_q ... [n]_q, with [0]_q! = 1."""
-    out = q * 0 + 1
-    for m in range(1, n + 1):
-        out = out * q_integer(m, q)
-    return out
-
-
-def q_binomial(n: int, k: int, q: Scalar) -> Scalar:
-    """q-binomial coefficient, extended by 0 outside 0 <= k <= n."""
-    if k < 0 or k > n:
-        return q * 0
-    k = min(k, n - k)
-    out = q * 0 + 1
-    for i in range(1, k + 1):
-        out = out * q_integer(n - k + i, q) / q_integer(i, q)
-    return out
-
-
-def _closed_forms(q: Fraction, top: int) -> tuple[int, int, list[int], list[int]]:
+def _closed_forms(q: Fraction, top: int) -> tuple[int, int, list[int], list[int], list[list[int]]]:
     """The closed forms for q = a/b in lowest terms as integers, j <= top:
-    a, b, and the numerators N_j = b^(j-1) [j]_q of :func:`q_integer` and
-    F_j = b^(j(j-1)/2) [j]_q! = N_1 ... N_j of :func:`q_factorial`. Each
-    numerator is a^m mod b, so prime to b: it is the reduced Fraction's own
-    numerator."""
+    a, b, the numerators N_j = b^(j-1) [j]_q of :func:`q_integer`, the
+    q-factorial numerators F_j = b^(j(j-1)/2) [j]_q! = N_1 ... N_j, and the
+    rows P(r, i) = b^(i(r-i)) qbinom(r, i) = F_r / (F_i F_(r-i)), i = 0..r,
+    of q-binomial numerators, each an exact integer division since
+    qbinom(r, i) is a polynomial in q of degree i(r-i). Each N_j, j >= 1,
+    is a^(j-1) mod b, so prime to b, and so are F_j and P(r, i): every entry
+    is the reduced Fraction's own numerator."""
     N = [q_integer(j, q).numerator for j in range(top + 1)]
-    F = [q_factorial(j, q).numerator for j in range(top + 1)]
-    return q.numerator, q.denominator, N, F
+    F = list(accumulate(N[1:], mul, initial=1))
+    P = [[F[r] // (F[i] * F[r - i]) for i in range(r + 1)] for r in range(top + 1)]
+    return q.numerator, q.denominator, N, F, P
 
 
-def _sum_tables(q: Fraction, top: int) -> tuple[int, int, list[int], list[int], list[list[int]]]:
-    """What the explicit q-Stirling sum reads for rows r <= top, as integers
-    for q = a/b: a, b, N_j and F_j of :func:`_closed_forms`, and the rows
-    P(r, i) = b^(i(r-i)) qbinom(r, i), i = 0..r, of numerators of
-    :func:`q_binomial` (prime to b like N_j), each row read up to its middle
-    and mirrored, as qbinom(r, i) = qbinom(r, r - i)."""
-    P = []
-    for r in range(top + 1):
-        half = [q_binomial(r, i, q).numerator for i in range(r // 2 + 1)]
-        P.append(half + half[:(r + 1) // 2][::-1])
-    return (*_closed_forms(q, top), P)
-
-
-def _stirling_sum(k: int, r: int, tables: tuple) -> tuple[int, int]:
+def _stirling_sum(k: int, r: int, forms: tuple) -> tuple[int, int]:
     """S_q(k, r) = num / den, den > 0, by the explicit sum on the integers of
-    ``tables`` (:func:`_sum_tables`, r at most its top). For 1 <= r <= k,
+    ``forms`` (:func:`_closed_forms` of q, to r or further). For 1 <= r <= k,
     with [j]_q = N_j / b^(j-1), qbinom(r, i) = P(r, i) / b^(i(r-i)) and
     [r]_q! = F_r / b^(r(r-1)/2), every power of b clears:
 
@@ -232,7 +206,7 @@ def _stirling_sum(k: int, r: int, tables: tuple) -> tuple[int, int]:
         return int(k == 0), 1
     if k < r:
         return 0, 1
-    a, b, N, F, P = tables
+    a, b, N, F, P = forms
     num = 0
     for i in range(r):
         term = a ** (i * (i - 1) // 2) * P[r][i] * N[r - i] ** k
@@ -241,7 +215,7 @@ def _stirling_sum(k: int, r: int, tables: tuple) -> tuple[int, int]:
     return num, F[r] * a ** (r * (r - 1) // 2) * b ** ((r - 1) * (k - r))
 
 
-def q_stirling2(k: int, r: int, q: Scalar, tables: tuple | None = None) -> Scalar:
+def q_stirling2(k: int, r: int, q: Scalar) -> Scalar:
     """q-Stirling number of the second kind S_q(k, r), by its explicit sum.
 
     S_q(k, r) = (1 / ([r]_q! q^(r(r-1)/2)))
@@ -249,10 +223,8 @@ def q_stirling2(k: int, r: int, q: Scalar, tables: tuple | None = None) -> Scala
 
     Boundary values are pinned before the sum is consulted: S_q(0,0) = 1,
     S_q(k,0) = 0 for k > 0, and S_q(k,r) = 0 for k < r. The sum runs on
-    integers (:func:`_stirling_sum`), reading the closed-form q-integers,
-    q-factorials and q-binomials of ``tables`` (from :func:`_sum_tables`,
-    to row r or further), built here when not given; a caller that sums
-    many (k, r) builds them once. The oracle for the production recurrence
+    integers (:func:`_stirling_sum`) over the closed forms of q to r
+    (:func:`_closed_forms`). The oracle for the production recurrence
     :func:`aqbernstein.qcalc.q_stirling2_rows`. Its alternating terms
     cancel in floats, so a float q is summed as the exact rational it is
     and the value rounded once.
@@ -261,7 +233,7 @@ def q_stirling2(k: int, r: int, q: Scalar, tables: tuple | None = None) -> Scala
         raise ValueError(f"q-Stirling number needs k, r >= 0, got ({k}, {r})")
     if isinstance(q, float):
         return float(q_stirling2(k, r, Fraction(q)))
-    return Fraction(*_stirling_sum(k, r, tables or _sum_tables(Fraction(q), r)))
+    return Fraction(*_stirling_sum(k, r, _closed_forms(Fraction(q), r)))
 
 
 @_check("stirling_cross_check")
@@ -270,20 +242,21 @@ def check_stirling_cross(q_grid: tuple[Fraction, ...]):
     entry, for 0 <= k, r <= K = STIRLING_MAX_KR, and b^(K(k-r)) times it
     equals the integer rows of the image kernel's form: the recurrence run
     on b^K [r]_q = b^(K+1-r) N_r, N_r the numerator of [r]_q for q = a/b.
-    One set of each per q of ``q_grid``, and one set of the closed forms
-    the explicit sum reads (:func:`_sum_tables`) per q; the sum is compared
-    as the integers num / den of :func:`_stirling_sum`."""
+    One set of each per q of ``q_grid``, and one table of the closed forms
+    the explicit sum reads (:func:`_closed_forms`) per q; the sum is
+    compared as the integers num / den of :func:`_stirling_sum`, and made a
+    Fraction by :func:`q_stirling2` for a counterexample only."""
     K = STIRLING_MAX_KR
     for q in q_grid:
         qints, b = q_integers(q, K), q.denominator
         rows = q_stirling2_rows(K, qints)
         scaled = q_stirling2_rows(K, [t.numerator * b**(K + 1 - r) for r, t in enumerate(qints)])
-        tables = _sum_tables(q, K)
+        forms = _closed_forms(q, K)
         for k, (row, scaled_row) in enumerate(zip(rows, scaled)):
             for r, (x, h) in enumerate(zip(row, scaled_row)):
-                num, den = _stirling_sum(k, r, tables)
+                num, den = _stirling_sum(k, r, forms)
                 # num = 0 for k < r, where any power of b serves
-                yield _ce(q=q, k=k, r=r, explicit=q_stirling2(k, r, q, tables), recurrence=x,
+                yield _ce(q=q, k=k, r=r, explicit=q_stirling2(k, r, q), recurrence=x,
                           scaled=h) if (num * x.denominator != x.numerator * den
                                         or h * den != num * b ** (K * max(k - r, 0))) else None
 
@@ -381,7 +354,7 @@ def _eigenvalue_ratio(k: int, params: OperatorParams, forms: tuple) -> tuple[int
               * ((d-c) N_(n-k) N_(n+k-1) + c N_n N_(n-1)),
         den = d N_n^k."""
     n, alpha = params.n, params.alpha
-    a, _, N, F = forms
+    a, _, N, F, _ = forms
     c, d = alpha.numerator, alpha.denominator
     return (a ** (k * (k - 1) // 2) * (F[n - 2] // F[n - k])
             * ((d - c) * N[n - k] * N[n + k - 1] + c * N[n] * N[n - 1]), d * N[n] ** k)

@@ -23,7 +23,8 @@ from aqbernstein.eigen import (
     spectrum,
 )
 from aqbernstein.polynomials import Polynomial, poly_eval, poly_scale
-from aqbernstein.verify import closed_form_eigenvalue, q_factorial, q_integer
+from aqbernstein.verify import closed_form_eigenvalue, q_integer
+from test_operator import q_factorial
 
 F = Fraction
 Q_GRID = [F(1, 3), F(1, 2), F(1), F(3, 2), F(2)]

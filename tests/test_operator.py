@@ -22,7 +22,7 @@ from aqbernstein.eigen import eigenvalue, spectrum
 from aqbernstein.polynomials import Polynomial, poly_eval
 from aqbernstein.qcalc import q_difference_table
 from aqbernstein.scalars import MixedModeError, format_scalar, parse_scalar
-from aqbernstein.verify import q_binomial, q_factorial, q_integer, q_stirling2, run_verify
+from aqbernstein.verify import q_integer, q_stirling2, run_verify
 
 F = Fraction
 Q_GRID = [F(1, 2), F(1), F(3, 2), F(2)]
@@ -56,6 +56,25 @@ def g_difference(samples, i, r, params):
     w_i = q ** (n - i - 1) * q_integer(i, q) / dn1
     w_i1 = q ** (n - i - 1 - r) * q_integer(i + r, q) / dn1
     return (1 - w_i) * table[r][i] + w_i1 * table[r][i + 1]
+
+
+def q_factorial(n, q):
+    """[n]_q! = [1]_q [2]_q ... [n]_q, with [0]_q! = 1."""
+    out = q * 0 + 1
+    for m in range(1, n + 1):
+        out = out * q_integer(m, q)
+    return out
+
+
+def q_binomial(n, k, q):
+    """q-binomial coefficient, extended by 0 outside 0 <= k <= n."""
+    if k < 0 or k > n:
+        return q * 0
+    k = min(k, n - k)
+    out = q * 0 + 1
+    for i in range(1, k + 1):
+        out = out * q_integer(n - k + i, q) / q_integer(i, q)
+    return out
 
 
 def q_pochhammer(a, q, k):
@@ -248,6 +267,15 @@ class TestBasis:
         params = OperatorParams(n, q, F(1, 3))
         x = q ** (-(n - i - 1))
         assert basis_values(params, x)[i] == basis_eval(params, i, x)
+
+    def test_mixed_mode_x(self):
+        # x must share the operator's mode; an int joins either
+        for n in (1, 3):
+            with pytest.raises(MixedModeError):
+                basis_values(OperatorParams(n, F(1, 2), F(1, 4)), 0.5)
+            with pytest.raises(MixedModeError):
+                basis_values(OperatorParams(n, 0.5, 0.25), F(1, 2))
+            assert basis_values(OperatorParams(n, 0.5, 0.25), 1)[-1] == 1.0
 
 
 class TestGDifference:

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aqbernstein.qcalc import q_difference_table, q_stirling2_rows
-from aqbernstein.verify import q_binomial, q_factorial, q_integer, q_stirling2
-from test_operator import q_pochhammer
+from aqbernstein.verify import q_integer, q_stirling2
+from test_operator import q_binomial, q_factorial, q_pochhammer
 
 F = Fraction
 Q_GRID = [F(1, 3), F(1, 2), F(2, 3), F(1), F(3, 2), F(2)]
