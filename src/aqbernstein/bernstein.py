@@ -54,20 +54,38 @@ from .scalars import Scalar, coerce, common_mode, require_finite
 
 
 class QTable:
-    """The q-sequences of one operator in its scalar mode: ``zero``, ``one``,
-    ``powers[m]`` = q^m and ``integers[m]`` = [m]_q for 0 <= m <= 2n-1 (in
-    float mode, infinite past float range), and ``binomials``."""
+    """The q-sequences of one operator in its scalar mode: ``zero``, ``one``
+    and, each built on first use, ``powers[m]`` = q^m and ``integers[m]`` =
+    [m]_q for 0 <= m <= 2n-1 (in float mode, infinite past float range), the
+    ``binomials`` and, in exact mode, the ``numerators`` of the integers.
+
+    For q = a/b in lowest terms, ``numerators[m]`` is N_m = b^(m-1) [m]_q,
+    from N_(m+1) = b^m + a N_m, the recurrence of ``integers`` scaled by
+    b^m. N_m = a^(m-1) mod b is prime to b, so N_m is the reduced numerator
+    of [m]_q. The exact kernels that read only these integers never build
+    the Fraction sequences."""
 
     def __init__(self, n: int, q: Scalar):
-        self.n, self.zero = n, q * 0
-        self.one = one = self.zero + 1
-        self.powers = tuple(accumulate(range(2 * n - 1), lambda p, _: q * p, initial=one))
-        self.integers = q_integers(q, 2 * n - 1)
+        self.n, self.q, self.zero = n, q, q * 0
+        self.one = self.zero + 1
+
+    @cached_property
+    def powers(self) -> tuple[Scalar, ...]:
+        return tuple(accumulate(range(2 * self.n - 1), lambda p, _: self.q * p,
+                                initial=self.one))
+
+    @cached_property
+    def integers(self) -> tuple[Scalar, ...]:
+        return q_integers(self.q, 2 * self.n - 1)
+
+    @cached_property
+    def numerators(self) -> tuple[int, ...]:
+        return q_integers(self.q.numerator, 2 * self.n - 1, self.q.denominator)
 
     @cached_property
     def binomials(self) -> dict[int, tuple[Scalar, ...]]:
         """The q-binomial rows (m choose i)_q, i = 0..m, keyed by m = n-2, n-1,
-        n (those >= 0); built on first use, each entry from the one before."""
+        n (those >= 0), each entry from the one before."""
         qint = self.integers
         return {
             m: tuple(accumulate(range(m), lambda b, i: b * qint[m - i] / qint[i + 1],
@@ -252,7 +270,7 @@ def apply_to_samples(samples: Sequence[Scalar], params: OperatorParams) -> Polyn
     if exact:
         L = math.lcm(*[v.denominator for v in f])
         F = [v.numerator * (L // v.denominator) for v in f]
-        N = [t.numerator for t in table.integers[:n]]
+        N = table.numerators[:n]
     else:
         L, F = 1, f
         N = [t / table.integers[n - 1] for t in table.integers[:n]]
@@ -273,9 +291,9 @@ def apply_to_samples(samples: Sequence[Scalar], params: OperatorParams) -> Polyn
 def falling_products(params: OperatorParams, m: int) -> tuple[Scalar, ...]:
     """G_0..G_m with G_r = prod_{t=1}^{r-1} (1 - [t]_q/[n]_q), G_0 = G_1 = 1.
 
-    The falling q-product behind the eigenvalues, their differences and the
-    monomial images, built as a prefix product over the table and only as
-    far as m. Each factor is formed as q^t [n-t]_q/[n]_q, the same value
+    The falling q-product behind the product-form eigenvalues and their
+    gaps (:func:`~aqbernstein.eigen.spectrum`), built as a prefix product
+    over the table and only as far as m. Each factor is formed as q^t [n-t]_q/[n]_q, the same value
     without the subtraction, which cancels in floats for q < 1 once [t]_q
     nears [n]_q.
     """
@@ -287,19 +305,20 @@ def falling_products(params: OperatorParams, m: int) -> tuple[Scalar, ...]:
     return tuple(out)
 
 
-def image_rows(params: OperatorParams, top: int) -> tuple[list[tuple[int, list]], list[Scalar]]:
+def image_rows(params: OperatorParams,
+               top: int) -> tuple[list[tuple[int, list]], tuple[int, list]]:
     """The image matrix a(r, m), the x^r coefficient of T(t^m), m = 1..top
     (0 <= top <= n): rows (d_r, R_r), r < top, with a(r, m) = R_r[m] / d_r
-    for r < m <= top (None for m <= r), and the diagonal a(m, m) = lambda_m,
-    m = 0..top. Row 0 is zero: the operator interpolates at x = 0. For
-    r >= 1, a(r, m) is the paper's
+    for r < m <= top (None for m <= r), and the diagonal (D, L) with
+    a(m, m) = lambda_m = L_m / D, m = 0..top. Row 0 is zero: the operator
+    interpolates at x = 0. For r >= 1, a(r, m) is the paper's
 
         q^(r(r-1)/2) [n-2]_q! / ([n]_q^m [n-r]_q!)
           * { (1-alpha) [n-r]_q ([n+r-1]_q S_q(m+1,r+1) - [r+1]_q [n-1]_q S_q(m,r+1))
               + alpha [n]_q [n-1]_q S_q(m,r) }
 
     with every denominator cleared. For q = a/b, alpha = c/d in lowest terms
-    write [j]_q = N_j / b^(j-1) (N_j the numerator of the table's [j]_q) and
+    write [j]_q = N_j / b^(j-1) (N_j the table's ``numerators``) and
     S_q(m, j) = U(m, j) / b^(n(m-j)), U from Carlitz's recurrence
     (:func:`~aqbernstein.qcalc.q_stirling2_rows`) on b^n [j]_q, to row
     top + 1. Then a(r, m) = X(r, m) / D with D = d N_{n-1} (b N_n)^top and
@@ -307,23 +326,25 @@ def image_rows(params: OperatorParams, top: int) -> tuple[list[tuple[int, list]]
     F_r = a^(r(r-1)/2) N_{n-1}..N_{n-r+1}, t1 = (d-c) N_{n-r} N_{n+r-1},
     t2 = (d-c) N_{n-r} b^n N_{r+1} N_{n-1} and t3 = c N_n N_{n-1}, all
     integers. Row r is reduced by one gcd, so d_r is the lcm of its reduced
-    denominators; the diagonal comes from the same numerators. Float mode
-    runs the same loop with (a, b, c, d) = (q, 1, alpha, 1) and
+    denominators. The diagonal is left over D, unreduced: L_m = X(m, m) for
+    m >= 2 and L_0 = L_1 = D (D = 1 for top < 2), so the eigenvalues and
+    their differences (L_k - L_m) / D are integers over one denominator.
+    Float mode runs the same loop with (a, b, c, d) = (q, 1, alpha, 1) and
     N_j = [j]_q / [n]_q, so U(m, j) = S_q(m, j) / [n]_q^(m-j), no power of
-    [n]_q is formed, d_r = 1 and each entry is divided by D; a non-finite
-    N_j raises FloatingPointError first."""
+    [n]_q is formed, d_r = 1 and each entry, the diagonal's too, is divided
+    by D, which the result then gives as 1; a non-finite N_j raises
+    FloatingPointError first."""
     n, table = params.n, params.table
     if not 0 <= top <= n:
         raise ValueError(f"need 0 <= k <= n, got k={top}, n={n}")
+    exact = params.mode == "exact"
     # T fixes 1 and t, and every image vanishes at x = 0
     rows = [(1, [None] + [0] * top)][:top]
-    diagonal = [table.one] * min(top + 1, 2)
     if top < 2:
-        return rows, diagonal
-    exact = params.mode == "exact"
+        return rows, (1, [1 if exact else table.one] * (top + 1))
     a, b, c, d = _integer_form(params)
     if exact:
-        N = [t.numerator for t in table.integers[: n + top]]
+        N = table.numerators[: n + top]
     else:
         N = require_finite([t / table.integers[n] for t in table.integers[: n + top]],
                            "image_rows", params)
@@ -332,6 +353,7 @@ def image_rows(params: OperatorParams, top: int) -> tuple[list[tuple[int, list]]
         top + 1, [x * b ** (n + 1 - j) for j, x in enumerate(N[: top + 2])])))
     mpow = list(accumulate(range(top), lambda p, _: p * b * N[n], initial=1))
     den = d * N[n - 1] * mpow[top]
+    diagonal = [den, den] if exact else [table.one, table.one]
     falling = 1  # a^(r(r-1)/2) N_{n-1}..N_{n-r+1}
     for r in range(1, top + 1):
         scale, u = falling * b**r, (d - c) * N[n - r]
@@ -343,7 +365,7 @@ def image_rows(params: OperatorParams, top: int) -> tuple[list[tuple[int, list]]
                 mpow[top - r::-1], cols[r + 1][r + 1:], cols[r + 1][r:], cols[r][r:])
         ], "image_rows", params)
         if r >= 2:
-            diagonal.append(table.one * xs[0] / den)
+            diagonal.append(xs[0] if exact else xs[0] / den)
         if r < top:
             if exact:
                 g = math.gcd(den, *xs[1:])
@@ -351,15 +373,16 @@ def image_rows(params: OperatorParams, top: int) -> tuple[list[tuple[int, list]]
             else:
                 rows.append((1, [None] * (r + 1) + [x / den for x in xs[1:]]))
         falling *= a**r * N[n - r]
-    return rows, diagonal
+    return rows, (den if exact else 1, diagonal)
 
 
 def monomial_image(k: int, params: OperatorParams) -> MonomialImage:
-    """T(t^k) for 1 <= k <= n, the last column of ``image_rows(params, k)``:
-    a(r, k) is Fraction(R_r[k], d_r) in exact mode and R_r[k] in float mode."""
+    """T(t^k) for 1 <= k <= n, the last column of ``image_rows(params, k)``
+    and its diagonal: a(r, k) is Fraction(R_r[k], d_r) in exact mode and
+    R_r[k] in float mode, and a(k, k) likewise from (D, L)."""
     if not 1 <= k <= params.n:
         raise ValueError(f"monomial image needs 1 <= k <= n, got k={k}, n={params.n}")
     rows, diagonal = image_rows(params, k)
     exact = params.mode == "exact"
-    column = (Fraction(row[k], d) if exact else row[k] for d, row in rows[1:])
-    return MonomialImage(k, (params.table.zero, *column, diagonal[k]))
+    column = (Fraction(row[k], d) if exact else row[k] for d, row in (*rows[1:], diagonal))
+    return MonomialImage(k, (params.table.zero, *column))

@@ -1,8 +1,8 @@
 """Eigenvalues and monic eigenvector polynomials of T_{n,q,alpha}.
 
 The operator fixes constants and x, so lambda_0 = lambda_1 = 1 with
-eigenvectors 1 and x. For k = 2..n the eigenvalue is computed as the
-product form lambda_k = u_k G_k, with the falling q-product
+eigenvectors 1 and x. For k = 2..n :func:`spectrum` computes the
+eigenvalue as the product form lambda_k = u_k G_k, with the falling q-product
 G_k = prod_{t=1}^{k-1} (1 - [t]_q/[n]_q) from
 :func:`aqbernstein.bernstein.falling_products` and
 u_k = alpha + (1-alpha) [n-k]_q [n+k-1]_q / ([n]_q [n-1]_q). Since
@@ -18,29 +18,38 @@ x^(k-j) is a linear combination of already-known higher coefficients
 weighted by coefficients of the images T(t^m), m <= k, divided by
 lambda_k - lambda_{k-j}. In exact mode the recursion runs on integers, in
 the spirit of Bareiss's fraction-free elimination (Math. Comp. 22, 1968):
-it reads the image matrix's rows, integers over one denominator each, from
-:func:`aqbernstein.bernstein.image_rows`, carries p_k as integer numerators
-over one common denominator, and reduces each coefficient's integer dot
-product once into its Fraction, so the values are those of the reduced
-scalar recursion. Float mode runs the same loop with every denominator 1,
-which is the plain float arithmetic. The q-sequences come from
-``OperatorParams.table``; in float mode a nan or an infinity raises
+it reads the image matrix from :func:`aqbernstein.bernstein.image_rows`,
+its rows integers over one denominator each and its diagonal a(m,m) =
+lambda_m integers L_m over one denominator D, and carries p_k as integer
+numerators over one common denominator. The difference lambda_k - lambda_m
+is (L_k - L_m) / D, one integer subtraction, and the exact eigensystem's
+eigenvalues are the diagonal's, L_m / D; exact mode forms no Fraction
+q-sequence and calls no :func:`spectrum`. Each coefficient costs one gcd
+whose smaller operand has the size of an image entry, not of p_k's
+numerators, and one reduced Fraction, so the values are those of the
+reduced scalar recursion. Float mode runs the same loop with every
+denominator 1, which is the plain float arithmetic. The q-sequences come
+from ``OperatorParams.table``; in float mode a nan or an infinity raises
 FloatingPointError.
 
-:func:`spectrum` builds the eigenvalues together with their gaps
+:func:`spectrum` builds the eigenvalues by the product form together with
+their gaps
 
     lambda_{i+1} - lambda_i
         = -G_i (u_{i+1} [i]_q/[n]_q + (1-alpha) q^(n-i-1) [2i]_q/([n]_q [n-1]_q)),
 
-and the recursion takes lambda_k - lambda_m as the running sum of the gaps
-i = m..k-1. For alpha in [0,1] both terms of a gap are non-negative and the
-first is positive for i >= 1, so the lambda sequence is strictly decreasing
-from k = 1, which makes the recursion well posed, and the sum adds terms of
-one sign without cancellation. Subtracting separately computed eigenvalues
-would not do: for q > 1 and large n, lambda_k and lambda_m agree to within
-~q^(k-n), so float subtraction loses every significant digit. The gap form
-is an algebraic identity, so exact mode is unaffected (tests pin the sums
-against direct subtraction).
+and the float recursion takes lambda_k - lambda_m as the running sum of
+the gaps i = m..k-1. For alpha in [0,1] both terms of a gap are
+non-negative and the first is positive for i >= 1, so the lambda sequence
+is strictly decreasing from k = 1, which makes the recursion well posed,
+and the sum adds terms of one sign without cancellation. Subtracting
+separately computed float eigenvalues would not do: for q > 1 and large n,
+lambda_k and lambda_m agree to within ~q^(k-n), so float subtraction loses
+every significant digit. Exact subtraction loses nothing, so exact mode
+needs no gaps. In exact mode the product form serves :func:`eigenvalue`
+and verify's leading-coefficient check, which compares it with the image
+diagonal and the closed form (tests pin the gap sums against direct
+subtraction).
 """
 
 from __future__ import annotations
@@ -103,20 +112,26 @@ def _eigenvector_coeffs(
     k: int,
     params: OperatorParams,
     rows: list[tuple[int, list]],
-    gaps: tuple[Scalar, ...],
+    steps: tuple,
 ) -> tuple[Scalar, ...]:
     """Coefficients c_0..c_k of p_k, from the rows of
-    :func:`~aqbernstein.bernstein.image_rows` for any top >= k and the gaps
-    lambda_{i+1} - lambda_i for i < k.
+    :func:`~aqbernstein.bernstein.image_rows` for any top >= k and, for the
+    differences lambda_k - lambda_r, ``steps``: in exact mode the diagonal
+    (D, L) of the same call, lambda_r = L_r / D, and in float mode the gaps
+    lambda_{i+1} - lambda_i, i < k, of :func:`spectrum`.
 
     c_r = sum_{m=r+1..k} c_m a(r, m) / (lambda_k - lambda_r), for r = k-1
     down to 0. The known c_m are carried as integer numerators v[m] over one
     common denominator w, so the sum is the integer dot product
-    total = sum_m v[m] R_r[m], taken from m = k down, and
-    c_r = total / (w d_r (lambda_k - lambda_r)) is the one reduced Fraction
-    formed per coefficient. When c_r's denominator does not divide w, v and
-    w are scaled by the missing factor. A float is its own numerator over 1:
-    in float mode w = d_r = 1, v[m] = c_m, and c_r = total / diff.
+    total = sum_m v[m] R_r[m], taken from m = k down. In exact mode
+    c_r = T / (w S) with T = -D total and S = d_r (L_r - L_k), positive
+    since the lambdas decrease. With h = gcd(T, S) the lcm of w and c_r's
+    denominator is w (S // h) (per prime, lcm(w, w S / g) = w S / gcd(g, S)
+    for g = gcd(T, w S), and gcd(g, S) = h), so w and the known v[m] are
+    scaled by S // h, v[r] = T // h, and c_r = v[r] / w is the one reduced
+    Fraction formed per coefficient. A float is its own numerator over 1:
+    in float mode w = d_r = 1, v[m] = c_m, and c_r = total / diff, diff the
+    running sum of the gaps i = r..k-1.
 
     Raises DegenerateEigenvalueError when a difference lambda_k - lambda_r
     is zero, or in float mode when it underflows below the smallest normal
@@ -130,14 +145,19 @@ def _eigenvector_coeffs(
     c[k] = table.one
     v: list = [0] * (k + 1)
     v[k] = w = 1
-    diff = table.zero  # lambda_k - lambda_r
+    if exact:
+        den, L = steps
+    diff = table.zero  # lambda_k - lambda_r in float mode
     for r in range(k - 1, -1, -1):
         d, row = rows[r]
         total = 0
         for m in range(k, r, -1):
             total = total + v[m] * row[m]
-        diff = diff + gaps[r]
-        if diff == 0:
+        if exact:
+            S = d * (L[r] - L[k])
+        else:
+            diff = S = diff + steps[r]
+        if S == 0:
             raise DegenerateEigenvalueError(
                 f"lambda_{k} - lambda_{r} vanished for n={n}, q={q}, alpha={alpha}"
             )
@@ -149,19 +169,22 @@ def _eigenvector_coeffs(
                 )
             c[r] = v[r] = total / diff
             continue
-        c[r] = coeff = Fraction(total * diff.denominator, w * d * diff.numerator)
-        missing = coeff.denominator // math.gcd(w, coeff.denominator)
-        if missing > 1:
+        T = -total * den
+        h = math.gcd(T, S)
+        missing = S // h
+        if missing != 1:
             w *= missing
             v[r + 1:] = [x * missing for x in v[r + 1:]]
-        v[r] = coeff.numerator * (w // coeff.denominator)
+        v[r] = T // h
+        c[r] = Fraction(v[r], w)
     return require_finite(tuple(c), "eigenvector", params, k)
 
 
 def eigenvector(k: int, params: OperatorParams) -> Polynomial:
     """The monic degree-k eigenvector polynomial p_k (p_0 = 1, p_1 = x)."""
-    rows = image_rows(params, k)[0]
-    return Polynomial(_eigenvector_coeffs(k, params, rows, spectrum(params, k)[1]))
+    rows, diagonal = image_rows(params, k)
+    steps = diagonal if params.mode == "exact" else spectrum(params, k)[1]
+    return Polynomial(_eigenvector_coeffs(k, params, rows, steps))
 
 
 @dataclass(frozen=True)
@@ -210,13 +233,20 @@ def eigensystem_from_dict(obj: dict) -> EigenSystem:
     return EigenSystem(params, lambdas, vectors)
 
 
-def eigensystem_from_rows(params: OperatorParams, rows: list[tuple[int, list]]) -> EigenSystem:
-    """The eigensystem from the rows of ``image_rows(params, params.n)``, which
-    every eigenvector recursion reads, and one :func:`spectrum` call, which
-    gives every eigenvalue and the gaps that every recursion sums."""
-    lambdas, gaps = spectrum(params, params.n)
+def eigensystem_from_rows(params: OperatorParams, rows: list[tuple[int, list]],
+                          diagonal: tuple[int, list]) -> EigenSystem:
+    """The eigensystem from ``image_rows(params, params.n)``, whose rows every
+    eigenvector recursion reads. In exact mode the eigenvalues are its
+    diagonal, lambda_r = L_r / D, which also gives every difference; in
+    float mode one :func:`spectrum` call gives every eigenvalue and the gaps
+    that every recursion sums."""
+    if params.mode == "exact":
+        den, L = diagonal
+        lambdas, steps = tuple([Fraction(x, den) for x in L]), diagonal
+    else:
+        lambdas, steps = spectrum(params, params.n)
     vectors = tuple([
-        Polynomial(_eigenvector_coeffs(k, params, rows, gaps))
+        Polynomial(_eigenvector_coeffs(k, params, rows, steps))
         for k in range(params.n + 1)
     ])
     return EigenSystem(params, lambdas, vectors)
@@ -224,4 +254,4 @@ def eigensystem_from_rows(params: OperatorParams, rows: list[tuple[int, list]]) 
 
 def eigensystem(params: OperatorParams) -> EigenSystem:
     """All eigenvalues and monic eigenvectors for k = 0..n, from one image matrix."""
-    return eigensystem_from_rows(params, image_rows(params, params.n)[0])
+    return eigensystem_from_rows(params, *image_rows(params, params.n))

@@ -20,16 +20,23 @@ Fraction-valued q-factorial and q-binomial are test oracles only.
 
 from __future__ import annotations
 
-from itertools import accumulate
 from typing import Sequence
 
 from .scalars import Scalar
 
 
-def q_integers(q: Scalar, top: int) -> tuple[Scalar, ...]:
+def q_integers(q: Scalar, top: int, den: int = 1) -> tuple[Scalar, ...]:
     """[0]_q .. [top]_q, each from the one before by [m+1]_q = 1 + q [m]_q
-    (in float mode, infinite past float range)."""
-    return tuple(accumulate(range(top), lambda t, _: 1 + q * t, initial=q * 0))
+    (in float mode, infinite past float range).
+
+    Given q's numerator and denominator as ``q`` and ``den``, the same
+    recurrence scaled by den^m, N_(m+1) = den^m + q N_m, gives the integer
+    numerators N_m = den^(m-1) [m]_(q/den), N_0 = 0."""
+    out, scale = [q * 0], 1
+    for _ in range(top):
+        out.append(scale + q * out[-1])
+        scale *= den
+    return tuple(out)
 
 
 def q_stirling2_rows(k: int, qints: Sequence[Scalar]) -> list[list[Scalar]]:

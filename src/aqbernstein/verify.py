@@ -2,9 +2,10 @@
 
 Runs the library's independent-oracle checks over a (q, alpha) grid and all
 degrees n up to a cap: the two operator representations agree, eigenvectors
-satisfy the eigen relation exactly, the production eigenvalues (product
-form) equal the leading monomial-image coefficient and the paper's closed
-form (the oracle, in q-factorials), eigenvalues are strictly
+satisfy the eigen relation exactly, the eigenvalues three ways agree (the
+leading monomial-image coefficient, which exact eigensystems take, the
+product form of :func:`~aqbernstein.eigen.spectrum` and the paper's closed
+form, the oracle, in q-factorials), eigenvalues are strictly
 decreasing from k = 1, the production q-Stirling recurrence agrees with the
 explicit sum, the closed-form low-degree eigenvectors come out, and the
 operator axioms (endpoint interpolation, invariance of a t + b, degree
@@ -32,19 +33,20 @@ the tests read (:func:`q_stirling2`, :func:`closed_form_eigenvalue`,
 Each grid operator's image matrix, the coefficients of T(t^m) for
 m = 1..n, is built once, by one :func:`~aqbernstein.bernstein.image_rows`
 call on one q-Stirling triangle built to row n + 1: the eigensystem is
-assembled from its rows, and the leading-coefficient check reads a(k,k)
-from its diagonal. That eigensystem is shared by every check that reads
-eigenvalues or eigenvectors (eigen relation, leading coefficient,
-distinctness, the low-degree eigenvectors and degree reduction). The
-production q-Stirling rows are built once per q, plain and in the integer
-form the image kernel reads, and compared entry by entry with the explicit
-sum, which reads one closed-form table per q; the leading-coefficient
-check reads one such table per q for the closed-form eigenvalue. The
-representation check evaluates each basis row once for all its sample
-vectors, and the axiom check reuses its rows at x = 0 and x = 1 for
-endpoint interpolation. Every check reads the same grid objects, so each
-operator's q-table (``OperatorParams.table``) and its q-binomial rows are
-built once.
+assembled from its rows and its diagonal a(k,k), which gives the
+eigenvalues; the leading-coefficient check compares them with one
+product-form spectrum per operator. That eigensystem is shared by every
+check that reads eigenvalues or eigenvectors (eigen relation, leading
+coefficient, distinctness, the low-degree eigenvectors and degree
+reduction). The production q-Stirling rows are built once per q, plain
+and in the integer form the image kernel reads, and compared entry by
+entry with the explicit sum, which reads one closed-form table per q; the
+leading-coefficient check reads one such table per q for the closed-form
+eigenvalue. The representation check evaluates each basis row once for
+all its sample vectors, and the axiom check reuses its rows at x = 0 and
+x = 1 for endpoint interpolation. Every check reads the same grid
+objects, so each operator's q-table (``OperatorParams.table``) and its
+q-binomial rows are built once.
 
 Each check takes its inputs (a q grid, operators or their eigensystems), so
 it serves both :func:`run_verify` and the acceptance tests, which pass
@@ -73,7 +75,7 @@ from .bernstein import (
     image_rows,
     sample_nodes,
 )
-from .eigen import EigenSystem, eigensystem_from_rows
+from .eigen import EigenSystem, eigensystem_from_rows, spectrum
 from .polynomials import Polynomial, poly_eval, poly_scale
 from .qcalc import q_integers, q_stirling2_rows
 from .scalars import Scalar, format_scalar
@@ -369,21 +371,21 @@ def closed_form_eigenvalue(k: int, params: OperatorParams) -> Fraction:
 
 
 @_check("leading_coefficient")
-def check_leading_coefficient(systems: list[EigenSystem], diagonals: list[list[Scalar]]):
-    """lambda_k (product form) equals a(k,k) of T(t^k) and the closed form;
-    ``diagonals[i]`` holds a(m,m), m = 0..n, from the image matrix of
-    ``systems[i]``'s operator. The closed form reads one table of
-    closed-form integers per q (:func:`_closed_forms`) and is compared on
-    cross-multiplied integers."""
+def check_leading_coefficient(systems: list[EigenSystem], products: list[Sequence[Fraction]]):
+    """lambda_k, which an exact eigensystem takes from a(k,k) of T(t^k),
+    equals the product form and the closed form; ``products[i]`` holds
+    lambda_0..lambda_n of ``systems[i]``'s operator by the product form
+    (:func:`~aqbernstein.eigen.spectrum`). The closed form reads one table
+    of closed-form integers per q (:func:`_closed_forms`) and is compared
+    on cross-multiplied integers."""
     top = 2 * max((system.params.n for system in systems), default=1)
     forms = {}
-    for system, diagonal in zip(systems, diagonals):
+    for system, product in zip(systems, products):
         params = system.params
         if params.q not in forms:
             forms[params.q] = _closed_forms(params.q, top)
         for k in range(1, params.n + 1):
-            lam = system.lambdas[k]
-            a_kk = diagonal[k]
+            a_kk, lam = system.lambdas[k], product[k]
             num, den = (_eigenvalue_ratio(k, params, forms[params.q]) if k >= 2
                         else (lam.numerator, lam.denominator))
             yield _ce(n=params.n, q=params.q, alpha=params.alpha, k=k, leading=a_kk,
@@ -465,20 +467,20 @@ def run_verify(max_n: int = 6) -> VerifyReport:
     """Run every check; the report carries one result per check.
 
     The image matrix of each grid operator is built by one ``image_rows``
-    call; its eigensystem is assembled from the rows, and both are shared
-    by the checks that read them. Every check takes the
+    call, and its eigensystem is assembled from it and shared by the checks
+    that read eigenvalues or eigenvectors; the leading-coefficient check
+    also reads each operator's product-form spectrum. Every check takes the
     grid's own objects, so each operator's q-table is built once.
     """
     if max_n < 1:
         raise ValueError(f"max_n must be >= 1, got {max_n}")
     grid = list(_grid(max_n))
-    matrices = [image_rows(params, params.n) for params in grid]
-    systems = [eigensystem_from_rows(params, rows) for params, (rows, _) in zip(grid, matrices)]
+    systems = [eigensystem_from_rows(params, *image_rows(params, params.n)) for params in grid]
     checks = (
         check_stirling_cross(Q_GRID),
         check_representation_equivalence(grid),
         check_eigen_relation(systems),
-        check_leading_coefficient(systems, [diagonal for _, diagonal in matrices]),
+        check_leading_coefficient(systems, [spectrum(params, params.n)[0] for params in grid]),
         check_distinctness(systems),
         check_example_fixed_points(systems),
         check_operator_axioms(systems),

@@ -45,7 +45,7 @@ def _flip_image_coefficient(monkeypatch, offset):
         rows, diagonal = clean(params, top)
         for k in range(2, top + 1):
             if offset == 0:
-                diagonal[k] = -diagonal[k]
+                diagonal[1][k] = -diagonal[1][k]
             else:
                 rows[k - offset][1][k] = -rows[k - offset][1][k]
         return rows, diagonal
@@ -63,8 +63,8 @@ def corrupt_kernel(monkeypatch):
 
 @pytest.fixture
 def corrupt_diagonal(monkeypatch):
-    """Flip a(k,k) of T(t^k); the eigen recursion never reads the diagonal,
-    so only the leading-coefficient check can see it."""
+    """Flip a(k,k) of T(t^k), k >= 2: an exact eigensystem takes its
+    eigenvalues and the eigenvector recursion's differences from it."""
     return _flip_image_coefficient(monkeypatch, 0)
 
 
@@ -116,7 +116,8 @@ def corrupt_difference(monkeypatch):
 @pytest.fixture
 def corrupt_gap(monkeypatch):
     """Double the gap lambda_2 - lambda_1 that eigen.spectrum returns (for
-    n >= 2); the eigenvalues themselves stay right."""
+    n >= 2), which only the float eigenvector recursion sums; the
+    eigenvalues themselves stay right."""
     clean = aqbernstein.eigen.spectrum
 
     def corrupted(params, top):
@@ -130,8 +131,9 @@ def corrupt_gap(monkeypatch):
 
 @pytest.fixture
 def corrupt_order(monkeypatch):
-    """Make eigen.spectrum return lambda_3 = lambda_2 (for n >= 3), so the
-    eigenvalues no longer strictly decrease; the gaps stay right."""
+    """Make spectrum, as eigen and verify read it, return lambda_3 = lambda_2
+    (for n >= 3), so the product form no longer strictly decreases; the gaps
+    stay right."""
     clean = aqbernstein.eigen.spectrum
 
     def corrupted(params, top):
@@ -141,3 +143,4 @@ def corrupt_order(monkeypatch):
         return lambdas, gaps
 
     monkeypatch.setattr(aqbernstein.eigen, "spectrum", corrupted)
+    monkeypatch.setattr(aqbernstein.verify, "spectrum", corrupted)

@@ -16,9 +16,9 @@ from itertools import chain
 
 from aqbernstein import verify
 from aqbernstein.asymptotics import limit_coeffs
-from aqbernstein.bernstein import OperatorParams, apply_to_samples, basis_values, image_rows
+from aqbernstein.bernstein import OperatorParams, apply_to_samples, basis_values
 from aqbernstein.cli import main
-from aqbernstein.eigen import eigensystem, eigenvalue, eigenvector
+from aqbernstein.eigen import eigensystem, eigenvalue, eigenvector, spectrum
 from aqbernstein.polynomials import Polynomial, poly_eval
 
 F = Fraction
@@ -92,8 +92,8 @@ def test_criterion_02_closed_form_eigenvectors():
 def test_criterion_03_leading_coefficient_and_dual_forms():
     with criterion(3, "leading coefficient and dual eigenvalue forms"):
         operators = union(full_grid(8), grid(range(2, 9), Q_GRID_2_5, [F(2, 5)]))
-        diagonals = [image_rows(params, params.n)[1] for params in operators]
-        assert_check(verify.check_leading_coefficient(systems(operators), diagonals), 900 + 140)
+        products = [spectrum(params, params.n)[0] for params in operators]
+        assert_check(verify.check_leading_coefficient(systems(operators), products), 900 + 140)
 
 
 def test_criterion_04_distinctness_monotonicity():

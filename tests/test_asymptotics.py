@@ -1,4 +1,6 @@
+import hashlib
 import math
+import sys
 from fractions import Fraction
 from functools import lru_cache
 
@@ -385,6 +387,9 @@ class TestDispatch:
             convergence_table(F(1, 2), F(6, 5), 2, [10], mode="exact")
 
 
+CONVERGE_DIGEST = "32e141b975d5da6db1de7e35d262c4a8769479a474404472104dc5939e043b75"
+
+
 class TestConvergenceTable:
     def test_degree_two_error_is_rounding_noise_at_most(self):
         # identically zero in exact mode (see test_exact_mode); float mode
@@ -423,6 +428,24 @@ class TestConvergenceTable:
         rows = convergence_table(2, 0, 3, [5, 10], mode="exact")
         assert rows == convergence_table(F(2), F(0), 3, [5, 10], mode="exact")
         assert all(type(v) is F for r in rows for v in (r.finite, r.limit, r.abs_error))
+
+    def test_exact_output_digest(self):
+        # SHA-256 over repr of the exact tables on the benchmark's converge
+        # grid, pinned before the exact eigenvector recursion ran on the
+        # image diagonal alone: there n >> k, so the images are built only to
+        # top = k, a shape the eigen digest (n <= 24) does not reach. The
+        # reprs run past the default limit of 4300 digits per int.
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            digest = hashlib.sha256()
+            for q in (F(1, 2), F(3, 2)):
+                for k in (6, 12):
+                    rows = convergence_table(q, F(2, 5), k, (25, 50, 100, 200), mode="exact")
+                    digest.update(repr(rows).encode())
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert digest.hexdigest() == CONVERGE_DIGEST
 
     def test_small_n_rejected(self):
         with pytest.raises(ValueError):

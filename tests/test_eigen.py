@@ -6,6 +6,8 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from aqbernstein import bernstein, eigen, verify
 from aqbernstein.bernstein import (
@@ -186,9 +188,18 @@ class TestEigenvalueDifference:
     def test_exact_collision_detected(self, monkeypatch):
         # in floats G_39 underflows to 0 at n = 60, q = 1/3, so the gap
         # lambda_40 - lambda_39 is 0.0 (monomial_image fails there first);
-        # a difference that comes out zero is refused, not divided by
+        # exact differences come from the image diagonal, here forced to
+        # L_3 = L_2. A difference that comes out zero is refused, not
+        # divided by
         assert spectrum(OperatorParams(60, 1 / 3, 0.5), 40)[1][39] == 0
-        substitute_gap(monkeypatch, 2, F(0))
+        clean = bernstein.image_rows
+
+        def collided(params, top):
+            rows, (den, diagonal) = clean(params, top)
+            diagonal[3] = diagonal[2]
+            return rows, (den, diagonal)
+
+        monkeypatch.setattr(eigen, "image_rows", collided)
         params = OperatorParams(4, F(1, 2), F(1, 2))
         for compute in [lambda: eigenvector(3, params), lambda: eigensystem(params)]:
             with pytest.raises(DegenerateEigenvalueError, match=r"lambda_3 - lambda_2 "
@@ -267,6 +278,18 @@ def recursion_oracle(k, params, images, gaps):
 def exact_parts(coeffs):
     """Each exact coefficient as (type, numerator, denominator)."""
     return [(type(c), c.numerator, c.denominator) for c in coeffs]
+
+
+@given(st.integers(1, 10**40), st.integers(1, 10**40), st.integers(-10**40, 10**40),
+       st.lists(st.sampled_from([2, 3, 5, 7]), max_size=12).map(math.prod))
+def test_one_gcd_gives_the_new_denominator(w, S, T, shared):
+    # the exact recursion's step: for c = T / (w S), w (S // gcd(T, S)) is
+    # lcm(w, denominator of c), and T // gcd(T, S) is c over it; shared
+    # prime factors make the three numbers meet
+    w, S, T = w * shared, S * shared, T * shared
+    h = math.gcd(T, S)
+    assert w * (S // h) == math.lcm(w, Fraction(T, w * S).denominator)
+    assert Fraction(T // h, w * (S // h)) == Fraction(T, w * S)
 
 
 class TestIntegerRecursion:
@@ -350,8 +373,10 @@ class TestEigenSystem:
         assert result.passed and result.cases == 9 * sum(n + 1 for n in range(1, 7)), result
 
     def test_one_falling_table_per_system(self, monkeypatch):
-        # G_0..G_n is built once and read by every lambda_k and difference;
-        # per-call tables give bit-identical results in both modes
+        # in float mode G_0..G_n is built once and read by every lambda_k and
+        # difference; an exact system takes both from the image diagonal and
+        # builds none. Per-call tables give bit-identical results in float
+        # mode, and the product form equals the diagonal in exact mode
         built = []
 
         def counted(params, m):
@@ -362,7 +387,7 @@ class TestEigenSystem:
         for params in [OperatorParams(12, F(3, 2), F(2, 5)), OperatorParams(12, 1.5, 0.4)]:
             built.clear()
             system = eigensystem(params)
-            assert built == [12]
+            assert built == ([12] if params.mode == "float" else [])
             assert system.lambdas == tuple(eigenvalue(k, params) for k in range(13))
             assert system.vectors == tuple(eigenvector(k, params) for k in range(13))
 

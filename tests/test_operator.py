@@ -601,11 +601,11 @@ class TestImageRows:
         for n, q, alpha, top in cases:
             params = OperatorParams(n, q, alpha)
             images = {m: per_coefficient_image(m, params) for m in range(1, top + 1)}
-            rows, diagonal = image_rows(params, top)
+            rows, (den, diagonal) = image_rows(params, top)
             assert rows == lcm_rows(images, top), (n, q, alpha, top)
             entries = [x for r, (d, row) in enumerate(rows) for x in (d, *row[r + 1:])]
-            assert all(type(x) is int for x in entries)
-            assert diagonal == [1] + [images[m][m] for m in range(1, top + 1)]
+            assert all(type(x) is int for x in [*entries, den, *diagonal])
+            assert [F(x, den) for x in diagonal] == [1] + [images[m][m] for m in range(1, top + 1)]
 
 
 @pytest.fixture(scope="class")
@@ -621,9 +621,9 @@ def verify_calls():
         calls["qtables"].append(build_qtable(*args))
         return calls["qtables"][-1]
 
-    def system(params, rows):
+    def system(params, *matrix):
         calls["systems"].append(params)
-        return build_system(params, rows)
+        return build_system(params, *matrix)
 
     def images(params, top):
         calls["images"] += 1
@@ -675,6 +675,10 @@ class TestQTable:
                 assert (table.zero, table.one) == (0, 1)
                 assert table.powers == tuple(q**m for m in range(2 * n))
                 assert table.integers == tuple(q_integer(m, q) for m in range(2 * n))
+                assert table.numerators == tuple(
+                    q_integer(m, q).numerator for m in range(2 * n))
+                assert all(N == t * q.denominator ** (m - 1) for m, (N, t) in enumerate(
+                    zip(table.numerators[1:], table.integers[1:]), 1))
                 assert sorted(table.binomials) == list(range(max(n - 2, 0), n + 1))
                 for m, row in table.binomials.items():
                     assert row == tuple(q_binomial(m, i, q) for i in range(m + 1))
@@ -691,10 +695,27 @@ class TestQTable:
                 for g, w in zip(got, want):
                     assert abs(F(g) - w) <= F(1, 10**14) * abs(w), (q, g, w)
 
-    def test_rows_built_on_first_use(self):
+    def test_rows_built_on_first_use(self, monkeypatch):
+        # an exact eigenvector and eigensystem read the integer numerators
+        # alone: no Fraction q-integers, powers or q-binomials, and no
+        # spectrum, whose lambdas are the image diagonal's; float mode sums
+        # the gaps of one spectrum call
+        calls = []
+        clean = eigen.spectrum
+
+        def counted(params, top):
+            calls.append((params.mode, params.n, top))
+            return clean(params, top)
+
+        monkeypatch.setattr(eigen, "spectrum", counted)
         params = OperatorParams(200, F(3, 2), F(2, 5))
         eigen.eigenvector(12, params)
-        assert "binomials" not in vars(params.table)
+        assert sorted(vars(params.table)) == ["n", "numerators", "one", "q", "zero"]
+        eigen.eigensystem(OperatorParams(12, F(3, 2), F(2, 5)))
+        assert calls == []
+        eigen.eigenvector(12, OperatorParams(200, 1.5, 0.4))
+        eigen.eigensystem(OperatorParams(12, 1.5, 0.4))
+        assert calls == [("float", 200, 12), ("float", 12, 12)]
         basis_values(params, F(1, 3))
         assert "binomials" in vars(params.table)
 
@@ -752,13 +773,20 @@ class TestFaultHook:
         assert cases == {"eigen_relation": 53, "example_fixed_points": 1}
 
     def test_wrong_diagonal_caught_by_leading_check(self, corrupt_diagonal):
-        # a(k,k) feeds no eigenvector, so only the leading check sees it
+        # an exact eigensystem takes lambda_k and the recursion's differences
+        # from a(k,k), so a flipped diagonal bends the eigenvalues and the
+        # eigenvectors; the leading check sees it against the product form
+        # and the closed form. lambda_2 = 0 at (2, 1/3, 0) flips to itself,
+        # so each check fails first at (2, 1/3, 1/4)
         report = run_verify(max_n=2)
         assert not report.passed
-        failed = [c for c in report.checks if not c.passed]
-        assert [c.name for c in failed] == ["leading_coefficient"]
-        assert failed[0].counterexample["k"] == 2
-        assert failed[0].cases == 29
+        failed = {c.name: c for c in report.checks if not c.passed}
+        assert {name: c.cases for name, c in failed.items()} == {
+            "eigen_relation": 56, "leading_coefficient": 29,
+            "distinctness": 2, "example_fixed_points": 2}
+        ce = failed["leading_coefficient"].counterexample
+        assert (ce["n"], ce["q"], ce["alpha"], ce["k"]) == (2, "1/3", "1/4", 2)
+        assert (ce["leading"], ce["eigenvalue"], ce["closed_form"]) == ("-1/16", "1/16", "1/16")
 
     def test_wrong_stirling_rows_caught(self, monkeypatch):
         # Carlitz's step with [r-1]_q in place of [r]_q, in the one production
@@ -776,22 +804,49 @@ class TestFaultHook:
         assert failed["stirling_cross_check"].counterexample
         assert failed["eigen_relation"].counterexample
 
-    def test_wrong_gap_caught(self, corrupt_gap, capsys):
-        # a wrong eigenvalue gap bends every eigenvector recursion that sums it
-        report = run_verify(max_n=3)
-        failed = {c.name: c for c in report.checks if not c.passed}
-        assert not report.passed
-        assert failed["eigen_relation"].counterexample
+    def test_wrong_gap_caught(self, request):
+        # the gaps feed only the float recursion: a doubled lambda_2 - lambda_1
+        # halves the x coefficient of float p_2 = x^2 - x, far outside the
+        # float-against-exact tolerance (1e-12 relative), and leaves every
+        # exact result, and so verify, as it was
+        cases = [(n, q) for n in (2, 6) for q in (F(1, 2), F(3, 2))]
+        clean = {case: eigen.eigensystem(OperatorParams(*case, F(2, 5))) for case in cases}
+        request.getfixturevalue("corrupt_gap")
+        for (n, q), exact in clean.items():
+            params = OperatorParams(n, q, F(2, 5))
+            assert repr(eigen.eigensystem(params)) == repr(exact)
+            assert [eigen.eigenvector(k, params) for k in range(n + 1)] == list(exact.vectors)
+            got = eigen.eigensystem(OperatorParams(n, float(q), 0.4)).vectors[2].coeff(1)
+            want = float(exact.vectors[2].coeff(1))
+            assert want == -1 and abs(got - want) > 1e-12 * abs(want), (n, q, got)
+            assert got == pytest.approx(-0.5, rel=1e-12)
+        assert run_verify(max_n=3).passed
+
+    def test_wrong_order_caught_by_distinctness(self):
+        # an eigensystem whose lambda_3 repeats lambda_2, after the cases of
+        # two n = 2 systems and its own k = 2
+        systems = [eigen.eigensystem(OperatorParams(n, q, F(2, 5)))
+                   for n in (2, 3, 4) for q in (F(1, 2), F(3, 2))]
+        assert verify.check_distinctness(systems).passed
+        params, lams, vectors = systems[2].params, systems[2].lambdas, systems[2].vectors
+        systems[2] = eigen.EigenSystem(params, (*lams[:3], lams[2], *lams[4:]), vectors)
+        order = verify.check_distinctness(systems)
+        assert not order.passed and order.cases == 4
+        assert (order.counterexample["n"], order.counterexample["k"]) == (3, 3)
+
+    def test_wrong_order_caught_by_leading_check(self, corrupt_order, capsys):
+        # spectrum's lambda_3 = lambda_2 at the first n = 3 operator, whose
+        # lambda_3 is 0 at alpha = 0, after 75 cases at n <= 2 and its own
+        # k = 1, 2: the product form is compared with the image diagonal and
+        # the closed form, which no spectrum fault reaches
+        failed = [c for c in run_verify(max_n=3).checks if not c.passed]
+        assert [c.name for c in failed] == ["leading_coefficient"]
+        assert failed[0].cases == 78
+        ce = failed[0].counterexample
+        assert (ce["n"], ce["q"], ce["alpha"], ce["k"]) == (3, "1/3", "0", 3)
+        assert (ce["leading"], ce["closed_form"], ce["eigenvalue"]) == ("0", "0", "40/169")
         assert main(["verify", "--max-n", "3"]) == 1
         assert not json.loads(capsys.readouterr().out)["passed"]
-
-    def test_wrong_order_caught_by_distinctness(self, corrupt_order):
-        # lambda_3 = lambda_2 at the first n = 3 operator, after 25 cases at
-        # n = 2 and its own k = 2
-        failed = {c.name: c for c in run_verify(max_n=3).checks if not c.passed}
-        order = failed["distinctness"]
-        assert order.cases == 27
-        assert (order.counterexample["n"], order.counterexample["k"]) == (3, 3)
 
     def test_failed_axiom_is_reported(self, corrupt_basis):
         # p_0(0) off by one breaks the partition of unity at the first x; the
