@@ -57,13 +57,14 @@ class QTable:
     """The q-sequences of one operator in its scalar mode: ``zero``, ``one``
     and, each built on first use, ``powers[m]`` = q^m and ``integers[m]`` =
     [m]_q for 0 <= m <= 2n-1 (in float mode, infinite past float range), the
-    ``binomials`` and, in exact mode, the ``numerators`` of the integers.
+    q-binomial rows ``binomials`` (numerators in exact mode) and, in exact
+    mode, the ``numerators`` of the integers.
 
     For q = a/b in lowest terms, ``numerators[m]`` is N_m = b^(m-1) [m]_q,
     from N_(m+1) = b^m + a N_m, the recurrence of ``integers`` scaled by
     b^m. N_m = a^(m-1) mod b is prime to b, so N_m is the reduced numerator
     of [m]_q. The exact kernels that read only these integers never build
-    the Fraction sequences."""
+    the Fraction sequences; the exact ``binomials`` are built from them."""
 
     def __init__(self, n: int, q: Scalar):
         self.n, self.q, self.zero = n, q, q * 0
@@ -84,14 +85,24 @@ class QTable:
 
     @cached_property
     def binomials(self) -> dict[int, tuple[Scalar, ...]]:
-        """The q-binomial rows (m choose i)_q, i = 0..m, keyed by m = n-2, n-1,
-        n (those >= 0), each entry from the one before."""
-        qint = self.integers
-        return {
-            m: tuple(accumulate(range(m), lambda b, i: b * qint[m - i] / qint[i + 1],
-                                initial=self.one))
-            for m in range(max(self.n - 2, 0), self.n + 1)
-        }
+        """The q-binomial rows, i = 0..m, keyed by m = n-2, n-1, n (those
+        >= 0), each entry from the one before by
+        qbinom(m, i+1) = qbinom(m, i) [m-i]_q / [i+1]_q.
+
+        Float mode holds the values qbinom(m, i). Exact mode, for q = a/b in
+        lowest terms, holds the integers P(m, i) = b^(i(m-i)) qbinom(m, i),
+        from P(m, i+1) = P(m, i) N_(m-i) // N_(i+1): the powers of b cancel,
+        and the division is exact because P(m, i+1) is an integer. P(m, i) is
+        a^(i(m-i)) mod b, so prime to b: the reduced numerator of
+        qbinom(m, i)."""
+        ms = range(max(self.n - 2, 0), self.n + 1)
+        if isinstance(self.q, float):
+            qint = self.integers
+            return {m: tuple(accumulate(range(m), lambda p, i: p * qint[m - i] / qint[i + 1],
+                                        initial=self.one)) for m in ms}
+        N = self.numerators
+        return {m: tuple(accumulate(range(m), lambda p, i: p * N[m - i] // N[i + 1],
+                                    initial=1)) for m in ms}
 
 
 def checked_q_alpha(q: Scalar, alpha: Scalar) -> tuple[Scalar, Scalar]:
@@ -163,16 +174,13 @@ def sample_nodes(params: OperatorParams) -> tuple[Scalar, ...]:
     return require_finite(tuple([t / qints[-1] for t in qints]), "sample_nodes", params)
 
 
-def _integer_form(params: OperatorParams, *rows: tuple[Scalar, ...]):
-    """(a, b, c, d) for q = a/b and alpha = c/d in lowest terms, and the
-    q-binomial ``rows`` as the numerators P(m, i) of qbinom(m, i) =
-    P(m, i) / b^(i(m-i)), in exact mode; (q, 1, alpha, 1) and the rows as
-    they are in float mode."""
+def _integer_form(params: OperatorParams) -> tuple[Scalar, Scalar, Scalar, Scalar]:
+    """(a, b, c, d) for q = a/b and alpha = c/d in lowest terms in exact
+    mode; (q, 1, alpha, 1) in float mode."""
     q, alpha = params.q, params.alpha
     if params.mode == "exact":
-        return (q.numerator, q.denominator, alpha.numerator, alpha.denominator,
-                *[[t.numerator for t in row] for row in rows])
-    return (q, 1, alpha, 1, *rows)
+        return q.numerator, q.denominator, alpha.numerator, alpha.denominator
+    return q, 1, alpha, 1
 
 
 def basis_values(params: OperatorParams, x: Scalar) -> tuple[Scalar, ...]:
@@ -191,7 +199,7 @@ def basis_values(params: OperatorParams, x: Scalar) -> tuple[Scalar, ...]:
 
     The three terms are formed over one denominator. For q = a/b,
     alpha = c/d and x = X/Y in lowest terms write qbinom(m, i) =
-    P(m, i) / b^(i(m-i)) (P the numerator of the table's q-binomial) and
+    P(m, i) / b^(i(m-i)) (P the table's exact ``binomials``) and
     (x;q)_m = Q_m / (Y^m b^(m(m-1)/2)) with Q_m = prod_{j<m} (Y b^j - X a^j).
     With m = n-i the value at i is then V_i / (d Y^n b^(m(n+i-1)/2)),
 
@@ -209,7 +217,8 @@ def basis_values(params: OperatorParams, x: Scalar) -> tuple[Scalar, ...]:
     if n == 1:
         return require_finite((1 - x, x), "basis_values", params)
     binomials = params.table.binomials
-    a, b, c, d, row_n, row_n2 = _integer_form(params, binomials[n], binomials[n - 2])
+    row_n, row_n2 = binomials[n], binomials[n - 2]
+    a, b, c, d = _integer_form(params)
     exact = params.mode == "exact"
     X, Y = (x.numerator, x.denominator) if exact else (x, 1)
     apow = list(accumulate(range(n), lambda p, _: p * a, initial=1))
@@ -249,7 +258,8 @@ def apply_to_samples(samples: Sequence[Scalar], params: OperatorParams) -> Polyn
     = (N_{n-1} - A_i) F_i + A_i F_{i+1} is an integer. The one difference
     loop, :func:`~aqbernstein.qcalc.q_difference_table` run on (a, b), gives
     E_r = L b^(r(r-1)/2) Delta_q^r f_0 and likewise for G. With
-    qbinom(m, r) = P(m, r) / b^(r(m-r)) the coefficient of x^r is
+    qbinom(m, r) = P(m, r) / b^(r(m-r)) (P the table's exact ``binomials``)
+    the coefficient of x^r is
 
         (c P(n, r) N_{n-1} E_r(F) + (d-c) P(n-1, r) b^r E_r(G))
           / (d L N_{n-1} b^(r(r-1)/2 + r(n-r))),
@@ -264,8 +274,8 @@ def apply_to_samples(samples: Sequence[Scalar], params: OperatorParams) -> Polyn
     n, table = params.n, params.table
     if n == 1:
         return Polynomial(require_finite((f[0], f[1] - f[0]), "apply_to_samples", params))
-    a, b, c, d, row_n, row_n1 = _integer_form(
-        params, table.binomials[n], table.binomials[n - 1])
+    row_n, row_n1 = table.binomials[n], table.binomials[n - 1]
+    a, b, c, d = _integer_form(params)
     exact = params.mode == "exact"
     if exact:
         L = math.lcm(*[v.denominator for v in f])

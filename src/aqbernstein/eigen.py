@@ -20,15 +20,22 @@ lambda_k - lambda_{k-j}. In exact mode the recursion runs on integers, in
 the spirit of Bareiss's fraction-free elimination (Math. Comp. 22, 1968):
 it reads the image matrix from :func:`aqbernstein.bernstein.image_rows`,
 its rows integers over one denominator each and its diagonal a(m,m) =
-lambda_m integers L_m over one denominator D, and carries p_k as integer
-numerators over one common denominator. The difference lambda_k - lambda_m
-is (L_k - L_m) / D, one integer subtraction, and the exact eigensystem's
-eigenvalues are the diagonal's, L_m / D; exact mode forms no Fraction
-q-sequence and calls no :func:`spectrum`. Each coefficient costs one gcd
-whose smaller operand has the size of an image entry, not of p_k's
-numerators, and one reduced Fraction, so the values are those of the
-reduced scalar recursion. Float mode runs the same loop with every
-denominator 1, which is the plain float arithmetic. The q-sequences come
+lambda_m integers L_m over one denominator D. The difference
+lambda_k - lambda_m is (L_k - L_m) / D, one integer subtraction, and the
+exact eigensystem's eigenvalues are the diagonal's, L_m / D; exact mode
+forms no Fraction q-sequence and calls no :func:`spectrum`. Each known
+coefficient c_m of p_k stays an integer numerator v[m] over the
+denominator w_m it was formed with; step r grows the denominator by a
+factor g_r, w_r = w_{r+1} g_r, and each dot product applies the factors of
+the later steps by nested multiplication (Horner's rule over the g_j), so
+no known numerator is rescaled. Each coefficient costs one gcd h of
+T = -D (dot product) and S = d_r (L_r - L_k), whose smaller operand S has
+the size of an image entry, not of p_k's numerators, and one reduced
+Fraction v[r] / w_r with v[r] = T / h and g_r = S / h. As
+gcd(T / h, S / h) = 1, gcd(v[r], w_r) = gcd(T / h, w_{r+1}), and the values
+are those of the reduced scalar recursion. Float mode runs the plain dot
+product, every denominator 1 and no growth factor, which is the plain
+float arithmetic. The q-sequences come
 from ``OperatorParams.table``; in float mode a nan or an infinity raises
 FloatingPointError.
 
@@ -121,17 +128,24 @@ def _eigenvector_coeffs(
     lambda_{i+1} - lambda_i, i < k, of :func:`spectrum`.
 
     c_r = sum_{m=r+1..k} c_m a(r, m) / (lambda_k - lambda_r), for r = k-1
-    down to 0. The known c_m are carried as integer numerators v[m] over one
-    common denominator w, so the sum is the integer dot product
-    total = sum_m v[m] R_r[m], taken from m = k down. In exact mode
-    c_r = T / (w S) with T = -D total and S = d_r (L_r - L_k), positive
-    since the lambdas decrease. With h = gcd(T, S) the lcm of w and c_r's
-    denominator is w (S // h) (per prime, lcm(w, w S / g) = w S / gcd(g, S)
-    for g = gcd(T, w S), and gcd(g, S) = h), so w and the known v[m] are
-    scaled by S // h, v[r] = T // h, and c_r = v[r] / w is the one reduced
-    Fraction formed per coefficient. A float is its own numerator over 1:
-    in float mode w = d_r = 1, v[m] = c_m, and c_r = total / diff, diff the
-    running sum of the gaps i = r..k-1.
+    down to 0. In exact mode each known c_m stays the integer numerator v[m]
+    over the denominator w_m it was formed with, c_m = v[m] / w_m: w_k = 1,
+    and step r grows w_{r+1} by a factor g_r to w_r = w_{r+1} g_r. Over
+    w_{r+1} the sum is the integer dot product
+    total = sum_m v[m] R_r[m] (w_{r+1} / w_m), with
+    w_{r+1} / w_m = g_{r+1} ... g_{m-1}, taken from m = k down by nested
+    multiplication, total <- total g_m + v[m] R_r[m]; no known numerator is
+    ever rescaled. Then c_r = T / (w_{r+1} S) with T = -D total and
+    S = d_r (L_r - L_k), positive since the lambdas decrease. With
+    h = gcd(T, S), g_r = S // h makes w_r the lcm of w_{r+1} and c_r's
+    denominator (per prime, lcm(w, w S / e) = w S / gcd(e, S) for
+    e = gcd(T, w S), and gcd(e, S) = h), and v[r] = T // h. Since
+    gcd(T // h, S // h) = 1, gcd(v[r], w_r) = gcd(T // h, w_{r+1}), and
+    c_r = v[r] / w_r is the one reduced Fraction formed per coefficient,
+    the value of the reduced scalar recursion. A float is its own numerator
+    over 1: float mode takes the plain dot product sum_m v[m] R_r[m] with
+    v[m] = c_m and d_r = 1, forms no growth factors, and sets
+    c_r = total / diff, diff the running sum of the gaps i = r..k-1.
 
     Raises DegenerateEigenvalueError when a difference lambda_k - lambda_r
     is zero, or in float mode when it underflows below the smallest normal
@@ -147,15 +161,19 @@ def _eigenvector_coeffs(
     v[k] = w = 1
     if exact:
         den, L = steps
+        g = [1] * (k + 1)  # g[m]: the factor by which step m grew w
     diff = table.zero  # lambda_k - lambda_r in float mode
     for r in range(k - 1, -1, -1):
         d, row = rows[r]
-        total = 0
-        for m in range(k, r, -1):
-            total = total + v[m] * row[m]
         if exact:
+            total = row[k]
+            for m in range(k - 1, r, -1):
+                total = total * g[m] + v[m] * row[m]
             S = d * (L[r] - L[k])
         else:
+            total = 0
+            for m in range(k, r, -1):
+                total = total + v[m] * row[m]
             diff = S = diff + steps[r]
         if S == 0:
             raise DegenerateEigenvalueError(
@@ -171,10 +189,8 @@ def _eigenvector_coeffs(
             continue
         T = -total * den
         h = math.gcd(T, S)
-        missing = S // h
-        if missing != 1:
-            w *= missing
-            v[r + 1:] = [x * missing for x in v[r + 1:]]
+        g[r] = S // h
+        w *= g[r]
         v[r] = T // h
         c[r] = Fraction(v[r], w)
     return require_finite(tuple(c), "eigenvector", params, k)

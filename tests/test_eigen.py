@@ -292,6 +292,29 @@ def test_one_gcd_gives_the_new_denominator(w, S, T, shared):
     assert Fraction(T // h, w * (S // h)) == Fraction(T, w * S)
 
 
+@given(st.lists(st.tuples(st.integers(-10**30, 10**30), st.integers(-10**30, 10**30),
+                          st.integers(1, 10**12)), max_size=12),
+       st.integers(-10**30, 10**30),
+       st.lists(st.sampled_from([2, 3, 5, 7]), max_size=12).map(math.prod))
+def test_nested_growth_equals_rescaled_dot(known, top, shared):
+    # the exact recursion's dot product at r = 0: each v[m] is over the
+    # denominator it was formed with, and nested multiplication applies the
+    # growth factors g[m] of the later steps; the sum must equal the dot
+    # product of the numerators rescaled at every step onto the current
+    # denominator; shared prime factors make the numbers meet
+    k = len(known) + 1
+    v = [0] + [x * shared for x, _, _ in known] + [1]
+    row = [None] + [y for _, y, _ in known] + [top]
+    g = [1] + [z * shared for _, _, z in known] + [1]
+    total = row[k]
+    for m in range(k - 1, 0, -1):
+        total = total * g[m] + v[m] * row[m]
+    scaled = v[:]
+    for j in range(k - 1, 0, -1):  # step j grows the denominator by g[j]
+        scaled[j + 1:] = [x * g[j] for x in scaled[j + 1:]]
+    assert total == sum(scaled[m] * row[m] for m in range(1, k + 1))
+
+
 class TestIntegerRecursion:
     """The kernel carries p_k as integer numerators over one denominator;
     its output must be the scalar recursion's, value for value."""
@@ -320,16 +343,23 @@ class TestIntegerRecursion:
     def test_float_bits_equal_oracle(self, q, n):
         self.assert_matches_oracle(OperatorParams(n, q, 0.4), repr)
 
+    @staticmethod
+    def assert_vectors_match_system(params):
+        vectors = eigensystem(params).vectors
+        for k in range(params.n + 1):
+            got = eigenvector(k, params).coeffs
+            assert repr(got) == repr(vectors[k].coeffs), (params, k)
+
     def test_eigenvector_equals_system_vector(self):
         # eigenvector(k) builds its rows up to k and eigensystem up to n, so
-        # their row denominators differ; the output must not show it
+        # their row denominators d_r, and with them the exact recursion's
+        # growth factors, differ; the output must not show it
         for n in range(1, 13):
             for q in [F(1, 2), F(1), F(3, 2)]:
                 for params in [OperatorParams(n, q, F(2, 5)), OperatorParams(n, float(q), 0.4)]:
-                    vectors = eigensystem(params).vectors
-                    for k in range(n + 1):
-                        got = eigenvector(k, params).coeffs
-                        assert repr(got) == repr(vectors[k].coeffs), (params, k)
+                    self.assert_vectors_match_system(params)
+        for q in [F(1, 2), F(3, 2)]:
+            self.assert_vectors_match_system(OperatorParams(24, q, F(2, 5)))
 
 
 # SHA-256 over repr of every exact eigensystem, eigenvector(k) and

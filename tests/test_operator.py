@@ -87,6 +87,15 @@ def q_pochhammer(a, q, k):
     return out
 
 
+def binomial_row(params, m):
+    """Row m of the q-binomials in the scalar arithmetic of the mode: the
+    table's float row, or the Fraction oracle in exact mode, where the
+    table holds integer numerators."""
+    if params.mode == "float":
+        return params.table.binomials[m]
+    return tuple([q_binomial(m, i, params.q) for i in range(m + 1)])
+
+
 def basis_eval(params, i, x):
     """Oracle for p_{n,q,i}^{(alpha)}(x), one index at a time from fresh
     q-binomials and q-shifted products (the three-term form that
@@ -108,7 +117,7 @@ def basis_eval(params, i, x):
 def reference_basis_values(params, x):
     """The basis row p_0(x)..p_n(x) in the scalar arithmetic of the mode,
     one Fraction (or float) operation at a time: the three-term form of
-    ``basis_values`` over the table's q-powers and q-binomial rows, with
+    ``basis_values`` over the table's q-powers and :func:`binomial_row`, with
     running products for x^i and (x;q)_m. The oracle for the integer form
     of the production kernel."""
     n, alpha, table = params.n, params.alpha, params.table
@@ -118,7 +127,7 @@ def reference_basis_values(params, x):
     one, qpow = table.one, table.powers
     xpow = list(accumulate(range(n), lambda p, _: p * x, initial=one))
     poch = list(accumulate(qpow[:n], lambda p, qm: p * (1 - x * qm), initial=one))
-    row_n, row_n2 = table.binomials[n], table.binomials[n - 2]
+    row_n, row_n2 = binomial_row(params, n), binomial_row(params, n - 2)
     values = []
     for i in range(n + 1):
         total = alpha * row_n[i] * xpow[i] * poch[n - i]
@@ -144,7 +153,7 @@ def reference_g_samples(samples, params):
 def reference_apply_to_samples(samples, params):
     """The coefficients of T(f; .) by the forward-difference form, in the
     scalar arithmetic of the mode: q-difference tables of f and of g over
-    the scalar q, weighted by the table's q-binomial rows. The oracle for
+    the scalar q, weighted by :func:`binomial_row`. The oracle for
     the integer form of the production kernel."""
     n, q, alpha, table = params.n, params.q, params.alpha, params.table
     f = tuple([v + table.zero for v in samples])
@@ -152,7 +161,7 @@ def reference_apply_to_samples(samples, params):
         return Polynomial((f[0], f[1] - f[0])).coeffs
     ftable = q_difference_table(f, q)
     gtable = q_difference_table(reference_g_samples(f, params), q)
-    row_n, row_n1 = table.binomials[n], table.binomials[n - 1]
+    row_n, row_n1 = binomial_row(params, n), binomial_row(params, n - 1)
     coeffs = []
     for r in range(n + 1):
         c = alpha * row_n[r] * ftable[r][0]
@@ -680,8 +689,11 @@ class TestQTable:
                 assert all(N == t * q.denominator ** (m - 1) for m, (N, t) in enumerate(
                     zip(table.numerators[1:], table.integers[1:]), 1))
                 assert sorted(table.binomials) == list(range(max(n - 2, 0), n + 1))
+                # exact rows hold the reduced numerators over b^(i(m-i))
                 for m, row in table.binomials.items():
-                    assert row == tuple(q_binomial(m, i, q) for i in range(m + 1))
+                    assert row == tuple(q_binomial(m, i, q).numerator for i in range(m + 1))
+                    assert all(F(p, q.denominator ** (i * (m - i))) == q_binomial(m, i, q)
+                               for i, p in enumerate(row))
 
     def test_float_entries_near_exact(self):
         for q in [0.5, 1.0, 1.5, 2.0]:
@@ -689,7 +701,10 @@ class TestQTable:
             exact = OperatorParams(60, F(q), F(2, 5)).table
             assert isinstance(table.one, float) and isinstance(table.zero, float)
             pairs = [(table.powers, exact.powers), (table.integers, exact.integers)]
-            pairs += [(table.binomials[m], exact.binomials[m]) for m in (58, 59, 60)]
+            b = exact.q.denominator
+            pairs += [(table.binomials[m],
+                       [F(p, b ** (i * (m - i))) for i, p in enumerate(exact.binomials[m])])
+                      for m in (58, 59, 60)]
             for got, want in pairs:
                 assert len(got) == len(want)
                 for g, w in zip(got, want):
