@@ -298,23 +298,6 @@ def apply_to_samples(samples: Sequence[Scalar], params: OperatorParams) -> Polyn
     return Polynomial(require_finite(tuple(coeffs), "apply_to_samples", params))
 
 
-def falling_products(params: OperatorParams, m: int) -> tuple[Scalar, ...]:
-    """G_0..G_m with G_r = prod_{t=1}^{r-1} (1 - [t]_q/[n]_q), G_0 = G_1 = 1.
-
-    The falling q-product behind the product-form eigenvalues and their
-    gaps (:func:`~aqbernstein.eigen.spectrum`), built as a prefix product
-    over the table and only as far as m. Each factor is formed as q^t [n-t]_q/[n]_q, the same value
-    without the subtraction, which cancels in floats for q < 1 once [t]_q
-    nears [n]_q.
-    """
-    n, table = params.n, params.table
-    qpow, qint, dn = table.powers, table.integers, table.integers[n]
-    out = [table.one]
-    for t in range(m):
-        out.append(out[-1] * (qpow[t] * qint[n - t] / dn))
-    return tuple(out)
-
-
 def image_rows(params: OperatorParams,
                top: int) -> tuple[list[tuple[int, list]], tuple[int, list]]:
     """The image matrix a(r, m), the x^r coefficient of T(t^m), m = 1..top

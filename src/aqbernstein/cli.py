@@ -123,7 +123,9 @@ def cmd_eig(args) -> int:
         [k, system.lambdas[k]] + [system.vectors[k].coeff(j) for j in range(width)]
         for k in range(width)
     ]
-    return _write(args, system.as_dict(), header, rows)
+    # CSV prints the rows: the JSON dict would convert every integer again
+    obj = system.as_dict() if args.format == "json" else None
+    return _write(args, obj, header, rows)
 
 
 def cmd_apply(args) -> int:

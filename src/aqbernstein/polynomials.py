@@ -60,9 +60,3 @@ def poly_eval(p: Polynomial, x: Scalar) -> Scalar:
         acc = acc * x + c
     return acc
 
-
-def poly_scale(p: Polynomial, s: Scalar) -> Polynomial:
-    mode = common_mode(s, *p.coeffs[-1:])
-    if mode is not None:
-        s = coerce(s, mode)
-    return Polynomial(tuple([s * c for c in p.coeffs]))

@@ -30,23 +30,22 @@ compared on cross-multiplied integers; the Fraction-valued oracles that
 the tests read (:func:`q_stirling2`, :func:`closed_form_eigenvalue`,
 :func:`basis_sum`) are called for a counterexample only.
 
-Each grid operator's image matrix, the coefficients of T(t^m) for
-m = 1..n, is built once, by one :func:`~aqbernstein.bernstein.image_rows`
-call on one q-Stirling triangle built to row n + 1: the eigensystem is
-assembled from its rows and its diagonal a(k,k), which gives the
-eigenvalues; the leading-coefficient check compares them with one
-product-form spectrum per operator. That eigensystem is shared by every
-check that reads eigenvalues or eigenvectors (eigen relation, leading
-coefficient, distinctness, the low-degree eigenvectors and degree
-reduction). The production q-Stirling rows are built once per q, plain
-and in the integer form the image kernel reads, and compared entry by
-entry with the explicit sum, which reads one closed-form table per q; the
-leading-coefficient check reads one such table per q for the closed-form
-eigenvalue. The representation check evaluates each basis row once for
-all its sample vectors, and the axiom check reuses its rows at x = 0 and
-x = 1 for endpoint interpolation. Every check reads the same grid
-objects, so each operator's q-table (``OperatorParams.table``) and its
-q-binomial rows are built once.
+Each grid operator's eigensystem is built once, by
+:func:`~aqbernstein.eigen.eigensystem`, whose eigenvalues are the
+diagonal a(k,k) of its image matrix; the leading-coefficient check
+compares them with one product-form spectrum per operator. That
+eigensystem is shared by every check that reads eigenvalues or
+eigenvectors (eigen relation, leading coefficient, distinctness, the
+low-degree eigenvectors and degree reduction). The production q-Stirling
+rows are built once per q, plain and in the integer form the image
+kernel reads, and compared entry by entry with the explicit sum, which
+reads one closed-form table per q; the leading-coefficient check reads
+one such table per q for the closed-form eigenvalue. The representation
+check evaluates each basis row once for all its sample vectors, and the
+axiom check reuses its rows at x = 0 and x = 1 for endpoint
+interpolation. Every check reads the same grid objects, so each
+operator's q-table (``OperatorParams.table``) and its q-binomial rows are
+built once.
 
 Each check takes its inputs (a q grid, operators or their eigensystems), so
 it serves both :func:`run_verify` and the acceptance tests, which pass
@@ -72,11 +71,10 @@ from .bernstein import (
     OperatorParams,
     apply_to_samples,
     basis_values,
-    image_rows,
     sample_nodes,
 )
-from .eigen import EigenSystem, eigensystem_from_rows, spectrum
-from .polynomials import Polynomial, poly_eval, poly_scale
+from .eigen import EigenSystem, eigensystem, spectrum
+from .polynomials import Polynomial, poly_eval
 from .qcalc import q_integers, q_stirling2_rows
 from .scalars import Scalar, format_scalar
 
@@ -344,7 +342,8 @@ def check_eigen_relation(systems: list[EigenSystem]):
                        for t in nodes]
             image = apply_to_samples(samples, params)
             yield _ce(n=params.n, q=params.q, alpha=params.alpha, k=k, eigenvector=p,
-                      image=image, eigenvalue=lam) if image != poly_scale(p, lam) else None
+                      image=image, eigenvalue=lam) if (
+                image != Polynomial(tuple([lam * c for c in p.coeffs]))) else None
 
 
 def _eigenvalue_ratio(k: int, params: OperatorParams, forms: tuple) -> tuple[int, int]:
@@ -371,17 +370,17 @@ def closed_form_eigenvalue(k: int, params: OperatorParams) -> Fraction:
 
 
 @_check("leading_coefficient")
-def check_leading_coefficient(systems: list[EigenSystem], products: list[Sequence[Fraction]]):
+def check_leading_coefficient(systems: list[EigenSystem]):
     """lambda_k, which an exact eigensystem takes from a(k,k) of T(t^k),
-    equals the product form and the closed form; ``products[i]`` holds
-    lambda_0..lambda_n of ``systems[i]``'s operator by the product form
-    (:func:`~aqbernstein.eigen.spectrum`). The closed form reads one table
+    equals the product form, from one :func:`~aqbernstein.eigen.spectrum`
+    call per system, and the closed form. The closed form reads one table
     of closed-form integers per q (:func:`_closed_forms`) and is compared
     on cross-multiplied integers."""
     top = 2 * max((system.params.n for system in systems), default=1)
     forms = {}
-    for system, product in zip(systems, products):
+    for system in systems:
         params = system.params
+        product = spectrum(params, params.n)[0]
         if params.q not in forms:
             forms[params.q] = _closed_forms(params.q, top)
         for k in range(1, params.n + 1):
@@ -466,21 +465,20 @@ def check_operator_axioms(systems: list[EigenSystem]):
 def run_verify(max_n: int = 6) -> VerifyReport:
     """Run every check; the report carries one result per check.
 
-    The image matrix of each grid operator is built by one ``image_rows``
-    call, and its eigensystem is assembled from it and shared by the checks
-    that read eigenvalues or eigenvectors; the leading-coefficient check
-    also reads each operator's product-form spectrum. Every check takes the
-    grid's own objects, so each operator's q-table is built once.
+    Each grid operator's eigensystem is built once and shared by the
+    checks that read eigenvalues or eigenvectors; the leading-coefficient
+    check also reads each operator's product-form spectrum. Every check
+    takes the grid's own objects, so each operator's q-table is built once.
     """
     if max_n < 1:
         raise ValueError(f"max_n must be >= 1, got {max_n}")
     grid = list(_grid(max_n))
-    systems = [eigensystem_from_rows(params, *image_rows(params, params.n)) for params in grid]
+    systems = [eigensystem(params) for params in grid]
     checks = (
         check_stirling_cross(Q_GRID),
         check_representation_equivalence(grid),
         check_eigen_relation(systems),
-        check_leading_coefficient(systems, [spectrum(params, params.n)[0] for params in grid]),
+        check_leading_coefficient(systems),
         check_distinctness(systems),
         check_example_fixed_points(systems),
         check_operator_axioms(systems),

@@ -11,7 +11,7 @@ import pytest
 
 from aqbernstein.bernstein import OperatorParams
 from aqbernstein.cli import _json_text, main
-from aqbernstein.eigen import eigensystem, eigensystem_from_dict
+from aqbernstein.eigen import EigenSystem, eigensystem, eigensystem_from_dict
 from aqbernstein.polynomials import Polynomial
 from aqbernstein.scalars import parse_scalar
 
@@ -515,3 +515,16 @@ def test_golden_stdout(command, expected):
     if expected.startswith(("{", "[")):
         expected = json.dumps(json.loads(expected), indent=2) + "\n"
     assert run_cli(*command.split()).stdout == expected
+
+
+def test_eig_csv_builds_no_json_dict(monkeypatch, capsys):
+    # CSV prints the rows alone; a JSON dict built as well would convert
+    # every integer to digits a second time
+    def refuse(self):
+        raise AssertionError("as_dict called for CSV output")
+
+    monkeypatch.setattr(EigenSystem, "as_dict", refuse)
+    command, expected = GOLDEN[1]
+    assert command.endswith("--format csv")
+    assert main(command.split()) == 0
+    assert capsys.readouterr().out == expected

@@ -13,7 +13,6 @@ from aqbernstein import bernstein, eigen, verify
 from aqbernstein.bernstein import (
     OperatorParams,
     apply_to_samples,
-    falling_products,
     sample_nodes,
 )
 from aqbernstein.eigen import (
@@ -24,7 +23,8 @@ from aqbernstein.eigen import (
     eigenvector,
     spectrum,
 )
-from aqbernstein.polynomials import Polynomial, poly_eval, poly_scale
+from aqbernstein.polynomials import Polynomial, poly_eval
+from aqbernstein.scalars import MixedModeError
 from aqbernstein.verify import closed_form_eigenvalue, q_integer
 from test_operator import q_factorial
 
@@ -87,19 +87,6 @@ class TestEigenvalue:
 
 
 class TestProductForm:
-    def test_agrees_with_closed_form(self):
-        # G_r = q^(r(r-1)/2) [n-1]_q! / ([n-r]_q! [n]_q^(r-1)), G_0 = 1
-        for n in range(2, 9):
-            for q in Q_GRID:
-                falling = falling_products(OperatorParams(n, q, F(1, 2)), n)
-                assert len(falling) == n + 1 and falling[0] == 1
-                for r in range(1, n + 1):
-                    assert falling[r] == (
-                        q ** (r * (r - 1) // 2)
-                        * q_factorial(n - 1, q)
-                        / (q_factorial(n - r, q) * q_integer(n, q) ** (r - 1))
-                    ), (n, q, r)
-
     def test_alpha_one_is_q_bernstein_eigenvalue(self):
         for n in range(2, 8):
             for q in Q_GRID:
@@ -403,17 +390,19 @@ class TestEigenSystem:
         assert result.passed and result.cases == 9 * sum(n + 1 for n in range(1, 7)), result
 
     def test_one_falling_table_per_system(self, monkeypatch):
-        # in float mode G_0..G_n is built once and read by every lambda_k and
-        # difference; an exact system takes both from the image diagonal and
-        # builds none. Per-call tables give bit-identical results in float
-        # mode, and the product form equals the diagonal in exact mode
+        # in float mode one spectrum call builds G_0..G_n and every lambda_k
+        # and gap that the recursions read; an exact system takes both from
+        # the image diagonal and calls none. Per-call spectra give
+        # bit-identical results in float mode, and the product form equals
+        # the diagonal in exact mode
         built = []
+        clean = eigen.spectrum
 
-        def counted(params, m):
-            built.append(m)
-            return falling_products(params, m)
+        def counted(params, top):
+            built.append(top)
+            return clean(params, top)
 
-        monkeypatch.setattr(eigen, "falling_products", counted)
+        monkeypatch.setattr(eigen, "spectrum", counted)
         for params in [OperatorParams(12, F(3, 2), F(2, 5)), OperatorParams(12, 1.5, 0.4)]:
             built.clear()
             system = eigensystem(params)
@@ -425,21 +414,15 @@ class TestEigenSystem:
         # the image matrix of one call reads one q-Stirling triangle, built
         # to row top + 1 and sized by the highest image, not by n: a triangle
         # grown to row n + 1 for a small k at a large n made the convergence
-        # tables several times slower. T(t^1) = t needs none; the falling
-        # products are the kernel's own running product
+        # tables several times slower. T(t^1) = t needs none
         built = []
-        clean_rows, clean_falling = bernstein.q_stirling2_rows, bernstein.falling_products
+        clean_rows = bernstein.q_stirling2_rows
 
         def rows(k, qints):
             built.append(("rows", k, len(qints)))
             return clean_rows(k, qints)
 
-        def falling(params, m):
-            built.append(("falling", m))
-            return clean_falling(params, m)
-
         monkeypatch.setattr(bernstein, "q_stirling2_rows", rows)
-        monkeypatch.setattr(bernstein, "falling_products", falling)
         for params in [OperatorParams(12, F(3, 2), F(2, 5)), OperatorParams(12, 1.5, 0.4)]:
             built.clear()
             eigensystem(params)
@@ -538,6 +521,25 @@ class TestEigenSystem:
         with pytest.raises(ValueError, match=message):
             eigensystem_from_dict(obj)
 
+    @pytest.mark.parametrize("mode, key, index", [
+        ("exact", "lambdas", None),  # float eigenvalues for an exact operator
+        ("exact", "vectors", 2),  # a float eigenvector in an exact dict
+        ("float", "vectors", 2),  # an exact eigenvector in a float dict
+    ])
+    def test_from_dict_refuses_mixed_modes(self, mode, key, index):
+        # the dict comes from outside the program: every eigenvalue and
+        # coefficient must be in the mode of q and alpha, never mixed
+        exact = OperatorParams(3, F(1, 2), F(2, 5))
+        params = exact if mode == "exact" else OperatorParams(3, 0.5, 0.4)
+        other = eigensystem(OperatorParams(3, 0.5, 0.4) if mode == "exact" else exact)
+        obj, swapped = eigensystem(params).as_dict(), other.as_dict()
+        if index is None:
+            obj[key] = swapped[key]
+        else:
+            obj[key][index] = swapped[key][index]
+        with pytest.raises(MixedModeError):
+            eigensystem_from_dict(obj)
+
     def test_float_json_roundtrip(self):
         system = eigensystem(OperatorParams(6, 1.5, 0.4))
         assert eigensystem_from_dict(json.loads(json.dumps(system.as_dict()))) == system
@@ -567,7 +569,7 @@ class TestEigenSystem:
         for k in range(6):
             p = system.vectors[k]
             image = apply_to_samples([poly_eval(p, t) for t in nodes], params)
-            want = poly_scale(p, system.lambdas[k])
+            want = Polynomial(tuple([system.lambdas[k] * c for c in p.coeffs]))
             for j in range(6):
                 assert math.isclose(image.coeff(j), want.coeff(j),
                                     rel_tol=1e-9, abs_tol=1e-12), (k, j)

@@ -12,7 +12,6 @@ from aqbernstein.bernstein import (
     OperatorParams,
     apply_to_samples,
     basis_values,
-    falling_products,
     image_rows,
     monomial_image,
     sample_nodes,
@@ -453,15 +452,17 @@ class TestIntegerKernels:
 
 def per_coefficient_image(k, params):
     """T(t^k) coefficients one at a time, with no q-Stirling rows: the
-    kernel's table, falling products and braces arithmetic, with the three
-    q-Stirling numbers of each coefficient from the explicit sum."""
+    kernel's table and braces arithmetic, the falling products
+    G_r = prod_{t=1}^{r-1} (1 - [t]_q/[n]_q) by their definition, and the
+    three q-Stirling numbers of each coefficient from the explicit sum."""
     n, q, alpha, table = params.n, params.q, params.alpha, params.table
     if n == 1:
         return (table.zero, table.one)
     qint, dn = table.integers, table.integers[n]
     ratio_n1 = qint[n - 1] / dn
     lead = dn / qint[n - 1]
-    falling = falling_products(params, k)
+    falling = [table.one, *accumulate(range(1, k), lambda g, t: g * (1 - qint[t] / dn),
+                                      initial=table.one)]
     coeffs = []
     for r in range(k + 1):
         braces = (1 - alpha) * (qint[n - r] / dn) * (
@@ -621,8 +622,8 @@ class TestImageRows:
 def verify_calls():
     """run_verify(3) with the per-operator and per-q builders counted."""
     calls = {"systems": [], "images": 0, "tables": [], "qtables": []}
-    build_system = verify.eigensystem_from_rows
-    build_images = verify.image_rows
+    build_system = verify.eigensystem
+    build_images = eigen.image_rows
     build_rows = verify.q_stirling2_rows
     build_qtable = bernstein.QTable
 
@@ -630,9 +631,9 @@ def verify_calls():
         calls["qtables"].append(build_qtable(*args))
         return calls["qtables"][-1]
 
-    def system(params, *matrix):
+    def system(params):
         calls["systems"].append(params)
-        return build_system(params, *matrix)
+        return build_system(params)
 
     def images(params, top):
         calls["images"] += 1
@@ -644,8 +645,8 @@ def verify_calls():
         return build_rows(k, qints)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(verify, "eigensystem_from_rows", system)
-        mp.setattr(verify, "image_rows", images)
+        mp.setattr(verify, "eigensystem", system)
+        mp.setattr(eigen, "image_rows", images)
         mp.setattr(verify, "q_stirling2_rows", rows)
         mp.setattr(bernstein, "QTable", qtable)
         report = run_verify(max_n=3)

@@ -1,16 +1,11 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from aqbernstein.polynomials import Polynomial, poly_eval, poly_scale
+from aqbernstein.polynomials import Polynomial, poly_eval
 from aqbernstein.scalars import MixedModeError
 
 F = Fraction
-
-rationals = st.fractions(min_value=-10, max_value=10, max_denominator=12)
-small_polys = st.lists(rationals, max_size=8).map(lambda cs: Polynomial(tuple(cs)))
 
 
 class TestConstruction:
@@ -53,19 +48,6 @@ class TestEval:
 class TestArithmetic:
     def test_cancellation(self):
         p = Polynomial((F(1, 3), F(-2), F(0), F(1)))
-        neg = poly_scale(p, -1)
+        neg = Polynomial(tuple([-c for c in p.coeffs]))
         total = Polynomial(tuple(a + b for a, b in zip(p.coeffs, neg.coeffs)))
         assert total == Polynomial(())
-
-    def test_scale(self):
-        assert poly_scale(Polynomial((0, -1, 1)), 2) == Polynomial((0, -2, 2))
-
-    def test_mode_mixing_rejected(self):
-        with pytest.raises(MixedModeError):
-            poly_scale(Polynomial((F(1),)), 1.0)
-
-    @given(small_polys, rationals, rationals)
-    @settings(max_examples=60)
-    def test_scale_distributes(self, p, s, x):
-        # s * sum_j c_j x^j == sum_j (s c_j) x^j
-        assert poly_eval(poly_scale(p, s), x) == s * poly_eval(p, x)
