@@ -194,7 +194,9 @@ def convergence_table(
             raise ValueError(f"n={n} is too small for degree k={k}")
         vec = eigenvector(k, OperatorParams(n, q, alpha))
         for j in range(k + 1):
-            finite = vec.coeff(j) + q * 0
+            # p_k is monic of degree k, so every c_j is stored, in the mode;
+            # adding 0 only makes a float -0.0 read 0.0
+            finite = vec.coeffs[j] + 0
             lim = limits.coeffs[j]
             rows.append(ConvergenceRow(n, j, finite, lim, abs(finite - lim)))
     return tuple(rows)

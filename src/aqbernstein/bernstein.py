@@ -273,7 +273,7 @@ def apply_to_samples(samples: Sequence[Scalar], params: OperatorParams) -> Polyn
     f = _check_samples(samples, params)
     n, table = params.n, params.table
     if n == 1:
-        return Polynomial(require_finite((f[0], f[1] - f[0]), "apply_to_samples", params))
+        return Polynomial._trusted(require_finite((f[0], f[1] - f[0]), "apply_to_samples", params))
     row_n, row_n1 = table.binomials[n], table.binomials[n - 1]
     a, b, c, d = _integer_form(params)
     exact = params.mode == "exact"
@@ -295,7 +295,7 @@ def apply_to_samples(samples: Sequence[Scalar], params: OperatorParams) -> Polyn
             total = total + (d - c) * row_n1[r] * b**r * gtable[r][0]
         den = d * L * N[n - 1] * b ** (r * (r - 1) // 2 + r * (n - r))
         coeffs.append(Fraction(total, den) if exact else total / den)
-    return Polynomial(require_finite(tuple(coeffs), "apply_to_samples", params))
+    return Polynomial._trusted(require_finite(coeffs, "apply_to_samples", params))
 
 
 def image_rows(params: OperatorParams,

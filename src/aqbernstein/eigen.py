@@ -202,8 +202,8 @@ def eigenvector(k: int, params: OperatorParams) -> Polynomial:
     """The monic degree-k eigenvector polynomial p_k (p_0 = 1, p_1 = x)."""
     rows, diagonal = image_rows(params, k)
     if params.mode == "exact":
-        return Polynomial(_exact_coeffs(k, params, rows, diagonal))
-    return Polynomial(_float_coeffs(k, params, rows, spectrum(params, k)[1]))
+        return Polynomial._trusted(_exact_coeffs(k, params, rows, diagonal))
+    return Polynomial._trusted(_float_coeffs(k, params, rows, spectrum(params, k)[1]))
 
 
 @dataclass(frozen=True)
@@ -239,7 +239,7 @@ def eigensystem_from_dict(obj: dict) -> EigenSystem:
     params = OperatorParams(obj["n"], q, alpha)
     lambdas = tuple([coerce(scalar_from_json(v), params.mode) for v in obj["lambdas"]])
     vectors = tuple([
-        Polynomial(tuple([coerce(scalar_from_json(c), params.mode) for c in coeffs]))
+        Polynomial._trusted([coerce(scalar_from_json(c), params.mode) for c in coeffs])
         for coeffs in obj["vectors"]
     ])
     if len(lambdas) != params.n + 1 or len(vectors) != params.n + 1:
@@ -265,5 +265,5 @@ def eigensystem(params: OperatorParams) -> EigenSystem:
         lambdas, coeffs, steps = tuple([Fraction(x, den) for x in L]), _exact_coeffs, diagonal
     else:
         (lambdas, steps), coeffs = spectrum(params, params.n), _float_coeffs
-    vectors = tuple([Polynomial(coeffs(k, params, rows, steps)) for k in range(params.n + 1)])
-    return EigenSystem(params, lambdas, vectors)
+    vectors = [Polynomial._trusted(coeffs(k, params, rows, steps)) for k in range(params.n + 1)]
+    return EigenSystem(params, lambdas, tuple(vectors))

@@ -6,6 +6,13 @@ coefficients that are exactly zero are trimmed on construction; in float
 mode a coefficient merely *small* in magnitude is kept, so degree never
 drops silently through rounding.
 
+The public constructor checks its input, which comes from outside: it puts
+every coefficient into one scalar mode (ints widen to it) and raises
+MixedModeError for mixed modes. The kernels that build polynomials from
+coefficients already in their operator's mode (the eigenvector recursion,
+the difference form of the operator, a validated eigensystem dict) use
+the private :meth:`Polynomial._trusted`, which only trims.
+
 All operations are pure and every value is immutable, so polynomials can be
 shared freely across threads.
 """
@@ -18,14 +25,18 @@ from typing import Iterable
 from .scalars import Scalar, coerce, common_mode
 
 
+def _trim(cs: list) -> tuple[Scalar, ...]:
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
 def _normalize(coeffs: Iterable[Scalar | int]) -> tuple[Scalar, ...]:
     cs = list(coeffs)
     mode = common_mode(*cs) if cs else None
     if mode is not None:
         cs = [coerce(c, mode) for c in cs]
-    while cs and cs[-1] == 0:
-        cs.pop()
-    return tuple(cs)
+    return _trim(cs)
 
 
 @dataclass(frozen=True)
@@ -36,6 +47,14 @@ class Polynomial:
 
     def __post_init__(self):
         object.__setattr__(self, "coeffs", _normalize(self.coeffs))
+
+    @classmethod
+    def _trusted(cls, coeffs: Iterable[Scalar]) -> Polynomial:
+        """The polynomial of ``coeffs``, already in one scalar mode, with
+        trailing exact zeros trimmed and nothing checked or converted."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "coeffs", _trim(list(coeffs)))
+        return p
 
     @property
     def degree(self) -> int:

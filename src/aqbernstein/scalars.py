@@ -177,7 +177,8 @@ def scalar_to_json(x: Scalar | int):
 
 
 def scalar_from_json(obj) -> Scalar:
-    """Inverse of :func:`scalar_to_json`; a zero denominator raises ValueError."""
+    """Inverse of :func:`scalar_to_json`; a zero denominator or a non-finite
+    float (``json.loads`` reads ``NaN`` and ``Infinity``) raises ValueError."""
     if isinstance(obj, dict):
         num, den = _integer(obj["num"]), _integer(obj["den"])
         if den == 0:
@@ -186,6 +187,8 @@ def scalar_from_json(obj) -> Scalar:
     if isinstance(obj, bool):
         raise TypeError("bool is not a scalar")
     if isinstance(obj, (int, float)):
+        if not math.isfinite(obj):
+            raise ValueError(f"scalar must be finite, got {obj!r}")
         return float(obj)
     raise TypeError(f"cannot read scalar from {obj!r}")
 

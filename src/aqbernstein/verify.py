@@ -25,7 +25,10 @@ numerators as exact quotients of those; the explicit sum and the
 closed-form eigenvalue both read it. Exact values go over one denominator
 (:func:`_over_lcm`), so a polynomial is evaluated by Horner's rule on
 homogeneous integers (:func:`_horner`) and a basis sum is one integer dot
-product (:func:`_basis_dot`). Values are
+product (:func:`_basis_dot`). The eigen relation and degree reduction
+feed the operator integer samples, the Horner values of p_k and the
+powers X_i^k at the nodes t_i = X_i / Y over their lcm, whose images are
+the true ones scaled by a known integer. Values are
 compared on cross-multiplied integers; the Fraction-valued oracles that
 the tests read (:func:`q_stirling2`, :func:`closed_form_eigenvalue`,
 :func:`basis_sum`) are called for a counterexample only.
@@ -328,22 +331,23 @@ def check_representation_equivalence(grid: list[OperatorParams]):
 
 @_check("eigen_relation")
 def check_eigen_relation(systems: list[EigenSystem]):
-    """T p_k = lambda_k p_k, from the samples of p_k at the nodes
-    [i]_q/[n]_q = X/Y, each p_k(X/Y) by :func:`_horner` on the coefficients
-    over their lcm M and made one Fraction."""
+    """T p_k = lambda_k p_k on integer samples. The nodes [i]_q/[n]_q go
+    over their lcm once per system, t_i = X_i / Y (:func:`_over_lcm`), and
+    so do p_k's coefficients, c_j = C_j / M. The integer samples
+    H_i = Y^d M p_k(t_i) (:func:`_horner`, d the degree of p_k) have the
+    image Y^d M T p_k by linearity, which must equal lambda_k p_k scaled
+    alike: the coefficients lambda_k Y^d C_j. The counterexample gives
+    T p_k itself."""
     for system in systems:
         params = system.params
-        nodes = sample_nodes(params)
-        for k in range(params.n + 1):
-            p, lam = system.vectors[k], system.lambdas[k]
+        X, Y = _over_lcm(sample_nodes(params))
+        for k, (p, lam) in enumerate(zip(system.vectors, system.lambdas)):
             C, M = _over_lcm(p.coeffs)
-            d = max(p.degree, 0)
-            samples = [Fraction(_horner(C, t.numerator, t.denominator), M * t.denominator**d)
-                       for t in nodes]
-            image = apply_to_samples(samples, params)
+            yd = Y ** max(p.degree, 0)
+            image = apply_to_samples([_horner(C, x, Y) for x in X], params)
             yield _ce(n=params.n, q=params.q, alpha=params.alpha, k=k, eigenvector=p,
-                      image=image, eigenvalue=lam) if (
-                image != Polynomial(tuple([lam * c for c in p.coeffs]))) else None
+                      image=[c / (M * yd) for c in image.coeffs], eigenvalue=lam) if (
+                image != Polynomial(tuple([lam * yd * c for c in C]))) else None
 
 
 def _eigenvalue_ratio(k: int, params: OperatorParams, forms: tuple) -> tuple[int, int]:
@@ -430,7 +434,9 @@ def check_operator_axioms(systems: list[EigenSystem]):
     five points, each row over its lcm (:func:`_over_lcm`) so that both are
     integer sums (:func:`_basis_dot` for the endpoints), the rows at x = 0
     and x = 1 serving both; then invariance of a t + b and degree reduction
-    on monomials."""
+    on monomials, sampled on the integers X_i^k = Y^k t_i^k for the nodes
+    t_i = X_i / Y over their lcm: the image Y^k T(t^k), which the
+    counterexample gives, has the degree of T(t^k)."""
     rng = random.Random(SEED + 1)
     xs = [Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1)]
     for system in systems:
@@ -455,8 +461,9 @@ def check_operator_axioms(systems: list[EigenSystem]):
         yield _ce(axiom="linear_invariance", **at, a=a_, b=b_, image=image) if (
             image != Polynomial((b_, a_))) else None
         # degree reduction on monomials
+        X, _ = _over_lcm(nodes)
         for k in range(1, params.n + 1):
-            image = apply_to_samples([t**k for t in nodes], params)
+            image = apply_to_samples([x**k for x in X], params)
             lam = system.lambdas[k]
             bad = image.degree > k or (lam != 0 and image.degree != k)
             yield _ce(axiom="degree_reduction", **at, k=k, image=image) if bad else None

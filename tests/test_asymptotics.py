@@ -447,6 +447,13 @@ class TestConvergenceTable:
             sys.set_int_max_str_digits(limit)
         assert digest.hexdigest() == CONVERGE_DIGEST
 
+    def test_float_zero_coefficient_reads_positive(self):
+        # float p_k carries c_0 = -0.0 from its last division; the table, and
+        # so converge's JSON output, reads 0.0 there
+        assert math.copysign(1, eigenvector(3, OperatorParams(10, 0.5, 0.4)).coeffs[0]) == -1
+        rows = convergence_table(F(1, 2), F(2, 5), 3, [10])
+        assert (rows[0].j, rows[0].finite, math.copysign(1, rows[0].finite)) == (0, 0, 1)
+
     def test_small_n_rejected(self):
         with pytest.raises(ValueError):
             convergence_table(F(1, 2), F(0), 3, [2])

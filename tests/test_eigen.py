@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from aqbernstein import bernstein, eigen, verify
+from aqbernstein import bernstein, eigen, polynomials, verify
 from aqbernstein.bernstein import (
     OperatorParams,
     apply_to_samples,
@@ -521,6 +521,20 @@ class TestEigenSystem:
         with pytest.raises(ValueError, match=message):
             eigensystem_from_dict(obj)
 
+    @pytest.mark.parametrize("text", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("key, index", [("lambdas", (2,)), ("vectors", (3, 1))],
+                             ids=["eigenvalue", "coefficient"])
+    def test_from_dict_refuses_non_finite(self, text, key, index):
+        # json.loads reads these tokens as floats, which used to load as a
+        # nan or infinite eigenvalue or coefficient
+        obj = eigensystem(OperatorParams(3, 0.5, 0.4)).as_dict()
+        target = obj[key]
+        for i in index[:-1]:
+            target = target[i]
+        target[index[-1]] = json.loads(text)
+        with pytest.raises(ValueError, match="must be finite"):
+            eigensystem_from_dict(obj)
+
     @pytest.mark.parametrize("mode, key, index", [
         ("exact", "lambdas", None),  # float eigenvalues for an exact operator
         ("exact", "vectors", 2),  # a float eigenvector in an exact dict
@@ -573,6 +587,36 @@ class TestEigenSystem:
             for j in range(6):
                 assert math.isclose(image.coeff(j), want.coeff(j),
                                     rel_tol=1e-9, abs_tol=1e-12), (k, j)
+
+
+def test_kernels_skip_the_public_check(monkeypatch):
+    # the kernels build polynomials from coefficients already in the
+    # operator's mode, so they never reach the public constructor's mode
+    # check and conversion; with both made to raise, every result is as before
+    cases = [OperatorParams(n, q, alpha) for n in (1, 5)
+             for q, alpha in ((F(1, 2), F(2, 5)), (1.5, 0.4))]
+
+    def results():
+        out = []
+        for params in cases:
+            system = eigensystem(params)
+            one = params.table.one
+            samples = [one * (i * 7 % 5 - 2) / (i + 1) for i in range(params.n + 1)]
+            out += [system, eigensystem_from_dict(json.loads(json.dumps(system.as_dict()))),
+                    apply_to_samples(samples, params), apply_to_samples(sample_nodes(params), params)]
+            out += [eigenvector(k, params) for k in range(params.n + 1)]
+        return repr(out)
+
+    clean = results()
+
+    def refuse(*args):
+        raise AssertionError("a kernel-built polynomial was checked again")
+
+    monkeypatch.setattr(polynomials, "common_mode", refuse)
+    monkeypatch.setattr(polynomials, "coerce", refuse)
+    with pytest.raises(AssertionError, match="checked again"):
+        Polynomial((F(1), 2))
+    assert results() == clean
 
 
 RECURSION_FLOOR = pytest.mark.xfail(

@@ -6,6 +6,8 @@ from fractions import Fraction
 from itertools import accumulate
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from aqbernstein import bernstein, eigen, verify
 from aqbernstein.bernstein import (
@@ -382,6 +384,21 @@ class TestApply:
                     for j in range(n + 1):
                         assert close(got.coeff(j), float(want.coeff(j))), \
                             (n, q, alpha, j)
+
+    @given(st.integers(1, 6), st.sampled_from(Q_GRID), st.sampled_from(A_GRID),
+           st.lists(st.integers(-10**12, 10**12), min_size=7, max_size=7),
+           st.integers(-10**6, 10**6))
+    def test_integer_samples_are_linear(self, n, q, alpha, values, s):
+        # verify feeds the eigen relation and degree reduction integer
+        # samples: they must give the image of the same values as Fractions,
+        # and scaling them by an integer s must scale the image by s
+        params = OperatorParams(n, q, alpha)
+        ints = values[: n + 1]
+        image = apply_to_samples(ints, params)
+        assert image == apply_to_samples([F(v) for v in ints], params)
+        assert all(isinstance(c, F) for c in image.coeffs)
+        scaled = apply_to_samples([s * v for v in ints], params)
+        assert scaled == Polynomial(tuple([s * c for c in image.coeffs]))
 
     def test_representation_equivalence(self):
         rng = random.Random(5)

@@ -108,6 +108,14 @@ class TestSerialization:
         with pytest.raises(ValueError, match="zero denominator"):
             scalar_from_json({"num": "1", "den": "0"})
 
+    @pytest.mark.parametrize("text", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_float_refused(self, text):
+        # json.loads reads these non-standard tokens as floats; parse_scalar
+        # refuses them, and so does the JSON reader
+        with pytest.raises(ValueError, match="must be finite"):
+            scalar_from_json(json.loads(text))
+        assert scalar_from_json(json.loads("1e308")) == 1e308
+
     def test_past_the_digit_cap(self):
         # numerator and denominator of about 5000 digits, past the default
         # int/str cap of 4300; x is close to -7/3
