@@ -19,7 +19,8 @@ which the eigenstructure is built. One kernel, ``image_rows``, builds the
 image matrix of T(t^1)..T(t^top), integers in exact mode and
 [n]_q-normalized floats in float mode, from one triangle of the one
 production recurrence, :func:`~aqbernstein.qcalc.q_stirling2_rows`, built
-to row top + 1; the explicit sum is an oracle in :mod:`aqbernstein.verify`.
+to row top: image m reads row m alone, as a sum of two nonnegative terms.
+The explicit sum is an oracle in :mod:`aqbernstein.verify`.
 
 The kernels here and in :mod:`aqbernstein.eigen` read their q-sequences
 from one :class:`QTable` per operator, ``OperatorParams.table``. In float
@@ -308,17 +309,28 @@ def image_rows(params: OperatorParams,
 
         q^(r(r-1)/2) [n-2]_q! / ([n]_q^m [n-r]_q!)
           * { (1-alpha) [n-r]_q ([n+r-1]_q S_q(m+1,r+1) - [r+1]_q [n-1]_q S_q(m,r+1))
-              + alpha [n]_q [n-1]_q S_q(m,r) }
+              + alpha [n]_q [n-1]_q S_q(m,r) }.
 
-    with every denominator cleared. For q = a/b, alpha = c/d in lowest terms
-    write [j]_q = N_j / b^(j-1) (N_j the table's ``numerators``) and
+    Carlitz's recurrence S_q(m+1,r+1) = S_q(m,r) + [r+1]_q S_q(m,r+1) and
+    [n+r-1]_q - [n-1]_q = q^(n-1) [r]_q fold the bracket into two
+    nonnegative terms on row m alone,
+
+        A_r S_q(m,r) + (1-alpha) q^(n-1) [r]_q [r+1]_q [n-r]_q S_q(m,r+1),
+
+    with A_r = (1-alpha) [n-r]_q [n+r-1]_q + alpha [n]_q [n-1]_q, the
+    factor of the closed-form eigenvalue. Every denominator is then
+    cleared. For q = a/b, alpha = c/d in lowest terms write
+    [j]_q = N_j / b^(j-1) (N_j the table's ``numerators``) and
     S_q(m, j) = U(m, j) / b^(n(m-j)), U from Carlitz's recurrence
-    (:func:`~aqbernstein.qcalc.q_stirling2_rows`) on b^n [j]_q, to row
-    top + 1. Then a(r, m) = X(r, m) / D with D = d N_{n-1} (b N_n)^top and
-    X = F_r b^r (b N_n)^(top-m) (t1 U(m+1,r+1) - t2 U(m,r+1) + t3 U(m,r)),
-    F_r = a^(r(r-1)/2) N_{n-1}..N_{n-r+1}, t1 = (d-c) N_{n-r} N_{n+r-1},
-    t2 = (d-c) N_{n-r} b^n N_{r+1} N_{n-1} and t3 = c N_n N_{n-1}, all
-    integers. Row r is reduced by one gcd, so d_r is the lcm of its reduced
+    (:func:`~aqbernstein.qcalc.q_stirling2_rows`) on b^n [j]_q, to row top;
+    its column top + 1 is zero there and serves r = top. Then
+    a(r, m) = X(r, m) / D with D = d N_{n-1} (b N_n)^top and
+    X = F_r b^r (b N_n)^(top-m) (A U(m,r) + B U(m,r+1)),
+    F_r = a^(r(r-1)/2) N_{n-1}..N_{n-r+1}, A = (d-c) N_{n-r} N_{n+r-1}
+    + c N_n N_{n-1} and B = (d-c) a^(n-1) b^(n-r) N_r N_{r+1} N_{n-r}, all
+    integers, by U(m+1,r+1) = U(m,r) + b^(n-r) N_{r+1} U(m,r+1) and
+    b^(n-r) N_{n+r-1} - b^n N_{n-1} = a^(n-1) b^(n-r) N_r. Row r is
+    reduced by one gcd, so d_r is the lcm of its reduced
     denominators. The diagonal is left over D, unreduced: L_m = X(m, m) for
     m >= 2 and L_0 = L_1 = D (D = 1 for top < 2), so the eigenvalues and
     their differences (L_k - L_m) / D are integers over one denominator.
@@ -326,7 +338,8 @@ def image_rows(params: OperatorParams,
     N_j = [j]_q / [n]_q, so U(m, j) = S_q(m, j) / [n]_q^(m-j), no power of
     [n]_q is formed, d_r = 1 and each entry, the diagonal's too, is divided
     by D, which the result then gives as 1; a non-finite N_j raises
-    FloatingPointError first."""
+    FloatingPointError first. There a^(n-1) N_r = q^(n-1) [r]_q / [n]_q is
+    formed first, and is finite because q^(n-1) < [n]_q for q >= 1."""
     n, table = params.n, params.table
     if not 0 <= top <= n:
         raise ValueError(f"need 0 <= k <= n, got k={top}, n={n}")
@@ -343,19 +356,18 @@ def image_rows(params: OperatorParams,
                            "image_rows", params)
     # cols[j][m] = U(m, j), from b^n [j]_q = b^(n+1-j) N_j
     cols = list(zip(*q_stirling2_rows(
-        top + 1, [x * b ** (n + 1 - j) for j, x in enumerate(N[: top + 2])])))
+        top, [x * b ** (n + 1 - j) for j, x in enumerate(N[: top + 2])])))
     mpow = list(accumulate(range(top), lambda p, _: p * b * N[n], initial=1))
     den = d * N[n - 1] * mpow[top]
     diagonal = [den, den] if exact else [table.one, table.one]
     falling = 1  # a^(r(r-1)/2) N_{n-1}..N_{n-r+1}
     for r in range(1, top + 1):
         scale, u = falling * b**r, (d - c) * N[n - r]
-        t1 = scale * u * N[n + r - 1]
-        t2 = scale * u * b**n * N[r + 1] * N[n - 1]
-        t3 = scale * c * N[n] * N[n - 1]
+        A = scale * (u * N[n + r - 1] + c * N[n] * N[n - 1])
+        B = scale * u * (a ** (n - 1) * N[r]) * b ** (n - r) * N[r + 1]
         xs = require_finite([  # X(r, m), m = r..top
-            p * (t1 * s1 - t2 * s2 + t3 * s3) for p, s1, s2, s3 in zip(
-                mpow[top - r::-1], cols[r + 1][r + 1:], cols[r + 1][r:], cols[r][r:])
+            p * (A * s0 + B * s1)
+            for p, s0, s1 in zip(mpow[top - r::-1], cols[r][r:], cols[r + 1][r:])
         ], "image_rows", params)
         if r >= 2:
             diagonal.append(xs[0] if exact else xs[0] / den)

@@ -169,10 +169,11 @@ def _float_coeffs(k: int, params: OperatorParams, rows: list[tuple[int, list]],
     c_r = sum_{m=r+1..k} c_m R_r[m] / diff for r = k-1 down to 0, with diff
     = lambda_k - lambda_r the running sum of the gaps i = r..k-1.
 
-    Raises DegenerateEigenvalueError when a difference is zero or
-    underflows below the smallest normal float (no relative precision
-    left), before dividing by it, and FloatingPointError for a non-finite
-    coefficient.
+    Raises DegenerateEigenvalueError when a difference underflows below the
+    smallest normal float (no relative precision left), before dividing by
+    it, and FloatingPointError for a non-finite coefficient. Every gap is
+    negative in exact arithmetic, so a difference of 0.0 is an underflow
+    too.
     """
     n, q, alpha, table = params.n, params.q, params.alpha, params.table
     if k == 1:
@@ -185,10 +186,6 @@ def _float_coeffs(k: int, params: OperatorParams, rows: list[tuple[int, list]],
         for m in range(k, r, -1):
             total = total + c[m] * row[m]
         diff = diff + gaps[r]
-        if diff == 0:
-            raise DegenerateEigenvalueError(
-                f"lambda_{k} - lambda_{r} vanished for n={n}, q={q}, alpha={alpha}"
-            )
         if abs(diff) < sys.float_info.min:
             raise DegenerateEigenvalueError(
                 f"lambda_{k} - lambda_{r} underflowed in float mode "

@@ -177,8 +177,9 @@ def scalar_to_json(x: Scalar | int):
 
 
 def scalar_from_json(obj) -> Scalar:
-    """Inverse of :func:`scalar_to_json`; a zero denominator or a non-finite
-    float (``json.loads`` reads ``NaN`` and ``Infinity``) raises ValueError."""
+    """Inverse of :func:`scalar_to_json`; a zero denominator, a non-finite
+    float (``json.loads`` reads ``NaN`` and ``Infinity``) or an integer past
+    float range raises ValueError."""
     if isinstance(obj, dict):
         num, den = _integer(obj["num"]), _integer(obj["den"])
         if den == 0:
@@ -187,9 +188,13 @@ def scalar_from_json(obj) -> Scalar:
     if isinstance(obj, bool):
         raise TypeError("bool is not a scalar")
     if isinstance(obj, (int, float)):
-        if not math.isfinite(obj):
+        try:
+            value = float(obj)
+        except OverflowError:
+            raise ValueError("scalar must be finite, got an integer past float range") from None
+        if not math.isfinite(value):
             raise ValueError(f"scalar must be finite, got {obj!r}")
-        return float(obj)
+        return value
     raise TypeError(f"cannot read scalar from {obj!r}")
 
 

@@ -446,7 +446,7 @@ GOLDEN = [
      'k,lambda,c0,c1,c2\n0,1,1,0,0\n1,1,0,1,0\n2,2/15,0,-1,1\n'),
     ("eig --n 2 --q 1.5 --alpha 0.4 --mode float",
      '{"n": 2, "q": 1.5, "alpha": 0.4, "lambdas": [1.0, 1.0, 0.24], '
-     '"vectors": [[1.0], [0.0, 1.0], [-0.0, -0.9999999999999999, 1.0]]}'),
+     '"vectors": [[1.0], [0.0, 1.0], [-0.0, -1.0000000000000002, 1.0]]}'),
     ("apply --n 2 --q 1/2 --alpha 2/5 --k 2",
      '{"n": 2, "q": {"num": "1", "den": "2"}, "alpha": {"num": "2", "den": '
      '"5"}, "image": [{"num": "0", "den": "1"}, {"num": "13", "den": '
@@ -469,8 +469,8 @@ GOLDEN = [
     ("converge --q 1/2 --alpha 2/5 --k 3 --n 3",
      'n,j,finite,limit,abs_error\n'
      '3,0,0,0,0\n'
-     '3,1,0.64550264550264524,0.66666666666666674,0.021164021164021496\n'
-     '3,2,-1.6455026455026451,-1.6666666666666667,0.021164021164021607\n'
+     '3,1,0.6455026455026448,0.66666666666666674,0.02116402116402194\n'
+     '3,2,-1.6455026455026447,-1.6666666666666667,0.021164021164022051\n'
      '3,3,1,1,0\n'),
     ("converge --q 1/2 --alpha 2/5 --k 2 --n 3 --mode exact --format json",
      '[{"n": 3, "j": 0, "finite": {"num": "0", "den": "1"}, "limit": '

@@ -174,8 +174,9 @@ class TestEigenvalueDifference:
 
     def test_exact_collision_detected(self, monkeypatch):
         # in floats G_39 underflows to 0 at n = 60, q = 1/3, so the gap
-        # lambda_40 - lambda_39 is 0.0 (monomial_image fails there first);
-        # exact differences come from the image diagonal, here forced to
+        # lambda_40 - lambda_39 is 0.0 (the float recursion reports that as
+        # an underflow, test_float_gap_zero_is_underflow); exact
+        # differences come from the image diagonal, here forced to
         # L_3 = L_2. A difference that comes out zero is refused, not
         # divided by
         assert spectrum(OperatorParams(60, 1 / 3, 0.5), 40)[1][39] == 0
@@ -205,6 +206,16 @@ class TestEigenvalueDifference:
                                match=r"lambda_2 - lambda_1 underflowed in float mode "
                                      r"\(n=4, q=0.5, alpha=0.5\)"):
                 compute()
+
+    def test_float_gap_zero_is_underflow(self):
+        # every gap is negative in exact arithmetic, so a float difference of
+        # exactly 0.0 has underflowed; it was reported as "vanished"
+        for k, params in [(40, OperatorParams(60, 1 / 3, 0.5)),
+                          (60, OperatorParams(60, 0.5, 0.4))]:
+            with pytest.raises(DegenerateEigenvalueError,
+                               match=rf"lambda_{k} - lambda_{k - 1} underflowed in float mode "
+                                     rf"\(n=60, q={params.q}, alpha={params.alpha}\)"):
+                eigenvector(k, params)
 
     def test_float_accuracy_at_large_n(self):
         # direct float subtraction loses everything here; the gap sums must
@@ -412,7 +423,7 @@ class TestEigenSystem:
 
     def test_one_triangle_per_image_set(self, monkeypatch):
         # the image matrix of one call reads one q-Stirling triangle, built
-        # to row top + 1 and sized by the highest image, not by n: a triangle
+        # to row top and sized by the highest image, not by n: a triangle
         # grown to row n + 1 for a small k at a large n made the convergence
         # tables several times slower. T(t^1) = t needs none
         built = []
@@ -426,13 +437,13 @@ class TestEigenSystem:
         for params in [OperatorParams(12, F(3, 2), F(2, 5)), OperatorParams(12, 1.5, 0.4)]:
             built.clear()
             eigensystem(params)
-            assert built == [("rows", 13, 14)]
+            assert built == [("rows", 12, 14)]
         for params in [OperatorParams(12, 0.5, 0.4), OperatorParams(200, F(3, 2), F(2, 5))]:
             for k in (1, 3, 12):
                 for build in (eigenvector, bernstein.monomial_image):
                     built.clear()
                     build(k, params)
-                    assert built == [("rows", k + 1, k + 2)][: k - 1], (params, k)
+                    assert built == [("rows", k, k + 2)][: k - 1], (params, k)
 
     def test_one_table_per_system(self, monkeypatch):
         # the spectrum, the monomial images and every recursion read the
@@ -521,12 +532,14 @@ class TestEigenSystem:
         with pytest.raises(ValueError, match=message):
             eigensystem_from_dict(obj)
 
-    @pytest.mark.parametrize("text", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("text", ["NaN", "Infinity", "-Infinity", pytest.param(
+        "1" + "0" * 400, id="integer-past-float-range")])
     @pytest.mark.parametrize("key, index", [("lambdas", (2,)), ("vectors", (3, 1))],
                              ids=["eigenvalue", "coefficient"])
     def test_from_dict_refuses_non_finite(self, text, key, index):
-        # json.loads reads these tokens as floats, which used to load as a
-        # nan or infinite eigenvalue or coefficient
+        # json.loads reads the first three tokens as floats, which used to
+        # load as a nan or infinite eigenvalue or coefficient; the integer
+        # past float range raised OverflowError
         obj = eigensystem(OperatorParams(3, 0.5, 0.4)).as_dict()
         target = obj[key]
         for i in index[:-1]:

@@ -634,6 +634,26 @@ class TestImageRows:
             assert all(type(x) is int for x in [*entries, den, *diagonal])
             assert [F(x, den) for x in diagonal] == [1] + [images[m][m] for m in range(1, top + 1)]
 
+    def test_float_entries_near_exact(self):
+        # each float entry is a sum of two nonnegative terms, so it stays
+        # within a few roundings of the exact value also for q <= 1, where
+        # a difference of near-equal products lost up to 1.6e-9 at n = 40;
+        # entries below 1e-290 are past float precision and skipped
+        for q in (F(1, 3), F(1, 2), F(1)):
+            for n in (12, 24, 40):
+                for alpha in (F(0), F(2, 5), F(1)):
+                    rows, (den, diagonal) = image_rows(OperatorParams(n, q, alpha), n)
+                    frows, (one, fdiagonal) = image_rows(
+                        OperatorParams(n, float(q), float(alpha)), n)
+                    pairs = [(F(x, den), y) for x, y in zip(diagonal, fdiagonal)]
+                    pairs += [(F(x, d), y) for r, ((d, row), (_, frow)) in
+                              enumerate(zip(rows, frows)) for x, y in
+                              zip(row[r + 1:], frow[r + 1:])]
+                    assert one == 1 and len(pairs) == (n + 1) * (n + 2) // 2
+                    for exact, got in pairs:
+                        if exact > 1e-290:
+                            assert abs(got - exact) <= 1e-13 * exact, (n, q, alpha)
+
 
 @pytest.fixture(scope="class")
 def verify_calls():

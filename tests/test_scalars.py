@@ -108,10 +108,12 @@ class TestSerialization:
         with pytest.raises(ValueError, match="zero denominator"):
             scalar_from_json({"num": "1", "den": "0"})
 
-    @pytest.mark.parametrize("text", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("text", ["NaN", "Infinity", "-Infinity", pytest.param(
+        "1" + "0" * 400, id="integer-past-float-range")])
     def test_non_finite_float_refused(self, text):
-        # json.loads reads these non-standard tokens as floats; parse_scalar
-        # refuses them, and so does the JSON reader
+        # json.loads reads the non-standard tokens as floats; parse_scalar
+        # refuses them, and so does the JSON reader. It refuses a JSON
+        # integer past float range the same way (it raised OverflowError)
         with pytest.raises(ValueError, match="must be finite"):
             scalar_from_json(json.loads(text))
         assert scalar_from_json(json.loads("1e308")) == 1e308
