@@ -33,8 +33,10 @@ integer numerators over one tracked denominator, a product of powers of
 b, d, Y (or L) and a q-integer numerator, and makes each output scalar a
 reduced Fraction once, at the end. Float mode runs the same loops with
 (a, b, c, d) = (q, 1, alpha, 1) and unit denominators. The difference form
-runs the one difference loop, :func:`~aqbernstein.qcalc.q_difference_table`,
-on (a, b).
+reads both of its terms, the g term included, off one run of the one
+difference loop, :func:`~aqbernstein.qcalc.q_difference_table`, on (a, b):
+Delta_q^r g_0 = Delta_q^r f_0 + w_r Delta_q^r f_1, so the blended samples
+g are never formed.
 
 Basis evaluation uses a factored form in which the removable division by
 (1 - q^(n-i-1) x) has been cancelled, so no evaluation point is singular.
@@ -249,27 +251,34 @@ def apply_to_samples(samples: Sequence[Scalar], params: OperatorParams) -> Polyn
 
     (the g term is absent at r = n, where its q-binomial weight vanishes),
     where g_i = (1 - w_i) f_i + w_i f_{i+1}, i = 0..n-1, blends neighbouring
-    samples with w_i = q^(n-i-1) [i]_q / [n-1]_q.
+    samples with w_i = q^(n-i-1) [i]_q / [n-1]_q. Both terms are read off
+    one q-difference table of f by the identity
 
-    Both difference tables are integers over one denominator. For q = a/b,
-    alpha = c/d in lowest terms, put the samples over their lcm L,
-    f_i = F_i / L, and write [j]_q = N_j / b^(j-1) (N_j the numerator of the
-    table's [j]_q). The b-powers of w_i cancel: w_i = A_i / N_{n-1} with
-    A_i = a^(n-i-1) N_i, so G_i = L N_{n-1} g_i
-    = (N_{n-1} - A_i) F_i + A_i F_{i+1} is an integer. The one difference
-    loop, :func:`~aqbernstein.qcalc.q_difference_table` run on (a, b), gives
-    E_r = L b^(r(r-1)/2) Delta_q^r f_0 and likewise for G. With
+        Delta_q^r g_i = (1 - w_i) Delta_q^r f_i + w_{i+r} Delta_q^r f_{i+1},
+
+    so, as w_0 = 0, Delta_q^r g_0 = Delta_q^r f_0 + w_r Delta_q^r f_1. By
+    induction on r, from Delta_q^(r+1) g_i = Delta_q^r g_{i+1} - q^r Delta_q^r g_i:
+    the terms in Delta_q^r f_i and Delta_q^r f_{i+2} match at once; the term
+    in Delta_q^r f_{i+1} matches because w_j = 1 - [n-1-j]_q / [n-1]_q, so
+    w_{j+1} - w_j = q^(n-2-j) / [n-1]_q and q^r (w_{i+r+1} - w_{i+r}) = w_{i+1} - w_i.
+
+    The table is integers over one denominator. For q = a/b, alpha = c/d
+    in lowest terms, put the samples over their lcm L, f_i = F_i / L, and
+    write [j]_q = N_j / b^(j-1) (N_j the numerator of the table's [j]_q).
+    The b-powers of w_r cancel: w_r = A_r / N_{n-1} with A_r = a^(n-r-1) N_r.
+    The one difference loop, :func:`~aqbernstein.qcalc.q_difference_table`
+    run on (a, b), gives E_{r,i} = L b^(r(r-1)/2) Delta_q^r f_i. With
     qbinom(m, r) = P(m, r) / b^(r(m-r)) (P the table's exact ``binomials``)
     the coefficient of x^r is
 
-        (c P(n, r) N_{n-1} E_r(F) + (d-c) P(n-1, r) b^r E_r(G))
+        (c P(n, r) N_{n-1} E_{r,0} + (d-c) P(n-1, r) b^r (N_{n-1} E_{r,0} + A_r E_{r,1}))
           / (d L N_{n-1} b^(r(r-1)/2 + r(n-r))),
 
     made a reduced Fraction once. Float mode runs the same loop with
-    (a, b, c, d) = (q, 1, alpha, 1), L = 1 and N_j = [j]_q / [n-1]_q, so
-    every denominator is 1 and G is the blend g itself; the common scale of
-    the N_j cancels from every coefficient, and this one keeps G in float
-    range for q > 1.
+    (a, b, c, d) = (q, 1, alpha, 1), L = 1 and N_j = [j]_q / [n-1]_q,
+    j <= n-1, so every denominator is 1 and A_r is the weight w_r itself;
+    the common scale of the N_j cancels from every coefficient, and this
+    one keeps every N_j and A_r in [0, 1], also for q > 1.
     """
     f = _check_samples(samples, params)
     n, table = params.n, params.table
@@ -287,13 +296,12 @@ def apply_to_samples(samples: Sequence[Scalar], params: OperatorParams) -> Polyn
         N = [t / table.integers[n - 1] for t in table.integers[:n]]
     apow = list(accumulate(range(n - 1), lambda p, _: p * a, initial=1))
     A = [apow[n - i - 1] * N[i] for i in range(n)]
-    G = [(N[n - 1] - w) * f0 + w * f1 for w, f0, f1 in zip(A, F, F[1:])]
-    ftable, gtable = q_difference_table(F, a, b), q_difference_table(G, a, b)
+    E = q_difference_table(F, a, b)
     coeffs = []
     for r in range(n + 1):
-        total = c * row_n[r] * N[n - 1] * ftable[r][0]
+        total = c * row_n[r] * N[n - 1] * E[r][0]
         if r <= n - 1:
-            total = total + (d - c) * row_n1[r] * b**r * gtable[r][0]
+            total = total + (d - c) * row_n1[r] * b**r * (N[n - 1] * E[r][0] + A[r] * E[r][1])
         den = d * L * N[n - 1] * b ** (r * (r - 1) // 2 + r * (n - r))
         coeffs.append(Fraction(total, den) if exact else total / den)
     return Polynomial._trusted(require_finite(coeffs, "apply_to_samples", params))

@@ -46,25 +46,14 @@ class MixedModeError(TypeError):
 
 def coerce(x: Scalar | int, mode: str) -> Scalar:
     """Bring ``x`` into ``mode``, allowing only the int -> anything widening."""
-    if isinstance(x, bool):
-        raise TypeError("bool is not a scalar")
-    if mode == EXACT:
-        if isinstance(x, int):
-            return Fraction(x)
-        if isinstance(x, Fraction):
-            return x
-        if isinstance(x, float):
-            raise MixedModeError(f"float scalar {x!r} in exact-mode context")
-    elif mode == FLOAT:
-        if isinstance(x, int):
-            return float(x)
-        if isinstance(x, float):
-            return x
-        if isinstance(x, Fraction):
-            raise MixedModeError(f"exact scalar {x!r} in float-mode context")
-    else:
+    if mode not in (EXACT, FLOAT):
         raise ValueError(f"unknown scalar mode {mode!r}")
-    raise TypeError(f"not a scalar: {x!r} of type {type(x).__name__}")
+    own = common_mode(x)
+    if own is None:
+        return Fraction(x) if mode == EXACT else float(x)
+    if own != mode:
+        raise MixedModeError(f"{own} scalar {x!r} in {mode}-mode context")
+    return x
 
 
 def common_mode(*values: Scalar | int) -> str | None:
@@ -168,12 +157,10 @@ def parse_scalar(text: str, mode: str = EXACT) -> Scalar:
 
 def scalar_to_json(x: Scalar | int):
     """JSON-ready form: ``{"num", "den"}`` for exact values, number for floats."""
-    if isinstance(x, float):
+    if common_mode(x) == FLOAT:
         return x
-    if isinstance(x, (Fraction, int)):
-        f = Fraction(x)
-        return {"num": _digits(f.numerator), "den": _digits(f.denominator)}
-    raise TypeError(f"not a scalar: {x!r}")
+    f = Fraction(x)
+    return {"num": _digits(f.numerator), "den": _digits(f.denominator)}
 
 
 def scalar_from_json(obj) -> Scalar:
@@ -200,7 +187,7 @@ def scalar_from_json(obj) -> Scalar:
 
 def format_scalar(x: Scalar | int) -> str:
     """CSV text form: ``p/q`` for exact values, 17-significant-digit floats."""
-    if isinstance(x, float):
+    if common_mode(x) == FLOAT:
         if x == 0.0:
             return "0"
         return format(x, ".17g")

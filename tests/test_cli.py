@@ -363,8 +363,8 @@ class TestVerify:
         assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_4_SHA256
 
     def test_default_report_is_pinned(self, capsys):
-        # the report at the default --max-n 6, which CI's console-script
-        # step writes, byte for byte
+        # the report at the default --max-n 6, byte for byte; CI's
+        # console-script step runs a grid containing this one (--max-n 10)
         assert main(["verify"]) == 0
         out = capsys.readouterr().out
         assert [c["cases"] for c in json.loads(out)["checks"]] == [

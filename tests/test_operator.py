@@ -319,6 +319,24 @@ class TestGDifference:
                         assert table[r][i] == g_difference(f, i, r, params), \
                             (n, q, i, r)
 
+    def test_differences_of_g_from_differences_of_f(self):
+        # Delta_q^r g_i = (1 - w_i) Delta_q^r f_i + w_(i+r) Delta_q^r f_(i+1),
+        # the identity by which apply_to_samples reads the g term off the
+        # table of f, with the weights in the form its proof uses,
+        # w_j = 1 - [n-1-j]_q / [n-1]_q
+        rng = random.Random(4)
+        for n in range(2, 9):
+            for q in [F(1, 2), F(2, 3), F(1), F(2)]:
+                params = OperatorParams(n, q, F(1, 4))
+                f = rational_samples(rng, n + 1)
+                w = [1 - q_integer(n - 1 - j, q) / q_integer(n - 1, q) for j in range(n)]
+                table = q_difference_table(f, q)
+                for r in range(n):
+                    for i in range(n - r):
+                        assert g_difference(f, i, r, params) == \
+                            (1 - w[i]) * table[r][i] + w[i + r] * table[r][i + 1], \
+                            (n, q, i, r)
+
     def test_n1_rejected(self):
         with pytest.raises(ValueError):
             g_difference([F(0), F(1)], 0, 0, OperatorParams(1, F(1, 2), F(1)))
@@ -384,6 +402,24 @@ class TestApply:
                     for j in range(n + 1):
                         assert close(got.coeff(j), float(want.coeff(j))), \
                             (n, q, alpha, j)
+
+    def test_one_difference_table_per_call(self, monkeypatch):
+        # the g term is read off the table of the samples: no second table
+        # of a blended sequence
+        calls = []
+        clean = bernstein.q_difference_table
+
+        def counted(samples, q, den=1):
+            calls.append(len(samples))
+            return clean(samples, q, den)
+
+        monkeypatch.setattr(bernstein, "q_difference_table", counted)
+        for n in range(2, 8):
+            for params in [OperatorParams(n, F(2, 3), F(2, 5)), OperatorParams(n, 1.5, 0.4)]:
+                calls.clear()
+                apply_to_samples([F(j, 7) if params.mode == "exact" else j / 7
+                                  for j in range(n + 1)], params)
+                assert calls == [n + 1], (n, params.mode)
 
     @given(st.integers(1, 6), st.sampled_from(Q_GRID), st.sampled_from(A_GRID),
            st.lists(st.integers(-10**12, 10**12), min_size=7, max_size=7),

@@ -84,6 +84,11 @@ class TestModes:
             coerce(0.5, "exact")
         with pytest.raises(MixedModeError):
             coerce(Fraction(1, 2), "float")
+        for mode in ("exact", "float"):
+            with pytest.raises(TypeError):
+                coerce(True, mode)
+            with pytest.raises(TypeError):
+                coerce("1/2", mode)
 
 
 class TestComparison:
@@ -103,6 +108,17 @@ class TestSerialization:
     def test_float_roundtrip(self):
         x = math.pi
         assert scalar_from_json(json.loads(json.dumps(scalar_to_json(x)))) == x
+
+    @pytest.mark.parametrize("x", [True, False, "1/2", None])
+    def test_non_scalars_refused(self, x):
+        # bool is an int to Python but no scalar here, as in coerce,
+        # common_mode and scalar_from_json
+        with pytest.raises(TypeError, match="not a scalar"):
+            scalar_to_json(x)
+        with pytest.raises(TypeError, match="not a scalar"):
+            format_scalar(x)
+        with pytest.raises(TypeError):
+            scalar_from_json(x)
 
     def test_zero_denominator_refused(self):
         with pytest.raises(ValueError, match="zero denominator"):
