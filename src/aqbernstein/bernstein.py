@@ -307,12 +307,13 @@ def apply_to_samples(samples: Sequence[Scalar], params: OperatorParams) -> Polyn
     return Polynomial._trusted(require_finite(coeffs, "apply_to_samples", params))
 
 
-def image_rows(params: OperatorParams,
-               top: int) -> tuple[list[tuple[int, list]], tuple[int, list]]:
-    """The image matrix a(r, m), the x^r coefficient of T(t^m), m = 1..top
-    (0 <= top <= n): rows (d_r, R_r), r < top, with a(r, m) = R_r[m] / d_r
-    for r < m <= top (None for m <= r), and the diagonal (D, L) with
-    a(m, m) = lambda_m = L_m / D, m = 0..top. Row 0 is zero: the operator
+def image_rows(params: OperatorParams, top: int) -> tuple[int, list[list]]:
+    """The image matrix a(r, m), the x^r coefficient of T(t^m), as integers
+    over one denominator: (D, X) with a(r, m) = X[r][m] / D for
+    0 <= r <= m <= top (None for m < r), 0 <= top <= n. Column 0 is T(1) = 1
+    and the diagonal holds the eigenvalues, lambda_m = X[m][m] / D, so
+    every difference lambda_r - lambda_k is the one integer subtraction
+    X[r][r] - X[k][k] over D. Row 0 is [D, 0, .., 0]: the operator
     interpolates at x = 0. For r >= 1, a(r, m) is the paper's
 
         q^(r(r-1)/2) [n-2]_q! / ([n]_q^m [n-r]_q!)
@@ -332,30 +333,29 @@ def image_rows(params: OperatorParams,
     S_q(m, j) = U(m, j) / b^(n(m-j)), U from Carlitz's recurrence
     (:func:`~aqbernstein.qcalc.q_stirling2_rows`) on b^n [j]_q, to row top;
     its column top + 1 is zero there and serves r = top. Then
-    a(r, m) = X(r, m) / D with D = d N_{n-1} (b N_n)^top and
-    X = F_r b^r (b N_n)^(top-m) (A U(m,r) + B U(m,r+1)),
+    D = d N_{n-1} (b N_n)^top and
+    X(r, m) = F_r b^r (b N_n)^(top-m) (A U(m,r) + B U(m,r+1)),
     F_r = a^(r(r-1)/2) N_{n-1}..N_{n-r+1}, A = (d-c) N_{n-r} N_{n+r-1}
     + c N_n N_{n-1} and B = (d-c) a^(n-1) b^(n-r) N_r N_{r+1} N_{n-r}, all
     integers, by U(m+1,r+1) = U(m,r) + b^(n-r) N_{r+1} U(m,r+1) and
-    b^(n-r) N_{n+r-1} - b^n N_{n-1} = a^(n-1) b^(n-r) N_r. Row r is
-    reduced by one gcd, so d_r is the lcm of its reduced
-    denominators. The diagonal is left over D, unreduced: L_m = X(m, m) for
-    m >= 2 and L_0 = L_1 = D (D = 1 for top < 2), so the eigenvalues and
-    their differences (L_k - L_m) / D are integers over one denominator.
+    b^(n-r) N_{n+r-1} - b^n N_{n-1} = a^(n-1) b^(n-r) N_r. No entry is
+    reduced: at r = 1, U(1, 1) = 1 and U(1, 2) = 0 give X(1, 1) = D, and
+    raising top by one multiplies D and every X(r, m) by b N_n. For
+    top < 2 the matrix is read off directly over D = 1.
     Float mode runs the same loop with (a, b, c, d) = (q, 1, alpha, 1) and
-    N_j = [j]_q / [n]_q, so U(m, j) = S_q(m, j) / [n]_q^(m-j), no power of
-    [n]_q is formed, d_r = 1 and each entry, the diagonal's too, is divided
-    by D, which the result then gives as 1; a non-finite N_j raises
-    FloatingPointError first. There a^(n-1) N_r = q^(n-1) [r]_q / [n]_q is
-    formed first, and is finite because q^(n-1) < [n]_q for q >= 1."""
+    N_j = [j]_q / [n]_q, so U(m, j) = S_q(m, j) / [n]_q^(m-j) and no power
+    of [n]_q is formed, then divides each entry by the float D and returns
+    1 in its place; a non-finite N_j raises FloatingPointError first. There
+    a^(n-1) N_r = q^(n-1) [r]_q / [n]_q is formed first, and is finite
+    because q^(n-1) < [n]_q for q >= 1."""
     n, table = params.n, params.table
     if not 0 <= top <= n:
         raise ValueError(f"need 0 <= k <= n, got k={top}, n={n}")
     exact = params.mode == "exact"
+    one = 1 if exact else table.one
     # T fixes 1 and t, and every image vanishes at x = 0
-    rows = [(1, [None] + [0] * top)][:top]
     if top < 2:
-        return rows, (1, [1 if exact else table.one] * (top + 1))
+        return 1, [[one] + [0] * top, [None, one]][: top + 1]
     a, b, c, d = _integer_form(params)
     if exact:
         N = table.numerators[: n + top]
@@ -367,7 +367,7 @@ def image_rows(params: OperatorParams,
         top, [x * b ** (n + 1 - j) for j, x in enumerate(N[: top + 2])])))
     mpow = list(accumulate(range(top), lambda p, _: p * b * N[n], initial=1))
     den = d * N[n - 1] * mpow[top]
-    diagonal = [den, den] if exact else [table.one, table.one]
+    X = [[den if exact else one] + [0] * top]
     falling = 1  # a^(r(r-1)/2) N_{n-1}..N_{n-r+1}
     for r in range(1, top + 1):
         scale, u = falling * b**r, (d - c) * N[n - r]
@@ -377,25 +377,18 @@ def image_rows(params: OperatorParams,
             p * (A * s0 + B * s1)
             for p, s0, s1 in zip(mpow[top - r::-1], cols[r][r:], cols[r + 1][r:])
         ], "image_rows", params)
-        if r >= 2:
-            diagonal.append(xs[0] if exact else xs[0] / den)
-        if r < top:
-            if exact:
-                g = math.gcd(den, *xs[1:])
-                rows.append((den // g, [None] * (r + 1) + [x // g for x in xs[1:]]))
-            else:
-                rows.append((1, [None] * (r + 1) + [x / den for x in xs[1:]]))
+        X.append([None] * r + (xs if exact else [x / den for x in xs]))
         falling *= a**r * N[n - r]
-    return rows, (den if exact else 1, diagonal)
+    return (den if exact else 1), X
 
 
 def monomial_image(k: int, params: OperatorParams) -> MonomialImage:
-    """T(t^k) for 1 <= k <= n, the last column of ``image_rows(params, k)``
-    and its diagonal: a(r, k) is Fraction(R_r[k], d_r) in exact mode and
-    R_r[k] in float mode, and a(k, k) likewise from (D, L)."""
+    """T(t^k) for 1 <= k <= n, column k of ``image_rows(params, k)``:
+    a(r, k) is Fraction(X[r][k], D) in exact mode and X[r][k] in float
+    mode, where D = 1."""
     if not 1 <= k <= params.n:
         raise ValueError(f"monomial image needs 1 <= k <= n, got k={k}, n={params.n}")
-    rows, diagonal = image_rows(params, k)
+    den, X = image_rows(params, k)
     exact = params.mode == "exact"
-    column = (Fraction(row[k], d) if exact else row[k] for d, row in (*rows[1:], diagonal))
+    column = (Fraction(X[r][k], den) if exact else X[r][k] for r in range(1, k + 1))
     return MonomialImage(k, (params.table.zero, *column))

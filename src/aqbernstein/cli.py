@@ -27,7 +27,7 @@ import math
 import sys
 from fractions import Fraction
 
-from .asymptotics import RegimeError, convergence_table, limit_coeffs
+from .asymptotics import convergence_table, limit_coeffs
 from .bernstein import OperatorParams, apply_to_samples, basis_values, sample_nodes
 from .eigen import eigensystem, eigenvector
 from .polynomials import poly_eval
@@ -302,7 +302,8 @@ def main(argv=None) -> int:
         print(f"arithmetic failure in '{' '.join(argv)}': "
               f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    except (RegimeError, MixedModeError, ValueError) as exc:
+    except (MixedModeError, ValueError) as exc:
+        # a RegimeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -106,30 +106,34 @@ def eigenvalue(k: int, params: OperatorParams) -> Scalar:
     return spectrum(params, k)[0][k]
 
 
-def _exact_coeffs(k: int, params: OperatorParams, rows: list[tuple[int, list]],
-                  diagonal: tuple[int, list]) -> tuple[Fraction, ...]:
-    """Coefficients c_0..c_k of p_k in exact mode, from the rows (d_r, R_r)
-    and the diagonal (D, L) of one :func:`~aqbernstein.bernstein.image_rows`
-    call for any top >= k: a(r, m) = R_r[m] / d_r and lambda_m = L_m / D,
-    so lambda_r - lambda_k = (L_r - L_k) / D is one integer subtraction.
+def _exact_coeffs(k: int, params: OperatorParams, X: list[list]) -> tuple[Fraction, ...]:
+    """Coefficients c_0..c_k of p_k in exact mode, from the numerators X of
+    one :func:`~aqbernstein.bernstein.image_rows` call for any top >= k:
+    a(r, m) = X[r][m] / D and lambda_m = X[m][m] / D over the one D.
 
     c_r = sum_{m=r+1..k} c_m a(r, m) / (lambda_k - lambda_r), for r = k-1
-    down to 0. Each known c_m stays the integer numerator v[m] over the
-    denominator w_m it was formed with, c_m = v[m] / w_m: w_k = 1, and step
-    r grows w_{r+1} by a factor g_r to w_r = w_{r+1} g_r. Over w_{r+1} the
-    sum is the integer dot product total = sum_m v[m] R_r[m] (w_{r+1} / w_m),
-    with w_{r+1} / w_m = g_{r+1} ... g_{m-1}, taken from m = k down by
-    nested multiplication (Horner's rule over the g_j),
-    total <- total g_m + v[m] R_r[m]; no known numerator is ever rescaled.
-    Then c_r = T / (w_{r+1} S) with T = -D total and S = d_r (L_r - L_k),
-    positive since the lambdas decrease; S has the size of an image entry,
-    not of p_k's numerators. With h = gcd(T, S), g_r = S // h makes w_r the
-    lcm of w_{r+1} and c_r's denominator (per prime,
-    lcm(w, w S / e) = w S / gcd(e, S) for e = gcd(T, w S), and
-    gcd(e, S) = h), and v[r] = T // h. Since gcd(T // h, S // h) = 1,
-    gcd(v[r], w_r) = gcd(T // h, w_{r+1}), and c_r = v[r] / w_r is the one
-    reduced Fraction formed per coefficient: the values are those of the
-    reduced scalar recursion, and no Fraction q-sequence is formed.
+    down to 0. The common D cancels from every step,
+
+        c_r = -sum_{m=r+1..k} c_m X(r, m) / (X(r, r) - X(k, k)),
+
+    so the recursion never reads D. Each known c_m stays the integer
+    numerator v[m] over the denominator w_m it was formed with,
+    c_m = v[m] / w_m: w_k = 1, and step r grows w_{r+1} by a factor g_r to
+    w_r = w_{r+1} g_r. Over w_{r+1} the sum is the integer dot product
+    total = sum_m v[m] X(r, m) (w_{r+1} / w_m), with w_{r+1} / w_m =
+    g_{r+1} ... g_{m-1}, taken from m = k down by nested multiplication
+    (Horner's rule over the g_j), total <- total g_m + v[m] X(r, m); no
+    known numerator is ever rescaled. Then c_r = T / (w_{r+1} S) with
+    T = -total and S = X(r, r) - X(k, k), positive since the lambdas
+    decrease; S has the size of an image entry, not of p_k's numerators.
+    With h = gcd(T, S), g_r = S // h makes w_r the lcm of w_{r+1} and c_r's
+    denominator (per prime, lcm(w, w S / e) = w S / gcd(e, S) for
+    e = gcd(T, w S), and gcd(e, S) = h), and v[r] = T // h. Since
+    gcd(T // h, S // h) = 1, gcd(v[r], w_r) = gcd(T // h, w_{r+1}), and
+    c_r = v[r] / w_r is the one reduced Fraction formed per coefficient:
+    the values, and with them every w_r and v[r], are those of the reduced
+    scalar recursion whatever the top of X, and no Fraction q-sequence is
+    formed.
 
     Raises DegenerateEigenvalueError when a difference lambda_k - lambda_r
     is zero, before dividing by it.
@@ -137,37 +141,36 @@ def _exact_coeffs(k: int, params: OperatorParams, rows: list[tuple[int, list]],
     n, q, alpha, table = params.n, params.q, params.alpha, params.table
     if k == 1:
         return (table.zero, table.one)
-    den, L = diagonal
     c = [table.zero] * k + [table.one]
     v = [0] * (k + 1)
     v[k] = w = 1
     g = [1] * (k + 1)  # g[m]: the factor by which step m grew w
     for r in range(k - 1, -1, -1):
-        d, row = rows[r]
+        row = X[r]
         total = row[k]
         for m in range(k - 1, r, -1):
             total = total * g[m] + v[m] * row[m]
-        S = d * (L[r] - L[k])
+        S = row[r] - X[k][k]
         if S == 0:
             raise DegenerateEigenvalueError(
                 f"lambda_{k} - lambda_{r} vanished for n={n}, q={q}, alpha={alpha}"
             )
-        T = -total * den
-        h = math.gcd(T, S)
+        h = math.gcd(total, S)
         g[r] = S // h
         w *= g[r]
-        v[r] = T // h
+        v[r] = -total // h
         c[r] = Fraction(v[r], w)
     return tuple(c)
 
 
-def _float_coeffs(k: int, params: OperatorParams, rows: list[tuple[int, list]],
+def _float_coeffs(k: int, params: OperatorParams, X: list[list],
                   gaps: tuple[float, ...]) -> tuple[float, ...]:
-    """Coefficients c_0..c_k of p_k in float mode, from the rows of
-    :func:`~aqbernstein.bernstein.image_rows` for any top >= k, every d_r = 1,
-    and the gaps lambda_{i+1} - lambda_i, i < k, of :func:`spectrum`:
-    c_r = sum_{m=r+1..k} c_m R_r[m] / diff for r = k-1 down to 0, with diff
-    = lambda_k - lambda_r the running sum of the gaps i = r..k-1.
+    """Coefficients c_0..c_k of p_k in float mode, from the entries
+    X[r][m] = a(r, m) of :func:`~aqbernstein.bernstein.image_rows` for any
+    top >= k and the gaps lambda_{i+1} - lambda_i, i < k, of
+    :func:`spectrum`: c_r = sum_{m=r+1..k} c_m X[r][m] / diff for r = k-1
+    down to 0, with diff = lambda_k - lambda_r the running sum of the gaps
+    i = r..k-1.
 
     Raises DegenerateEigenvalueError when a difference underflows below the
     smallest normal float (no relative precision left), before dividing by
@@ -181,7 +184,7 @@ def _float_coeffs(k: int, params: OperatorParams, rows: list[tuple[int, list]],
     c = [table.zero] * k + [table.one]
     diff = table.zero  # lambda_k - lambda_r
     for r in range(k - 1, -1, -1):
-        row = rows[r][1]
+        row = X[r]
         total = 0
         for m in range(k, r, -1):
             total = total + c[m] * row[m]
@@ -197,10 +200,10 @@ def _float_coeffs(k: int, params: OperatorParams, rows: list[tuple[int, list]],
 
 def eigenvector(k: int, params: OperatorParams) -> Polynomial:
     """The monic degree-k eigenvector polynomial p_k (p_0 = 1, p_1 = x)."""
-    rows, diagonal = image_rows(params, k)
+    X = image_rows(params, k)[1]
     if params.mode == "exact":
-        return Polynomial._trusted(_exact_coeffs(k, params, rows, diagonal))
-    return Polynomial._trusted(_float_coeffs(k, params, rows, spectrum(params, k)[1]))
+        return Polynomial._trusted(_exact_coeffs(k, params, X))
+    return Polynomial._trusted(_float_coeffs(k, params, X, spectrum(params, k)[1]))
 
 
 @dataclass(frozen=True)
@@ -252,15 +255,16 @@ def eigensystem_from_dict(obj: dict) -> EigenSystem:
 
 def eigensystem(params: OperatorParams) -> EigenSystem:
     """All eigenvalues and monic eigenvectors for k = 0..n, from one image
-    matrix, ``image_rows(params, n)``, whose rows every recursion reads. In
-    exact mode the eigenvalues are its diagonal, lambda_r = L_r / D, which
-    also gives every difference; in float mode one :func:`spectrum` call
-    gives every eigenvalue and the gaps that every recursion sums."""
-    rows, diagonal = image_rows(params, params.n)
+    matrix, ``image_rows(params, n)`` = (D, X), which every recursion reads.
+    In exact mode the eigenvalues are its diagonal, lambda_m = X[m][m] / D;
+    in float mode one :func:`spectrum` call gives every eigenvalue and the
+    gaps that every recursion sums."""
+    den, X = image_rows(params, params.n)
+    ks = range(params.n + 1)
     if params.mode == "exact":
-        den, L = diagonal
-        lambdas, coeffs, steps = tuple([Fraction(x, den) for x in L]), _exact_coeffs, diagonal
+        lambdas = tuple([Fraction(X[m][m], den) for m in ks])
+        vectors = [_exact_coeffs(k, params, X) for k in ks]
     else:
-        (lambdas, steps), coeffs = spectrum(params, params.n), _float_coeffs
-    vectors = [Polynomial._trusted(coeffs(k, params, rows, steps)) for k in range(params.n + 1)]
-    return EigenSystem(params, lambdas, tuple(vectors))
+        lambdas, gaps = spectrum(params, params.n)
+        vectors = [_float_coeffs(k, params, X, gaps) for k in ks]
+    return EigenSystem(params, lambdas, tuple([Polynomial._trusted(c) for c in vectors]))

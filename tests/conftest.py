@@ -36,19 +36,16 @@ def pytest_terminal_summary(terminalreporter):
 def _flip_image_coefficient(monkeypatch, offset):
     """Make eigen (which reads the image matrix for eigensystem and
     eigenvector, and so for the verify grid) use an image_rows that flips the sign
-    of the x^(k-offset) coefficient of T(t^k), k >= 2: an entry of row k-1
-    for offset 1, the diagonal for offset 0; returns the corrupted
+    of the x^(k-offset) coefficient of T(t^k), k >= 2: X[k-1][k] for
+    offset 1, the diagonal X[k][k] for offset 0; returns the corrupted
     function."""
     clean = aqbernstein.bernstein.image_rows
 
     def corrupted(params, top):
-        rows, diagonal = clean(params, top)
+        den, X = clean(params, top)
         for k in range(2, top + 1):
-            if offset == 0:
-                diagonal[1][k] = -diagonal[1][k]
-            else:
-                rows[k - offset][1][k] = -rows[k - offset][1][k]
-        return rows, diagonal
+            X[k - offset][k] = -X[k - offset][k]
+        return den, X
 
     monkeypatch.setattr(aqbernstein.eigen, "image_rows", corrupted)
     return corrupted

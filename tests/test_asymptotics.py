@@ -156,6 +156,13 @@ class TestLimitEigenvalue:
             with pytest.raises(ValueError, match="q must be finite"):
                 limit_coeffs(q, 0.5, 3)
 
+    def test_negative_degree_rejected(self):
+        for q, alpha in [(F(1, 2), F(2, 5)), (2.0, 0.4)]:
+            with pytest.raises(ValueError, match=r"^need k >= 0, got -1$"):
+                limit_eigenvalue(q, -1)
+            with pytest.raises(ValueError, match=r"^need k >= 0, got -1$"):
+                limit_coeffs(q, alpha, -1)
+
     def test_q_one_rejected(self):
         with pytest.raises(RegimeError):
             limit_eigenvalue(F(1), 2)
@@ -461,3 +468,7 @@ class TestConvergenceTable:
     def test_q_one_rejected(self):
         with pytest.raises(RegimeError):
             convergence_table(F(1), F(0), 2, [10])
+
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(ValueError, match=r"^unknown mode 'fixed'$"):
+            convergence_table(F(1, 2), F(2, 5), 2, [10], mode="fixed")

@@ -2,6 +2,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import subprocess
 import sys
 from decimal import Decimal
@@ -9,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 
+import aqbernstein.cli
 from aqbernstein.bernstein import OperatorParams
 from aqbernstein.cli import _json_text, main
 from aqbernstein.eigen import EigenSystem, eigensystem, eigensystem_from_dict
@@ -382,6 +384,12 @@ class TestVerify:
             main(["verify", "--inject-fault", "ark-sign"])
         assert exc.value.code == 2
 
+    def test_empty_grid_exit_2(self, capsys):
+        assert main(["verify", "--max-n", "0"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: max_n must be >= 1, got 0\n"
+
 
 ALPHA_OUTSIDE = [
     ("eig --n 3 --q 1/2 --alpha 2", "2"),
@@ -430,6 +438,19 @@ def test_non_finite_result_exit_1(command, message, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"arithmetic failure in '{command}': FloatingPointError: {message}\n"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_writer_refuses_non_finite(fmt, monkeypatch, capsys):
+    # every kernel refuses a non-finite float first, so a substitute
+    # evaluator is what reaches the writer's own check
+    monkeypatch.setattr(aqbernstein.cli, "poly_eval", lambda p, x: math.nan)
+    command = f"plot-data --n 3 --k 2 --q 0.5 --alpha 0.4 --mode float --format {fmt}"
+    assert main(command.split()) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"arithmetic failure in '{command}': "
+                   "FloatingPointError: float result is not finite: nan\n")
 
 
 # Full stdout of small commands, byte for byte. A JSON answer is written here

@@ -183,9 +183,9 @@ class TestEigenvalueDifference:
         clean = bernstein.image_rows
 
         def collided(params, top):
-            rows, (den, diagonal) = clean(params, top)
-            diagonal[3] = diagonal[2]
-            return rows, (den, diagonal)
+            den, X = clean(params, top)
+            X[3][3] = X[2][2]
+            return den, X
 
         monkeypatch.setattr(eigen, "image_rows", collided)
         params = OperatorParams(4, F(1, 2), F(1, 2))
@@ -247,6 +247,13 @@ class TestEigenvector:
     def test_classical_bernstein_degree_three(self):
         vec = eigenvector(3, OperatorParams(3, F(1), F(1)))
         assert vec == Polynomial((0, F(1, 2), F(-3, 2), 1))
+
+    @pytest.mark.parametrize("q, alpha", [(F(1, 2), F(2, 5)), (0.5, 0.4)])
+    @pytest.mark.parametrize("k", [4, -1])
+    def test_degree_out_of_range(self, q, alpha, k):
+        # the image kernel refuses the degree before it builds anything
+        with pytest.raises(ValueError, match=rf"^need 0 <= k <= n, got k={k}, n=3$"):
+            eigenvector(k, OperatorParams(3, q, alpha))
 
     def test_low_degrees(self):
         params = OperatorParams(4, F(1, 2), F(1, 2))
@@ -349,9 +356,10 @@ class TestIntegerRecursion:
             assert repr(got) == repr(vectors[k].coeffs), (params, k)
 
     def test_eigenvector_equals_system_vector(self):
-        # eigenvector(k) builds its rows up to k and eigensystem up to n, so
-        # their row denominators d_r, and with them the exact recursion's
-        # growth factors, differ; the output must not show it
+        # eigenvector(k) builds its image matrix up to k and eigensystem up
+        # to n: the same integers but for the common factor (b N_n)^(n-k),
+        # which cancels from every step of the exact recursion; the output
+        # must not show which matrix it read
         for n in range(1, 13):
             for q in [F(1, 2), F(1), F(3, 2)]:
                 for params in [OperatorParams(n, q, F(2, 5)), OperatorParams(n, float(q), 0.4)]:
@@ -472,9 +480,9 @@ class TestEigenSystem:
         clean = bernstein.image_rows
 
         def huge(params, top):
-            rows, diagonal = clean(params, top)
-            rows[2][1][3] = 1e308  # a(2, 3), the x^2 coefficient of T(t^3)
-            return rows, diagonal
+            den, X = clean(params, top)
+            X[2][3] = 1e308  # a(2, 3), the x^2 coefficient of T(t^3)
+            return den, X
 
         monkeypatch.setattr(eigen, "image_rows", huge)
         with pytest.raises(FloatingPointError,

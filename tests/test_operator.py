@@ -640,23 +640,11 @@ class TestMonomialImage:
             monomial_image(4, params)
 
 
-def lcm_rows(images, top):
-    """The rows r < top of the image matrix a(r, m), m = 1..top, each over
-    the lcm of its reduced denominators, from exact ``images[m]`` =
-    (a(0, m), .., a(m, m)): the row form the eigenvector recursion reads."""
-    rows = []
-    for r in range(top):
-        row = [images[m][r] for m in range(r + 1, top + 1)]
-        d = math.lcm(*(a.denominator for a in row))
-        rows.append((d, [None] * (r + 1) + [a.numerator * (d // a.denominator) for a in row]))
-    return rows
-
-
 class TestImageRows:
-    def test_equal_lcm_rows_of_per_coefficient_images(self):
+    def test_equals_per_coefficient_images(self):
         # the integer kernel against Fraction images one coefficient at a
-        # time, put over one denominator per row by the lcm: the same
-        # integers, also for top < n, where the rows are over N_n^top
+        # time: every entry an integer over the one denominator, also for
+        # top < n, where the matrix is over N_n^top
         cases = [(n, q, alpha, n) for n in range(1, 13)
                  for q in verify.Q_GRID for alpha in verify.ALPHA_GRID]
         cases += [(n, q, F(2, 5), top) for n in (50, 200)
@@ -664,11 +652,13 @@ class TestImageRows:
         for n, q, alpha, top in cases:
             params = OperatorParams(n, q, alpha)
             images = {m: per_coefficient_image(m, params) for m in range(1, top + 1)}
-            rows, (den, diagonal) = image_rows(params, top)
-            assert rows == lcm_rows(images, top), (n, q, alpha, top)
-            entries = [x for r, (d, row) in enumerate(rows) for x in (d, *row[r + 1:])]
-            assert all(type(x) is int for x in [*entries, den, *diagonal])
-            assert [F(x, den) for x in diagonal] == [1] + [images[m][m] for m in range(1, top + 1)]
+            den, X = image_rows(params, top)
+            assert X[0] == [den] + [0] * top, (n, q, alpha, top)
+            assert [row[:r] for r, row in enumerate(X)] == [[None] * r for r in range(top + 1)]
+            entries = [den] + [x for r, row in enumerate(X) for x in row[r:]]
+            assert all(type(x) is int for x in entries) and den > 0
+            got = {m: [F(X[r][m], den) for r in range(m + 1)] for m in range(1, top + 1)}
+            assert got == {m: list(image) for m, image in images.items()}, (n, q, alpha, top)
 
     def test_float_entries_near_exact(self):
         # each float entry is a sum of two nonnegative terms, so it stays
@@ -678,13 +668,10 @@ class TestImageRows:
         for q in (F(1, 3), F(1, 2), F(1)):
             for n in (12, 24, 40):
                 for alpha in (F(0), F(2, 5), F(1)):
-                    rows, (den, diagonal) = image_rows(OperatorParams(n, q, alpha), n)
-                    frows, (one, fdiagonal) = image_rows(
-                        OperatorParams(n, float(q), float(alpha)), n)
-                    pairs = [(F(x, den), y) for x, y in zip(diagonal, fdiagonal)]
-                    pairs += [(F(x, d), y) for r, ((d, row), (_, frow)) in
-                              enumerate(zip(rows, frows)) for x, y in
-                              zip(row[r + 1:], frow[r + 1:])]
+                    den, X = image_rows(OperatorParams(n, q, alpha), n)
+                    one, fX = image_rows(OperatorParams(n, float(q), float(alpha)), n)
+                    pairs = [(F(x, den), y) for r, (row, frow) in enumerate(zip(X, fX))
+                             for x, y in zip(row[r:], frow[r:])]
                     assert one == 1 and len(pairs) == (n + 1) * (n + 2) // 2
                     for exact, got in pairs:
                         if exact > 1e-290:

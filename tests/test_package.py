@@ -3,6 +3,7 @@ import pathlib
 import subprocess
 import sys
 from collections import Counter
+from fractions import Fraction
 
 import aqbernstein
 import aqbernstein.bernstein
@@ -93,3 +94,18 @@ def test_benchmark_selftest():
     result = subprocess.run([sys.executable, "perfbench/selftest.py"], cwd=root,
                             capture_output=True, text=True, timeout=300)
     assert result.returncode == 0, result.stderr[-2000:]
+
+
+def test_readme_quick_tour():
+    # the quick tour runs as written and its comments state its values
+    readme = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text()
+    tour = readme.split("## Library quick tour", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    for comment in ["# (1, 1, 87/245, 6/245)", "# Polynomial((0, -1, 1)), i.e. x^2 - x",
+                    "# [0, 4/7, 6/7, 1]"]:
+        assert comment in tour, comment
+    names = {}
+    exec(tour, names)
+    F = Fraction
+    assert names["system"].lambdas == (1, 1, F(87, 245), F(6, 245))
+    assert names["system"].vectors[2] == aqbernstein.Polynomial((0, -1, 1))
+    assert names["nodes"] == (0, F(4, 7), F(6, 7), 1)

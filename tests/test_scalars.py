@@ -90,6 +90,12 @@ class TestModes:
             with pytest.raises(TypeError):
                 coerce("1/2", mode)
 
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(ValueError, match=r"^unknown scalar mode 'fixed'$"):
+            coerce(1, "fixed")
+        with pytest.raises(ValueError, match=r"^unknown scalar mode 'fixed'$"):
+            parse_scalar("1", "fixed")
+
 
 class TestComparison:
     def test_float_uses_tolerance(self):

@@ -65,3 +65,8 @@ def test_closed_forms_are_the_oracles_numerators(q):
     assert all(F(Fs[j], b ** (j * (j - 1) // 2)) == q_factorial(j, q) for j in range(15))
     assert all(F(P[r][i], b ** (i * (r - i))) == q_binomial(r, i, q)
                for r in range(15) for i in range(r + 1))
+
+
+def test_empty_grid_rejected():
+    with pytest.raises(ValueError, match=r"^max_n must be >= 1, got 0$"):
+        verify.run_verify(0)
