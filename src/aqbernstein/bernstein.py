@@ -347,7 +347,11 @@ def image_rows(params: OperatorParams, top: int) -> tuple[int, list[list]]:
     of [n]_q is formed, then divides each entry by the float D and returns
     1 in its place; a non-finite N_j raises FloatingPointError first. There
     a^(n-1) N_r = q^(n-1) [r]_q / [n]_q is formed first, and is finite
-    because q^(n-1) < [n]_q for q >= 1."""
+    because q^(n-1) < [n]_q for q >= 1. Every float entry carries rounding,
+    so float X[1][1] is 1 only up to rounding; no reader takes it:
+    monomial_image(1) comes from the top < 2 branch, the float eigenvector
+    recursion reads entries above the diagonal, and float eigenvalues come
+    from :func:`~aqbernstein.eigen.spectrum`."""
     n, table = params.n, params.table
     if not 0 <= top <= n:
         raise ValueError(f"need 0 <= k <= n, got k={top}, n={n}")

@@ -7,7 +7,7 @@ ones included. A comment line holds a comment and no code; a blank line
 is empty or whitespace outside a docstring; every other line is code.
 Standard library only. Run from the repository root:
 
-    python tools/loc.py [package directory]
+    python tools/loc.py
 """
 
 import ast
@@ -57,8 +57,8 @@ def count(source: str) -> dict[str, int]:
     return counts
 
 
-def main(argv: list[str]) -> int:
-    root = pathlib.Path(argv[0] if argv else "src/aqbernstein")
+def main() -> int:
+    root = pathlib.Path("src/aqbernstein")
     totals = dict.fromkeys(KINDS, 0)
     print(LAYOUT.format("module", *KINDS))
     for path in sorted(root.glob("*.py")):
@@ -71,4 +71,4 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
