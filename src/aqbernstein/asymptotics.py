@@ -12,12 +12,16 @@ Two regimes exist, split by q (there is no limit regime at q = 1):
 :func:`limit_coeffs` is the one kernel for both regimes. It finds q's
 regime first, so a q <= 0 raises RegimeError as in :func:`limit_eigenvalue`,
 then checks q and alpha once, by the rules of
-:class:`~aqbernstein.bernstein.OperatorParams`, builds [0]_q .. [k]_q once
-by the recurrence the operator's q-table runs,
-:func:`~aqbernstein.qcalc.q_integers`, and runs the recursion of the regime
-on that sequence: below 1 on the q-Stirling rows that
-:func:`~aqbernstein.qcalc.q_stirling2_rows` builds from it, above 1 on
-running sums of it.
+:class:`~aqbernstein.bernstein.OperatorParams`, and runs the recursion of
+the regime on the q-integers of :func:`~aqbernstein.qcalc.q_integers`, the
+recurrence the operator's q-table runs: below 1 on the q-Stirling rows that
+:func:`~aqbernstein.qcalc.q_stirling2_rows` builds from them, above 1 on
+running sums of them. Float mode runs the recursions as written. Exact mode
+runs them on integers, as the image kernel and the exact eigenvector
+recursion do: for q = a/b and alpha = c/d in lowest terms it reads the
+numerators N_m = b^(m-1) [m]_q, keeps every intermediate an integer, and
+forms one reduced Fraction per coefficient below 1 and per ratio above 1;
+:func:`limit_coeffs` derives both integer forms.
 
 The one-step ratio for q > 1 is the limit of
 a_n(k-j, k-j+1) / (lambda_k - lambda_{k-j}). Carrying out that limit from
@@ -44,6 +48,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import accumulate
 from typing import Sequence
 
@@ -108,17 +113,103 @@ def limit_coeffs(q: Scalar, alpha: Scalar, k: int) -> LimitCoeffs:
     j = k-1 .. 1, below 1
 
         b(j,k) = sum_{i=j+1}^{k} (1-q)^(i-j) S_q(i,j)
-                 / (q^((k-j)(k+j-1)/2) - 1) * b(i,k),
+                 / (q^E - 1) * b(i,k),    E = (k-j)(k+j-1)/2,
 
     which gives 0 at j = 0 since S_q(i,0) = 0 for i >= 1; above 1
     d(j,k) = rho_(k-j) d(j+1,k), the running product of the ratio limits
     (see the module docstring), whose step to j = 0 would carry the factor
     S_q(1,0) + (1-alpha) q^(-k) (q-1) [0]_q [1]_q = 0.
+
+    Float mode runs these recursions as written. Exact mode runs them on
+    integers; for q = a/b and alpha = c/d in lowest terms, [m]_q is
+    N_m / b^(m-1) with N_m from ``q_integers(a, top, b)``.
+
+    Below 1, Carlitz's rows run on b^(k+1-j) N_j = b^k [j]_q are the
+    integers U(i,j) = b^(k(i-j)) S_q(i,j). With r = (b-a) / b^(k+1),
+    (1-q)^(i-j) S_q(i,j) = U(i,j) r^(i-j), so b(j,k) = tau_j r^(k-j) where
+    tau_k = 1 and
+
+        tau_j = b^E sum_{i>j} U(i,j) tau_i / (a^E - b^E).
+
+    tau runs on the bookkeeping of :func:`~aqbernstein.eigen._exact_coeffs`:
+    tau_i = v[i] / w_i with w_k = 1 and w_j = w_(j+1) g_j, so that
+    total = w_(j+1) sum_{i>j} U(i,j) tau_i is an integer, taken by Horner's
+    rule over the g_i. With S = b^E - a^E > 0 and h = gcd(total, S), the
+    step sets g_j = S // h and v[j] = -b^E (total // h); b^E needs no gcd,
+    being prime to S as b is to a. Each b(j,k) becomes one reduced
+    Fraction, v[j] (b-a)^(k-j) / (w_j b^((k+1)(k-j))).
+
+    Above 1, with H_j = sum_{i<=j} N_i b^(j-i) and
+    T_j = sum_{i=j}^{k-1} N_i b^(k-1-i), the running sums
+    S_q(j+1, j) = H_j / b^(j-1) and [j]_q + ... + [k-1]_q = T_j / b^(k-2),
+    and (q^m - 1)/(q - 1) = [m]_q = N_m / b^(m-1) for the closed-form
+    powers, the ratio is one integer quotient,
+
+        rho_(k-j) = -(d a^j b H_j + (d-c)(a-b) N_j N_(j+1)) (ab)^(k-1-j)
+                    / (d a^(k-1) b T_j + (d-c)(a-b) N_(k-j) N_(k+j-1)),
+
+    whose denominator is positive, and d(j,k) = d(j+1,k) rho_(k-j) stays
+    a reduced Fraction.
     """
     regime = regime_of(coerce(q, common_mode(q) or EXACT))
     q, alpha = checked_q_alpha(q, alpha)
     if k < 0:
         raise ValueError(f"need k >= 0, got {k}")
+    if isinstance(q, float):
+        coeffs = _float_limits(regime, q, alpha, k)
+    elif regime == Q_BELOW_1:
+        coeffs = _exact_limits_below_1(q, k)
+    else:
+        coeffs = _exact_limits_above_1(q, alpha, k)
+    return LimitCoeffs(regime, q, alpha, k, tuple(coeffs), limit_eigenvalue(q, k))
+
+
+def _exact_limits_below_1(q: Fraction, k: int) -> list[Fraction]:
+    """b(0,k) .. b(k,k) on integers (see :func:`limit_coeffs`)."""
+    a, b = q.numerator, q.denominator
+    N = q_integers(a, k - 1, b)
+    U = q_stirling2_rows(k, [b ** (k + 1 - j) * m for j, m in enumerate(N)])
+    coeffs = [Fraction(0)] * k + [Fraction(1)]
+    v = [0] * k + [1]
+    g = [1] * (k + 1)  # g[i]: the factor by which step i grew w
+    w = 1
+    for j in range(k - 1, 0, -1):
+        total = U[k][j]
+        for i in range(k - 1, j, -1):
+            total = total * g[i] + v[i] * U[i][j]
+        E = (k - j) * (k + j - 1) // 2
+        bE = b**E
+        S = bE - a**E
+        h = math.gcd(total, S)
+        g[j] = S // h
+        w *= g[j]
+        v[j] = -bE * (total // h)
+        coeffs[j] = Fraction(v[j] * (b - a) ** (k - j), w * b ** ((k + 1) * (k - j)))
+    return coeffs
+
+
+def _exact_limits_above_1(q: Fraction, alpha: Fraction, k: int) -> list[Fraction]:
+    """d(0,k) .. d(k,k) as a running product of integer quotients (see
+    :func:`limit_coeffs`)."""
+    a, b = q.numerator, q.denominator
+    c, d = alpha.numerator, alpha.denominator
+    N = q_integers(a, 2 * k - 2, b)
+    heads = list(accumulate(N[:k], lambda h, m: h * b + m))  # H_j
+    e = (d - c) * (a - b)
+    coeffs = [Fraction(0)] * k + [Fraction(1)]
+    tail, scale = 0, 1  # T_j and b^(k-1-j) at step j
+    for j in range(k - 1, 0, -1):
+        tail += N[j] * scale
+        num = (d * a ** j * b * heads[j] + e * N[j] * N[j + 1]) * (a * b) ** (k - 1 - j)
+        den = d * a ** (k - 1) * b * tail + e * N[k - j] * N[k + j - 1]
+        coeffs[j] = coeffs[j + 1] * Fraction(-num, den)
+        scale *= b
+    return coeffs
+
+
+def _float_limits(regime: str, q: float, alpha: float, k: int) -> list[float]:
+    """b(j,k) or d(j,k) in floats, by the recursions of :func:`limit_coeffs`
+    as written."""
     qint = q_integers(q, k)
     coeffs = [q * 0] * k + [q * 0 + 1]
     at = f"(q={q}, alpha={alpha}, k={k})"
@@ -145,10 +236,10 @@ def limit_coeffs(q: Scalar, alpha: Scalar, k: int) -> LimitCoeffs:
             except OverflowError as exc:
                 raise FloatingPointError(f"float overflow in limit_coeffs {at}") from exc
             coeffs[j] = coeffs[j + 1] * (-num / den)
-    if isinstance(q, float) and not all(map(math.isfinite, coeffs)):
+    if not all(map(math.isfinite, coeffs)):
         bad = next(c for c in coeffs if not math.isfinite(c))
         raise FloatingPointError(f"non-finite float in limit_coeffs: {bad} {at}")
-    return LimitCoeffs(regime, q, alpha, k, tuple(coeffs), limit_eigenvalue(q, k))
+    return coeffs
 
 
 @dataclass(frozen=True)
@@ -188,6 +279,7 @@ def convergence_table(
         raise ValueError(f"unknown mode {mode!r}")
     limits = limit_coeffs(q, alpha, k)
     q, alpha = limits.q, limits.alpha
+    zero = q * 0
     rows = []
     for n in n_list:
         if n < max(k, 1):
@@ -195,8 +287,8 @@ def convergence_table(
         vec = eigenvector(k, OperatorParams(n, q, alpha))
         for j in range(k + 1):
             # p_k is monic of degree k, so every c_j is stored, in the mode;
-            # adding 0 only makes a float -0.0 read 0.0
-            finite = vec.coeffs[j] + 0
+            # a float -0.0 reads 0.0
+            finite = vec.coeffs[j] or zero
             lim = limits.coeffs[j]
             rows.append(ConvergenceRow(n, j, finite, lim, abs(finite - lim)))
     return tuple(rows)

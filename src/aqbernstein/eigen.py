@@ -92,7 +92,9 @@ def spectrum(
             # overflow float range at extreme n even though it contributes
             # nothing
             u = alpha + (1 - alpha) * (qint[n - k] / dn) * (qint[n + k - 1] / dn1)
-            u_drop = (1 - alpha) * qpow[n - k] * qint[2 * k - 2] / (dn * dn1)
+            # two quotients, not one over dn * dn1, which overflows to inf
+            # and zeroes the term long before either quotient leaves range
+            u_drop = (1 - alpha) * (qpow[n - k] / dn) * (qint[2 * k - 2] / dn1)
         gaps.append(-falling * (u * qint[k - 1] / dn + u_drop))
         falling *= qpow[k - 1] * qint[n - k + 1] / dn  # G_k
         lambdas.append(u * falling)

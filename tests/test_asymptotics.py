@@ -22,10 +22,13 @@ from aqbernstein.verify import q_integer, q_stirling2
 from test_operator import stirling_oracle
 
 F = Fraction
-# the exact grid on which limit_coeffs must equal the oracles below
-ORACLE_QS = [F(1, 3), F(1, 2), F(2, 3), F(3, 2), F(2), F(3), F(7, 3)]
+# the exact grid on which limit_coeffs must equal the oracles below; 9/10
+# and 11/10 sit one step from 1 on each side, with both a and b above 1 in
+# q = a/b
+ORACLE_QS = [F(1, 3), F(1, 2), F(2, 3), F(9, 10), F(11, 10), F(3, 2), F(2), F(3), F(7, 3)]
 ORACLE_ALPHAS = [F(0), F(1, 4), F(2, 5), F(1, 2), F(1)]
 ORACLE_MAX_K = 15
+FLOAT_LIMITS_DIGEST = "0ea9f764f81bb385849349cc9f0e600ab97c488f7b7e46590b7d16dc642fc4bd"
 
 
 def recursion_oracle_q_below_1(q, k):
@@ -375,6 +378,16 @@ class TestDispatch:
     def test_q_one_rejected(self):
         with pytest.raises(RegimeError):
             limit_coeffs(F(1), F(0), 2)
+
+    def test_float_output_digest(self):
+        # SHA-256 over repr of float limit_coeffs, pinned before exact mode
+        # left the generic loop: the float path runs that loop unchanged
+        digest = hashlib.sha256()
+        for q in (0.3, 0.5, 0.9, 1.1, 1.5, 2.0, 3.0):
+            for alpha in (0.0, 0.4, 1.0):
+                for k in range(30):
+                    digest.update(repr(limit_coeffs(q, alpha, k)).encode())
+        assert digest.hexdigest() == FLOAT_LIMITS_DIGEST
 
     @pytest.mark.parametrize("q, k, what", [
         (0.5, 400, "non-finite float in limit_coeffs: nan"),  # 138 of 401 were nan

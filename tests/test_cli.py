@@ -490,8 +490,8 @@ GOLDEN = [
     ("converge --q 1/2 --alpha 2/5 --k 3 --n 3",
      'n,j,finite,limit,abs_error\n'
      '3,0,0,0,0\n'
-     '3,1,0.6455026455026448,0.66666666666666674,0.02116402116402194\n'
-     '3,2,-1.6455026455026447,-1.6666666666666667,0.021164021164022051\n'
+     '3,1,0.64550264550264524,0.66666666666666674,0.021164021164021496\n'
+     '3,2,-1.6455026455026451,-1.6666666666666667,0.021164021164021607\n'
      '3,3,1,1,0\n'),
     ("converge --q 1/2 --alpha 2/5 --k 2 --n 3 --mode exact --format json",
      '[{"n": 3, "j": 0, "finite": {"num": "0", "den": "1"}, "limit": '
