@@ -15,24 +15,25 @@ Scalars parse rationally by default (``--q 0.4`` means exactly 2/5); pass
 failure or arithmetic failure (a vanishing eigenvalue difference, or a float
 result out of range or not finite), 2 usage or parameter error (an ``--out``
 path that cannot be opened included).
+
+Each command is a fresh interpreter, so each imports only what it runs:
+this module loads ``scalars``, ``polynomials``, ``qcalc``, ``bernstein`` and
+``eigen``; ``limits`` and ``converge`` import ``asymptotics`` and ``verify``
+imports ``verify`` when they run, and a CSV writer imports ``csv``.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
 import sys
 from fractions import Fraction
 
-from .asymptotics import convergence_table, limit_coeffs
 from .bernstein import OperatorParams, apply_to_samples, basis_values, sample_nodes
 from .eigen import eigensystem, eigenvector
 from .polynomials import poly_eval
 from .scalars import MixedModeError, Scalar, format_scalar, parse_scalar, scalar_to_json
-from .verify import run_verify
 
 
 def _parse_scalar_list(text: str, mode: str) -> list[Scalar]:
@@ -68,6 +69,9 @@ def _json_text(obj) -> str:
 
 
 def _csv_text(header: list[str], rows) -> str:
+    import csv
+    import io
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
@@ -166,6 +170,8 @@ def cmd_basis(args) -> int:
 
 
 def cmd_limits(args) -> int:
+    from .asymptotics import limit_coeffs
+
     lc = limit_coeffs(*_q_alpha(args), args.k)
     obj = {
         "regime": lc.regime,
@@ -180,6 +186,8 @@ def cmd_limits(args) -> int:
 
 
 def cmd_converge(args) -> int:
+    from .asymptotics import convergence_table
+
     q, alpha = _q_alpha(args)
     n_list = [int(part) for part in args.n.split(",") if part.strip()]
     if not n_list:
@@ -226,6 +234,8 @@ def cmd_plot_data(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .verify import run_verify
+
     report = run_verify(max_n=args.max_n)
     _write(args, report.as_dict(), [], [])
     return 0 if report.passed else 1

@@ -10,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from aqbernstein import bernstein, eigen, polynomials, verify
+from aqbernstein.asymptotics import limit_coeffs
 from aqbernstein.bernstein import (
     OperatorParams,
     apply_to_samples,
@@ -250,6 +251,26 @@ class TestEigenvector:
                 break
             for got, want in zip(coeffs, (0.0, -1.0, 1.0)):
                 assert abs(got - want) <= 4 * math.ulp(1.0), (n, coeffs)
+        else:
+            pytest.fail(f"no float range failure up to n={n}")
+
+    @pytest.mark.parametrize("k", [3, 6])
+    @pytest.mark.parametrize("q, start", [(1.1, 800), (1.5, 200), (2.0, 200), (3.0, 200)])
+    def test_float_eigenvector_meets_its_limit(self, q, start, k):
+        # from the start n on, the exact finite-n coefficients are within
+        # 1e-33 relative of their limits (convergence_table reads 1.5e-34 at
+        # q = 11/10, n = 800 and 5.2e-36 at q = 3/2, n = 200, k = 6), so float
+        # p_k must match the exact limit to rounding until the kernels raise;
+        # with one quotient over [n]_q [n-1]_q in spectrum's drop term, c_j
+        # was off by 0.23-52 relative at the last n before the wall
+        want = limit_coeffs(Fraction(q), Fraction(2, 5), k).coeffs
+        for n in (start * 2**i for i in range(8)):
+            try:
+                coeffs = eigenvector(k, OperatorParams(n, q, 0.4)).coeffs
+            except FloatingPointError:
+                break
+            for got, exact in zip(coeffs, want, strict=True):
+                assert abs(got - exact) <= 1e-13 * abs(exact), (n, coeffs)
         else:
             pytest.fail(f"no float range failure up to n={n}")
 

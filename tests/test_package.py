@@ -1,9 +1,12 @@
 import ast
+import json
 import pathlib
 import subprocess
 import sys
 from collections import Counter
 from fractions import Fraction
+
+import pytest
 
 import aqbernstein
 import aqbernstein.bernstein
@@ -33,6 +36,64 @@ def test_public_names():
     assert not hasattr(aqbernstein.bernstein, "_ACTIVE_FAULTS")
 
 
+def _child(script: str):
+    """The JSON that ``script`` prints in a fresh interpreter."""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    return json.loads(proc.stdout)
+
+
+def test_lazy_namespace():
+    # a bare import loads no submodule; every name of __all__, the
+    # submodules and a star import resolve on first access, and are bound
+    names = _child("""
+import json, sys
+import aqbernstein
+bare = sorted(m for m in sys.modules if m.startswith("aqbernstein."))
+qcalc = aqbernstein.qcalc.__name__
+try:
+    aqbernstein.nonexistent
+    missing = None
+except AttributeError as exc:
+    missing = str(exc)
+star = {}
+exec("from aqbernstein import *", star)
+bound = [name for name in aqbernstein.__all__
+         if name in star and star[name] is vars(aqbernstein).get(name)]
+print(json.dumps({"bare": bare, "qcalc": qcalc, "missing": missing, "bound": bound,
+                  "dir": sorted(set(aqbernstein.__all__) - set(dir(aqbernstein)))}))
+""")
+    assert names["bare"] == []
+    assert names["qcalc"] == "aqbernstein.qcalc"
+    assert names["missing"] == "module 'aqbernstein' has no attribute 'nonexistent'"
+    assert names["bound"] == PUBLIC
+    assert names["dir"] == []
+
+
+@pytest.mark.parametrize("argv, own", [
+    (["eig", "--n", "3", "--q", "1/2", "--alpha", "2/5"], []),
+    (["limits", "--q", "1/2", "--alpha", "2/5", "--k", "3"], ["aqbernstein.asymptotics"]),
+    (["converge", "--q", "3/2", "--alpha", "2/5", "--k", "2", "--n", "4,8"],
+     ["aqbernstein.asymptotics"]),
+    (["verify", "--max-n", "2"], ["aqbernstein.verify"]),
+], ids=["eig", "limits", "converge", "verify"])
+def test_command_loads_only_its_modules(argv, own):
+    # the limit kernels and the oracle suite load only in the commands that
+    # run them: importing the CLI loads neither
+    loaded = _child(f"""
+import contextlib, io, json, sys
+optional = {{"aqbernstein.asymptotics", "aqbernstein.verify"}}
+import aqbernstein.cli
+on_import = sorted(optional & set(sys.modules))
+with contextlib.redirect_stdout(io.StringIO()):
+    code = aqbernstein.cli.main({argv!r})
+print(json.dumps({{"on_import": on_import, "code": code,
+                  "after": sorted(optional & set(sys.modules))}}))
+""")
+    assert loaded == {"on_import": [], "code": 0, "after": own}
+
+
 def _references(node) -> Counter:
     """Names that ``node`` reads or imports."""
     return Counter(
@@ -44,21 +105,23 @@ def _references(node) -> Counter:
 
 def _bound_names(node) -> list[str]:
     """Names a module-level statement defines: a def, a class, or the plain
-    names an assignment binds (dunders such as ``__all__`` excluded)."""
+    names an assignment binds (dunders such as ``__all__`` and the module
+    protocol's ``__getattr__`` and ``__dir__`` excluded)."""
     if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-        return [node.name]
-    targets = node.targets if isinstance(node, ast.Assign) else (
-        [node.target] if isinstance(node, ast.AnnAssign) else [])
-    return [t.id for t in targets
-            if isinstance(t, ast.Name) and not t.id.startswith("__")]
+        names = [node.name]
+    else:
+        targets = node.targets if isinstance(node, ast.Assign) else (
+            [node.target] if isinstance(node, ast.AnnAssign) else [])
+        names = [t.id for t in targets if isinstance(t, ast.Name)]
+    return [name for name in names if not name.startswith("__")]
 
 
 def test_no_uncalled_definitions():
     # every module-level def, class and assigned name is used in the package
-    # outside its own definition; an import into __init__ counts
+    # outside its own definition; a name in __all__ counts
     src = pathlib.Path(aqbernstein.__file__).parent
     trees = {path.name: ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))}
-    refs = sum((_references(tree) for tree in trees.values()), Counter())
+    refs = sum((_references(tree) for tree in trees.values()), Counter(aqbernstein.__all__))
     unused = [
         f"{module}:{name}"
         for module, tree in trees.items()
